@@ -9,20 +9,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import flows as fl
 from . import pebbling as pb
 from . import prep
-from .driver import dstcon, exact_bfs_decider, noisy_decider, swnet_decider
+from .driver import decider_from_name, dstcon
 from .errors import BasisMismatch, IllegalMove, InvalidParams, RankDeficient, SwnetError
 from .graphs import layered_path, read_graph_file
 from .network import build
-from .spaneval import build_reflections, decide_phase_estimation, default_psi0
-from .graphs import GraphOracle
+from .spaneval import decide_distance_report
 from .tradeoff import sweep_csv
 
 
@@ -30,6 +29,13 @@ def _sigma_repr(sym, sigma: tuple) -> str:
     if not sigma:
         return "-"
     return ",".join(f"{sym.tag(c)}.{sym.payload(c)}" for c in sigma)
+
+
+def _depth(L: int) -> int:
+    """log2 L for the fixed-depth commands, whose bases need L = 2^ell exactly."""
+    if L < 1 or L & (L - 1):
+        raise InvalidParams(f"--L must be a positive power of two, got {L}")
+    return L.bit_length() - 1
 
 
 def cmd_net_dump(args) -> int:
@@ -43,7 +49,7 @@ def cmd_net_dump(args) -> int:
 
 
 def cmd_basis_dump(args) -> int:
-    ell = int(math.log2(args.L))
+    ell = _depth(args.L)
     net = build(args.n, ell, args.root)
     Q = fl.build_Bperp_basis(net, args.sink - 1)
     G = Q.T @ Q
@@ -57,7 +63,7 @@ def cmd_basis_dump(args) -> int:
 
 def cmd_prep_verify(args) -> int:
     n = args.n
-    ell = int(math.log2(args.L))
+    ell = _depth(args.L)
     rows = []
 
     def residual(got, targ):
@@ -98,39 +104,19 @@ def cmd_prep_verify(args) -> int:
 
 def cmd_decide(args) -> int:
     g = read_graph_file(args.graph)
-    if args.mode == "spectral-dense":
-        from .graphs import pad_to_power_of_two
-
-        g2 = pad_to_power_of_two(g)
-        ell = int(math.log2(args.L))
-        net = build(g2.n, ell, args.u)
-        pair = build_reflections(net, GraphOracle(g2), args.v - 1)
-        report = decide_phase_estimation(pair, default_psi0(net))
-    else:
-        from .spaneval import decide_distance_report
-
-        report = decide_distance_report(g, args.u, args.v, args.L, mode=args.mode)
-    payload = report.as_dict()
+    report = decide_distance_report(g, args.u, args.v, args.L, mode=args.mode)
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(asdict(report), indent=2))
     else:
-        print(payload["accepted"])
+        print(report.accepted)
     return 0
 
 
 def cmd_dstcon(args) -> int:
     g = read_graph_file(args.graph)
-    name = args.decider
-    if name == "exact":
-        decider = exact_bfs_decider()
-    elif name == "swnet":
-        decider = swnet_decider("spectral")
-    elif name.startswith("noisy:"):
-        decider = noisy_decider(float(name.split(":", 1)[1]), seed=args.seed)
-    else:
-        raise InvalidParams(f"unknown decider {name!r}")
+    decider = decider_from_name(args.decider, seed=args.seed)
     result, ledger = dstcon(g, args.s, args.t, args.L, decider=decider, boost_reps=args.reps)
-    payload = {"result": result, "ledger": ledger.as_dict()}
+    payload = {"result": result, "ledger": asdict(ledger)}
     if args.json:
         print(json.dumps(payload, indent=2))
     else:

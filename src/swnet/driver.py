@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import ConfigError, InvalidParams
 from .graphs import Digraph, GraphOracle
 from .spaneval import ResourceLedger, decide_distance, quantum_space_cells, time_formula
 
@@ -112,6 +112,21 @@ def noisy_decider(p_correct: float, seed: int, inner: DistDecider | None = None)
         quantum_cells=inner.quantum_cells,
         randomized=True,
     )
+
+
+def decider_from_name(name: str, seed: int = 0) -> DistDecider:
+    """The decider a name selects: "exact", "swnet" or "noisy:P" (seeded)."""
+    if name == "exact":
+        return exact_bfs_decider()
+    if name == "swnet":
+        return swnet_decider("spectral")
+    if name.startswith("noisy:"):
+        try:
+            p_correct = float(name.split(":", 1)[1])
+        except ValueError:
+            raise ConfigError(f"malformed decider {name!r}") from None
+        return noisy_decider(p_correct, seed=seed)
+    raise ConfigError(f"unknown decider flavor {name!r}")
 
 
 def boosted(decider: DistDecider, reps: int) -> DistDecider:

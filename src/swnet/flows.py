@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import Disconnected, InvalidParams, RankDeficient, ZeroZ
-from .network import SwitchingNet
+from .network import SwitchingNet, _component_and_parents
 
 # -- reduced-representation layout -------------------------------------------
 
@@ -201,7 +201,7 @@ def flow_norm_sq(n: int, ell: int) -> Fraction:
     return Fraction(2 * (n + 2) ** ell + n - 1, n**ell * (n + 1))
 
 
-# -- divergence and least-squares flows ----------------------------------------
+# -- divergence and optimal flows ----------------------------------------------
 
 def divergence(net: SwitchingNet, theta: np.ndarray) -> np.ndarray:
     """Per-vertex net outflow of an edge function (any numeric dtype)."""
@@ -214,35 +214,40 @@ def divergence(net: SwitchingNet, theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def incidence_matrix(net: SwitchingNet, edge_ids) -> np.ndarray:
-    """Signed vertex-edge incidence over a subset of edges (+1 tail, -1 head)."""
-    st = net.struct
-    B = np.zeros((st.vertex_count, len(edge_ids)))
-    for col, e in enumerate(edge_ids):
-        a, b = st.endpoints(int(e))
-        B[a, col] = 1.0
-        B[b, col] = -1.0
-    return B
-
-
 def optimal_flow_lsq(net: SwitchingNet, on_mask: np.ndarray, j: int) -> np.ndarray:
     """Minimum-energy unit flow from source to sink j over the on-subgraph.
 
-    The independent oracle for the recursive flow construction: solves the
-    divergence constraints by least squares, whose minimum-norm solution is
-    the unique optimal flow.  Raises Disconnected when no unit flow exists.
-    Returns a float edge vector over all edges (zero on off-edges).
+    The independent oracle for the recursive flow construction.  By
+    Thomson's principle the minimum-energy unit flow is the electrical
+    flow: ground sink j, solve the Laplacian of the source's on-component
+    for the vertex potentials, and give each on-edge its potential drop.
+    Raises Disconnected when no unit flow exists.  Returns a float edge
+    vector over all edges (zero on off-edges).
     """
-    on_ids = np.nonzero(on_mask)[0]
-    B = incidence_matrix(net, on_ids)
-    d = np.zeros(net.vertex_count)
-    d[net.source] = 1.0
-    d[net.sink(j)] = -1.0
-    theta_on, *_ = np.linalg.lstsq(B, d, rcond=None)
-    if np.linalg.norm(B @ theta_on - d) > 1e-8:
+    dist, _ = _component_and_parents(net, on_mask)
+    if dist[net.sink(j)] < 0:
         raise Disconnected(f"source and sink {j} are not connected in the on-subgraph")
+    comp = np.nonzero(dist >= 0)[0]
+    local = np.full(net.vertex_count, -1)
+    local[comp] = np.arange(comp.size)
+    on_ids = np.nonzero(on_mask)[0]
+    ends = np.array([net.endpoints(int(e)) for e in on_ids], dtype=np.int64).reshape(-1, 2)
+    inside = dist[ends[:, 0]] >= 0  # an on-edge with one end in the component has both
+    on_ids = on_ids[inside]
+    tail, head = local[ends[inside]].T
+    lap = np.zeros((comp.size, comp.size))
+    np.add.at(lap, (tail, tail), 1.0)
+    np.add.at(lap, (head, head), 1.0)
+    np.add.at(lap, (tail, head), -1.0)
+    np.add.at(lap, (head, tail), -1.0)
+    ground = local[net.sink(j)]
+    keep = np.arange(comp.size) != ground
+    rhs = np.zeros(comp.size)
+    rhs[local[net.source]] = 1.0
+    phi = np.zeros(comp.size)
+    phi[keep] = np.linalg.solve(lap[np.ix_(keep, keep)], rhs[keep])
     out = np.zeros(net.edge_count)
-    out[on_ids] = theta_on
+    out[on_ids] = phi[tail] - phi[head]
     return out
 
 

@@ -226,9 +226,6 @@ class NetStructure:
         b = int(self._leaf_sink_vid[leaf, i])
         return (b, a) if self._leaf_rev[leaf] else (a, b)
 
-    def rev_parity(self, e: int) -> bool:
-        return bool(self._leaf_rev[e // self.n])
-
     def query_label(self, e: int, root: int) -> tuple[int, int]:
         """Query label (a, b) in 1-indexed G vertices for a given root."""
         leaf, i = divmod(e, self.n)

@@ -40,7 +40,7 @@ import numpy as np
 from . import flows as fl
 from .errors import BasisMismatch, InvalidParams
 from .graphs import Digraph, GraphOracle, attach_source_path, pad_to_power_of_two
-from .network import SwitchingNet, accepts, build, on_edge_mask
+from .network import SwitchingNet, _component_and_parents, accepts, build, on_edge_mask
 
 #: calibration of the simulated decider: a single global rule, not tuned
 #: per instance.  The acceptance threshold is half the guaranteed witness
@@ -61,8 +61,12 @@ def time_formula(n: int, L: int) -> float:
 
 
 def quantum_space_cells(n: int, L: int) -> int:
-    """Register cells to address the edge space plus direction and boundary."""
-    edge_count = (2 * n + 1) ** max(int(math.log2(L)), 0) * n
+    """Register cells to address the edge space plus direction and boundary.
+
+    A bound L that is not a power of two is grafted up to 2^ceil(log2 L), so
+    it is charged the cells of that network.
+    """
+    edge_count = (2 * n + 1) ** (L - 1).bit_length() * n
     return math.ceil(math.log2(2 * edge_count + 4)) + 2
 
 
@@ -79,17 +83,6 @@ class ResourceLedger:
     decider_calls: int = 0
     guard_exhausted: bool = False
     peak_frontier: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "time_steps": self.time_steps,
-            "space_cells": self.space_cells,
-            "oracle_queries": self.oracle_queries,
-            "quantum_space_cells": self.quantum_space_cells,
-            "decider_calls": self.decider_calls,
-            "guard_exhausted": self.guard_exhausted,
-            "peak_frontier": self.peak_frontier,
-        }
 
 
 # -- reflections (dense, small instances) --------------------------------------
@@ -137,26 +130,19 @@ def build_reflections(net: SwitchingNet, oracle: GraphOracle, sink_index: int) -
 
 @dataclass
 class DecisionReport:
-    """Outcome of one simulated span-program decision."""
+    """Outcome of one simulated span-program decision.
+
+    ``route`` names how the answer was reached; see decide_length_bounded.
+    """
 
     accepted: bool
     overlap0: float
     witness_energy: float | None
     path_len: int | None
     threshold: float
+    route: str
     psi0: str = PSI0_LABEL
     ledger: ResourceLedger = field(default_factory=ResourceLedger)
-
-    def as_dict(self) -> dict:
-        return {
-            "accepted": self.accepted,
-            "overlap0": self.overlap0,
-            "witness_energy": self.witness_energy,
-            "path_len": self.path_len,
-            "threshold": self.threshold,
-            "psi0": self.psi0,
-            "ledger": self.ledger.as_dict(),
-        }
 
 
 def default_psi0(net: SwitchingNet) -> np.ndarray:
@@ -192,22 +178,16 @@ def decide_phase_estimation(
     if accepted:
         theta = fl.optimal_flow_lsq(net, pair.on_mask, pair.sink_index)
         witness_energy = float(theta @ theta)
-        dist, _ = _bfs_on(net, pair.on_mask)
+        dist, _ = _component_and_parents(net, pair.on_mask)
         path_len = int(dist[net.sink(pair.sink_index)])
     report = DecisionReport(
         accepted=accepted, overlap0=overlap0, witness_energy=witness_energy,
-        path_len=path_len, threshold=threshold,
+        path_len=path_len, threshold=threshold, route="dense",
     )
     report.ledger.oracle_queries = net.edge_count
     report.ledger.quantum_space_cells = quantum_space_cells(net.n, 2**net.ell)
     report.ledger.time_steps = time_formula(net.n, 2**net.ell)
     return report
-
-
-def _bfs_on(net: SwitchingNet, mask: np.ndarray):
-    from .network import _component_and_parents
-
-    return _component_and_parents(net, mask)
 
 
 # -- fast sector route ---------------------------------------------------------
@@ -254,44 +234,90 @@ def witness_energy(net: SwitchingNet, oracle: GraphOracle, sink_index: int) -> f
     return float(theta @ theta)
 
 
-# -- the length-bounded deciders ------------------------------------------------
+# -- the length-bounded decision pipeline ---------------------------------------
 
-SPECTRAL_DIM_CAP = 5000  # above this, spectral mode silently answers exactly
+SPECTRAL_DIM_CAP = 5000  # state-space dimension above which the spectral routes stop
 
 
 def decide_length_bounded(
-    g: Digraph, u: int, v: int, L: int, mode: str = "exact"
-) -> tuple[bool, ResourceLedger]:
+    g: Digraph, u: int, v: int, L: int, mode: str = "exact", witness: bool = False
+) -> DecisionReport:
     """Is there a directed u -> v path of length at most L (L a power of two)?
 
-    mode "exact" answers by BFS over the on-subgraph; mode "spectral" reads
-    the answer off the reflection spectrum, falling back to exact above
-    SPECTRAL_DIM_CAP while still accounting the formula cost.  The ledger
-    carries the accounted quantum time, oracle queries, and register cells.
+    Pads g, builds the depth-log2(L) network rooted at u and answers along
+    one route, recorded in ``report.route``:
+
+    - ``trivial``: u == v, answered without a network;
+    - ``exact`` (mode "exact"): BFS over the on-subgraph;
+    - ``sector`` (mode "spectral"): the fixed-space mass from phase_mass;
+    - ``exact-fallback`` (mode "spectral" above SPECTRAL_DIM_CAP): BFS, with
+      overlap0 = float(accepted) rather than a measured mass;
+    - ``dense`` (mode "spectral-dense"): the dense reflections and their
+      eigendecomposition; refused with InvalidParams above SPECTRAL_DIM_CAP.
+
+    The ledger carries the accounted quantum time, the oracle queries of the
+    decision, and register cells.  With ``witness`` an accepted answer also
+    gets its witness path length and optimal on-flow energy.
     """
     if L < 1 or L & (L - 1):
         raise InvalidParams(f"L must be a positive power of two, got {L}")
-    ledger = ResourceLedger()
+    if mode not in ("exact", "spectral", "spectral-dense"):
+        raise InvalidParams(f"unknown mode {mode!r}")
     g = pad_to_power_of_two(g)
+    ell = L.bit_length() - 1
+    ledger = ResourceLedger(
+        time_steps=time_formula(g.n, L), quantum_space_cells=quantum_space_cells(g.n, L), decider_calls=1
+    )
+    report = DecisionReport(
+        accepted=True, overlap0=1.0, witness_energy=None, path_len=None,
+        threshold=acceptance_threshold(ell), route="trivial", ledger=ledger,
+    )
+    if u == v:
+        if witness:
+            report.witness_energy, report.path_len = 0.0, 0
+        return report
     if L > g.n:
         raise InvalidParams(f"L = {L} exceeds padded vertex count {g.n}")
-    ledger.time_steps = time_formula(g.n, L)
-    ledger.quantum_space_cells = quantum_space_cells(g.n, L)
-    ledger.decider_calls = 1
-    if u == v:
-        return True, ledger
-    ell = int(math.log2(L))
     net = build(g.n, ell, u)
     oracle = GraphOracle(g)
-    if mode == "spectral" and 2 * net.edge_count + 4 <= SPECTRAL_DIM_CAP:
-        mass = phase_mass(net, oracle, v - 1)
-        answer = mass >= acceptance_threshold(ell)
-    elif mode in ("spectral", "exact"):
-        answer, _ = accepts(net, oracle, v - 1)
+    sink = v - 1
+    dim = 2 * net.edge_count + 4
+    path = None
+    if mode == "spectral-dense":
+        if dim > SPECTRAL_DIM_CAP:
+            raise InvalidParams(
+                f"spectral-dense needs {dim}x{dim} dense projectors, above SPECTRAL_DIM_CAP={SPECTRAL_DIM_CAP}"
+            )
+        dense = decide_phase_estimation(build_reflections(net, oracle, sink), default_psi0(net))
+        report.accepted, report.overlap0, report.route = dense.accepted, dense.overlap0, "dense"
+    elif mode == "spectral" and dim <= SPECTRAL_DIM_CAP:
+        report.overlap0 = phase_mass(net, oracle, sink)
+        report.accepted = report.overlap0 >= report.threshold
+        report.route = "sector"
     else:
-        raise InvalidParams(f"unknown mode {mode!r}")
+        report.accepted, path = accepts(net, oracle, sink)
+        report.overlap0 = float(report.accepted)
+        report.route = "exact" if mode == "exact" else "exact-fallback"
     ledger.oracle_queries = oracle.query_count
-    return answer, ledger
+    if witness and report.accepted:
+        if path is None:
+            _, path = accepts(net, oracle, sink)
+        report.path_len = len(path)
+        report.witness_energy = witness_energy(net, oracle, sink)
+    return report
+
+
+def _graft(g: Digraph, u: int, v: int, L: int) -> tuple[Digraph, int, int, int]:
+    """Round L up to 2^ceil(log2 L) by grafting a feeder path into u.
+
+    The new chain head asks the same question at the power-of-two bound.
+    u == v is answered at any bound, so nothing is grafted then.
+    """
+    if L < 1:
+        raise InvalidParams("L must be >= 1")
+    L2 = 1 << (L - 1).bit_length()
+    g2, u2 = attach_source_path(g, u, 0 if u == v else L2 - L)
+    return g2, u2, v, L2
 
 
 def decide_distance(
@@ -299,48 +325,12 @@ def decide_distance(
 ) -> tuple[bool, ResourceLedger]:
     """Is there a directed u -> v path of length at most L (any L >= 1)?
 
-    Rounds L up to a power of two by grafting a directed path of length
-    2^ceil(log2 L) - L into u and asking the power-of-two decider from the
-    new chain head.  u == v answers True for every L.
+    The answer and ledger of decide_length_bounded on the grafted graph.
     """
-    if L < 1:
-        raise InvalidParams("L must be >= 1")
-    if u == v:
-        ledger = ResourceLedger()
-        ledger.decider_calls = 1
-        return True, ledger
-    ell = max(math.ceil(math.log2(L)), 0)
-    a = 2**ell - L
-    g2, u2 = attach_source_path(g, u, a)
-    return decide_length_bounded(g2, u2, v, 2**ell, mode=mode)
+    report = decide_length_bounded(*_graft(g, u, v, L), mode=mode)
+    return report.accepted, report.ledger
 
 
 def decide_distance_report(g: Digraph, u: int, v: int, L: int, mode: str = "exact") -> DecisionReport:
-    """decide_distance plus the witness fields of a full DecisionReport.
-
-    overlap0 is filled in for spectral mode (1.0 by convention for the
-    trivial u == v case); witness energy and path length come from the
-    on-subgraph of the padded network when the answer is positive.
-    """
-    answer, ledger = decide_distance(g, u, v, L, mode=mode)
-    ell = max(math.ceil(math.log2(L)), 0)
-    threshold = acceptance_threshold(ell)
-    report = DecisionReport(
-        accepted=answer, overlap0=float(answer), witness_energy=None,
-        path_len=None, threshold=threshold, ledger=ledger,
-    )
-    if u == v:
-        report.path_len = 0
-        report.witness_energy = 0.0
-        return report
-    g2, u2 = attach_source_path(g, u, 2**ell - L)
-    g2 = pad_to_power_of_two(g2)
-    net = build(g2.n, ell, u2)
-    if mode == "spectral" and 2 * net.edge_count + 4 <= SPECTRAL_DIM_CAP:
-        report.overlap0 = phase_mass(net, GraphOracle(g2), v - 1)
-    if answer:
-        oracle = GraphOracle(g2)
-        _, path = accepts(net, oracle, v - 1)
-        report.path_len = len(path)
-        report.witness_energy = witness_energy(net, GraphOracle(g2), v - 1)
-    return report
+    """decide_distance as a full DecisionReport, witness fields included."""
+    return decide_length_bounded(*_graft(g, u, v, L), mode=mode, witness=True)

@@ -24,7 +24,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .driver import dstcon, exact_bfs_decider, noisy_decider, swnet_decider
+from .driver import decider_from_name, dstcon
 from .errors import ConfigError, DomainError
 from .graphs import random_digraph
 from .spaneval import ResourceLedger
@@ -108,20 +108,6 @@ class TradeoffPoint:
         )
 
 
-_DECIDERS = {
-    "exact": exact_bfs_decider,
-    "swnet": lambda: swnet_decider("spectral"),
-}
-
-
-def _decider_from_name(name: str):
-    if name in _DECIDERS:
-        return _DECIDERS[name]()
-    if name.startswith("noisy:"):
-        return noisy_decider(float(name.split(":", 1)[1]), seed=0)
-    raise ConfigError(f"unknown decider flavor {name!r}")
-
-
 def sweep(config: dict) -> list[TradeoffPoint]:
     """Evaluate formula rows for an n x S grid, measuring where desk-scale.
 
@@ -166,7 +152,7 @@ def sweep(config: dict) -> list[TradeoffPoint]:
                 ledger = ResourceLedger()
                 for seed in seeds:
                     g = random_digraph(n, edge_prob, int(seed))
-                    _, led = dstcon(g, 1, n, L, decider=_decider_from_name(decider_name), boost_reps=reps)
+                    _, led = dstcon(g, 1, n, L, decider=decider_from_name(decider_name), boost_reps=reps)
                     ledger.time_steps += led.time_steps
                     ledger.space_cells = max(ledger.space_cells, led.space_cells)
                     ledger.oracle_queries += led.oracle_queries

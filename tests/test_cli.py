@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import swnet as sw
+from swnet import spaneval as se
 from swnet.cli import main
 
 
@@ -61,6 +65,53 @@ def test_decide_exact_mode(path_graph, capsys):
     assert capsys.readouterr().out.strip() == "False"
 
 
+@pytest.mark.parametrize("mode", ["exact", "spectral"])
+def test_decide_grafts_non_power_of_two_L(path_graph, capsys, mode):
+    rc = main(["decide", "--graph", path_graph, "--u", "1", "--v", "4", "--L", "3", "--mode", mode])
+    assert rc == 0
+    assert capsys.readouterr().out.strip() == "True"
+
+
+def test_decide_spectral_dense_refused_above_cap(path_graph, capsys, monkeypatch):
+    # unpatched, this grafted instance would need dense 4628x4628 projectors
+    monkeypatch.setattr(se, "SPECTRAL_DIM_CAP", 100)
+    rc = main(["decide", "--graph", path_graph, "--u", "1", "--v", "4", "--L", "3", "--mode", "spectral-dense"])
+    assert rc == 2
+    assert "SPECTRAL_DIM_CAP=100" in capsys.readouterr().err
+
+
+def test_decide_json_route_key(path_graph, capsys):
+    assert main(["decide", "--graph", path_graph, "--u", "1", "--v", "4", "--L", "4", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["accepted", "overlap0", "witness_energy", "path_len", "threshold",
+                             "route", "psi0", "ledger"]
+    assert payload["route"] == "sector"
+
+
+def test_decide_witness_solve_single_blas_thread(tmp_path):
+    # a least-squares witness solve failed to converge here with one BLAS thread
+    graph = tmp_path / "g.txt"
+    graph.write_text("6 4\n1 4\n2 1\n5 3\n6 4\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(sw.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "swnet.cli", "decide", "--graph", str(graph),
+         "--u", "6", "--v", "4", "--L", "3", "--json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["accepted"] is True
+    assert payload["overlap0"] == pytest.approx(2 / (2 * payload["witness_energy"] + 4), abs=1e-9)
+
+
+@pytest.mark.parametrize("command", [["basis", "dump"], ["prep", "verify"]])
+@pytest.mark.parametrize("L", ["3", "0"])
+def test_fixed_depth_commands_reject_bad_L(capsys, command, L):
+    assert main([*command, "--n", "2", "--L", L]) == 2
+    assert "power of two" in capsys.readouterr().err
+
+
 def test_dstcon_json(path_graph, capsys):
     rc = main(["dstcon", "--graph", path_graph, "--s", "1", "--t", "4", "--L", "2", "--json"])
     assert rc == 0
@@ -94,6 +145,12 @@ def test_exit_code_bad_input(tmp_path, capsys):
     cfg2 = tmp_path / "bad2.json"
     cfg2.write_text(json.dumps({"S": [4]}))
     assert main(["sweep", "--config", str(cfg2)]) == 2
+
+
+@pytest.mark.parametrize("name", ["bogus", "noisy:abc"])
+def test_dstcon_rejects_unknown_decider(path_graph, capsys, name):
+    assert main(["dstcon", "--graph", path_graph, "--s", "1", "--t", "4", "--L", "2", "--decider", name]) == 2
+    assert name in capsys.readouterr().err
 
 
 def test_exit_code_bad_pebble_path(tmp_path, capsys):

@@ -142,12 +142,9 @@ def test_witness_energy_examples():
 
 def test_decide_length_bounded_examples():
     g = sw.layered_path(4)
-    ans, _ = se.decide_length_bounded(g, 1, 2, 1)
-    assert ans
-    ans, _ = se.decide_length_bounded(g, 1, 4, 2)  # distance 3 > 2
-    assert not ans
-    ans, _ = se.decide_length_bounded(g, 2, 2, 4)
-    assert ans  # u == v short-circuits
+    assert se.decide_length_bounded(g, 1, 2, 1).accepted
+    assert not se.decide_length_bounded(g, 1, 4, 2).accepted  # distance 3 > 2
+    assert se.decide_length_bounded(g, 2, 2, 4).accepted  # u == v short-circuits
     with pytest.raises(InvalidParams):
         se.decide_length_bounded(g, 1, 2, 3)
 
@@ -185,9 +182,49 @@ def test_spectral_matches_exact_on_sample():
 def test_spectral_cap_falls_back_to_exact(monkeypatch):
     monkeypatch.setattr(se, "SPECTRAL_DIM_CAP", 10)
     g = sw.layered_path(4)
-    ans, ledger = se.decide_length_bounded(g, 1, 3, 2, mode="spectral")
-    assert ans
-    assert ledger.time_steps == pytest.approx(se.time_formula(4, 2))
+    report = se.decide_length_bounded(g, 1, 3, 2, mode="spectral")
+    assert report.accepted
+    assert report.ledger.time_steps == pytest.approx(se.time_formula(4, 2))
+    assert report.route == "exact-fallback"
+
+
+def test_dense_route_equals_exact_through_pipeline():
+    # the dense route runs on the same grafted, padded network as the others;
+    # a depth-2 dense case (n' = 4) takes seconds, so only two are asked
+    g2, g3 = sw.from_edges(2, [(1, 2)]), sw.layered_path(3)
+    cases = [(g2, 1, 2, 1), (g2, 2, 1, 2), (g3, 1, 3, 1), (g3, 1, 3, 2), (g3, 1, 3, 3), (g3, 3, 1, 4)]
+    for g, u, v, L in cases:
+        dense = se.decide_distance_report(g, u, v, L, mode="spectral-dense")
+        exact = se.decide_distance_report(g, u, v, L, mode="exact")
+        assert dense.accepted == exact.accepted == (sw.bfs_distance(g, u, v) <= L), (g.n, u, v, L)
+        assert (dense.route, exact.route) == ("dense", "exact")
+        assert dense.path_len == exact.path_len
+        if dense.accepted:
+            assert dense.overlap0 == pytest.approx(2 / (2 * exact.witness_energy + 4), abs=1e-9)
+
+
+def test_report_routes_and_witness_switch():
+    g = sw.layered_path(4)
+    report = se.decide_distance_report(g, 1, 4, 3, mode="spectral")
+    assert (report.accepted, report.route, report.path_len) == (True, "sector", 9)
+    assert report.overlap0 == pytest.approx(2 / (2 * report.witness_energy + 4), abs=1e-9)
+    bare = se.decide_length_bounded(g, 1, 4, 4, mode="spectral")
+    assert bare.witness_energy is None and bare.path_len is None
+    trivial = se.decide_distance_report(g, 2, 2, 3)
+    assert (trivial.route, trivial.path_len, trivial.witness_energy) == ("trivial", 0, 0.0)
+    with pytest.raises(InvalidParams):
+        se.decide_length_bounded(g, 1, 4, 4, mode="bogus")
+
+
+def test_spectral_dense_refused_above_cap(monkeypatch):
+    monkeypatch.setattr(se, "SPECTRAL_DIM_CAP", 10)
+    with pytest.raises(InvalidParams, match="SPECTRAL_DIM_CAP"):
+        se.decide_distance(sw.layered_path(4), 1, 3, 2, mode="spectral-dense")
+
+
+def test_quantum_space_cells_rounds_L_up():
+    assert se.quantum_space_cells(4, 3) == se.quantum_space_cells(4, 4) == 12
+    assert se.quantum_space_cells(8, 1) < se.quantum_space_cells(8, 2)
 
 
 def test_acceptance_threshold_is_half_witness_mass():
