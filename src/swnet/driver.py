@@ -9,9 +9,15 @@ connectivity verdict is the final "is t within distance L of the frontier"
 check of the first offset that completes.
 
 Deciders answer "is there a directed u -> v path of length at most L" and
-carry a per-call time charge so tradeoff experiments can account model
-cost instead of wall clock.  Length-0 questions are equality tests and are
-answered internally without consulting (or paying for) the decider.
+return, with each answer, the ResourceLedger of that one call: its model
+time, oracle queries and register cells.  The switching-network decider
+returns the decision's own ledger, charged at the grafted, padded size the
+decision ran on; the exact decider charges n time steps and the oracle
+queries of its BFS; a noisy decider passes its inner charge through, and a
+majority vote sums its repetitions' charges as one call.  dstcon folds
+every charge into its ledger (ResourceLedger.fold), so each call is charged
+once.  Length-0 questions are equality tests and are answered internally
+without consulting (or paying for) the decider.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidParams
 from .graphs import Digraph, GraphOracle
-from .spaneval import ResourceLedger, decide_distance, quantum_space_cells, time_formula
+from .spaneval import ResourceLedger, decide_distance
 
 CONNECTED = "Connected"
 NOT_CONNECTED = "NotConnected"
@@ -33,26 +39,23 @@ NOT_CONNECTED = "NotConnected"
 
 @dataclass
 class DistDecider:
-    """A bounded-length reachability decider with its cost model.
+    """A bounded-length reachability decider.
 
-    ``answer(oracle, u, v, L)`` decides dist(u, v) <= L for L >= 1.
-    ``time_cost(n, L)`` is the per-call charge added to the ledger.
+    ``answer(g, u, v, L)`` decides dist(u, v) <= L for L >= 1 and returns
+    (bool, charge), the charge being that call's ResourceLedger.
     ``randomized`` marks bounded-error flavors that benefit from boosting.
     """
 
     name: str
     answer: object
-    time_cost: object
-    space_cells: object
-    quantum_cells: object = None
     randomized: bool = False
 
 
 def exact_bfs_decider() -> DistDecider:
     """Deterministic ground-truth decider; queries the oracle row by row."""
 
-    def answer(oracle: GraphOracle, u: int, v: int, L: int) -> bool:
-        n = oracle.graph.n
+    def answer(g: Digraph, u: int, v: int, L: int) -> tuple[bool, ResourceLedger]:
+        oracle = GraphOracle(g)
         dist = {u: 0}
         frontier = [u]
         while frontier:
@@ -60,37 +63,24 @@ def exact_bfs_decider() -> DistDecider:
             for a in frontier:
                 if dist[a] >= L:
                     continue
-                for b in range(1, n + 1):
+                for b in range(1, g.n + 1):
                     if b != a and b not in dist and oracle.query(a, b):
                         dist[b] = dist[a] + 1
                         nxt.append(b)
             frontier = nxt
-        return v in dist and dist[v] <= L
+        charge = ResourceLedger(time_steps=float(g.n), oracle_queries=oracle.query_count, decider_calls=1)
+        return v in dist and dist[v] <= L, charge
 
-    return DistDecider(
-        name="exact",
-        answer=answer,
-        time_cost=lambda n, L: float(n),
-        space_cells=lambda n, L: n,
-        quantum_cells=lambda n, L: 0,
-    )
+    return DistDecider(name="exact", answer=answer)
 
 
 def swnet_decider(mode: str = "spectral") -> DistDecider:
     """Decide through the switching network (exact or spectral evaluation)."""
 
-    def answer(oracle: GraphOracle, u: int, v: int, L: int) -> bool:
-        ans, ledger = decide_distance(oracle.graph, u, v, L, mode=mode)
-        oracle.query_count += ledger.oracle_queries
-        return ans
+    def answer(g: Digraph, u: int, v: int, L: int) -> tuple[bool, ResourceLedger]:
+        return decide_distance(g, u, v, L, mode=mode)
 
-    return DistDecider(
-        name=f"swnet-{mode}",
-        answer=answer,
-        time_cost=lambda n, L: time_formula(n, 1 << max(math.ceil(math.log2(max(L, 1))), 0)),
-        space_cells=lambda n, L: quantum_space_cells(n, max(L, 1)),
-        quantum_cells=lambda n, L: quantum_space_cells(n, max(L, 1)),
-    )
+    return DistDecider(name=f"swnet-{mode}", answer=answer)
 
 
 def noisy_decider(p_correct: float, seed: int, inner: DistDecider | None = None) -> DistDecider:
@@ -100,18 +90,11 @@ def noisy_decider(p_correct: float, seed: int, inner: DistDecider | None = None)
     inner = inner or exact_bfs_decider()
     rng = np.random.default_rng(seed)
 
-    def answer(oracle, u, v, L):
-        truth = inner.answer(oracle, u, v, L)
-        return truth if rng.random() < p_correct else not truth
+    def answer(g, u, v, L):
+        truth, charge = inner.answer(g, u, v, L)
+        return (truth if rng.random() < p_correct else not truth), charge
 
-    return DistDecider(
-        name=f"noisy({p_correct})+{inner.name}",
-        answer=answer,
-        time_cost=inner.time_cost,
-        space_cells=inner.space_cells,
-        quantum_cells=inner.quantum_cells,
-        randomized=True,
-    )
+    return DistDecider(name=f"noisy({p_correct})+{inner.name}", answer=answer, randomized=True)
 
 
 def decider_from_name(name: str, seed: int = 0) -> DistDecider:
@@ -136,17 +119,17 @@ def boosted(decider: DistDecider, reps: int) -> DistDecider:
     if reps == 1:
         return decider
 
-    def answer(oracle, u, v, L):
-        yes = sum(1 for _ in range(reps) if decider.answer(oracle, u, v, L))
-        return 2 * yes > reps
+    def answer(g, u, v, L):
+        yes, charge = 0, ResourceLedger()
+        for _ in range(reps):
+            truth, rep_charge = decider.answer(g, u, v, L)
+            yes += truth
+            charge.fold(rep_charge)
+        charge.decider_calls = 1
+        return 2 * yes > reps, charge
 
     return DistDecider(
-        name=f"majority{reps}[{decider.name}]",
-        answer=answer,
-        time_cost=lambda n, L: reps * decider.time_cost(n, L),
-        space_cells=decider.space_cells,
-        quantum_cells=decider.quantum_cells,
-        randomized=decider.randomized,
+        name=f"majority{reps}[{decider.name}]", answer=answer, randomized=decider.randomized
     )
 
 
@@ -177,7 +160,6 @@ def dstcon(
     decider = decider or exact_bfs_decider()
     if decider.randomized and boost_reps > 1:
         decider = boosted(decider, boost_reps)
-    oracle = GraphOracle(g)
     ledger = ResourceLedger()
     n = g.n
     cell_bits = 1 + max(math.ceil(math.log2(max(L, 2))), 1)
@@ -187,14 +169,9 @@ def dstcon(
             return True
         if length <= 0:  # an equality test; no decider call, no charge
             return False
-        return _charged(u, v, length)
-
-    def _charged(u: int, v: int, length: int) -> bool:
-        ledger.decider_calls += 1
-        ledger.time_steps += decider.time_cost(n, length)
-        qc = decider.quantum_cells(n, length) if decider.quantum_cells else 0
-        ledger.quantum_space_cells = max(ledger.quantum_space_cells, qc)
-        return decider.answer(oracle, u, v, length)
+        answer, charge = decider.answer(g, u, v, length)
+        ledger.fold(charge)
+        return answer
 
     def note_frontier(size: int):
         ledger.peak_frontier = max(ledger.peak_frontier, size)
@@ -236,8 +213,6 @@ def dstcon(
         if tripped:
             continue
         hit = any(dist_le(u, t, L) for u in S)
-        ledger.oracle_queries = oracle.query_count
         return (CONNECTED if hit else NOT_CONNECTED), ledger
     ledger.guard_exhausted = True
-    ledger.oracle_queries = oracle.query_count
     return NOT_CONNECTED, ledger

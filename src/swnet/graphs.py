@@ -16,6 +16,7 @@ import numpy as np
 from .errors import InvalidParams
 
 INF = float("inf")
+MAX_FILE_VERTICES = 4096  # a graph file's n; its dense adjacency is 16 MB
 
 
 @dataclass(frozen=True)
@@ -186,6 +187,8 @@ def read_graph_file(path) -> Digraph:
         n, m = (int(tok) for tok in lines[0].split())
     except ValueError as exc:
         raise InvalidParams(f"{path}: bad header {lines[0]!r}") from exc
+    if not 1 <= n <= MAX_FILE_VERTICES:
+        raise InvalidParams(f"{path}: header n = {n} is not in 1..MAX_FILE_VERTICES={MAX_FILE_VERTICES}")
     if len(lines) - 1 != m:
         raise InvalidParams(f"{path}: header promises {m} edges, found {len(lines) - 1}")
     seen = set()

@@ -84,6 +84,16 @@ class ResourceLedger:
     guard_exhausted: bool = False
     peak_frontier: int = 0
 
+    def fold(self, other: ResourceLedger) -> None:
+        """Charge other to this ledger: counts add, space and frontier take the max."""
+        self.time_steps += other.time_steps
+        self.oracle_queries += other.oracle_queries
+        self.decider_calls += other.decider_calls
+        self.space_cells = max(self.space_cells, other.space_cells)
+        self.quantum_space_cells = max(self.quantum_space_cells, other.quantum_space_cells)
+        self.peak_frontier = max(self.peak_frontier, other.peak_frontier)
+        self.guard_exhausted = self.guard_exhausted or other.guard_exhausted
+
 
 # -- reflections (dense, small instances) --------------------------------------
 
@@ -161,7 +171,8 @@ def decide_phase_estimation(
 
     overlap0 is the squared overlap of psi0 with the phase-0 eigenspace of
     U_alg, read off as the kernel of U_alg - I (eigenphases grouped at
-    tolerance PHASE_TOL); accepted means overlap0 >= threshold.
+    tolerance PHASE_TOL); accepted means overlap0 >= threshold.  The
+    report's ledger stays empty: decide_length_bounded charges the decision.
     """
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise InvalidParams("psi0 must be normalized")
@@ -180,14 +191,10 @@ def decide_phase_estimation(
         witness_energy = float(theta @ theta)
         dist, _ = _component_and_parents(net, pair.on_mask)
         path_len = int(dist[net.sink(pair.sink_index)])
-    report = DecisionReport(
+    return DecisionReport(
         accepted=accepted, overlap0=overlap0, witness_energy=witness_energy,
         path_len=path_len, threshold=threshold, route="dense",
     )
-    report.ledger.oracle_queries = net.edge_count
-    report.ledger.quantum_space_cells = quantum_space_cells(net.n, 2**net.ell)
-    report.ledger.time_steps = time_formula(net.n, 2**net.ell)
-    return report
 
 
 # -- fast sector route ---------------------------------------------------------
@@ -290,6 +297,8 @@ def decide_length_bounded(
             )
         dense = decide_phase_estimation(build_reflections(net, oracle, sink), default_psi0(net))
         report.accepted, report.overlap0, report.route = dense.accepted, dense.overlap0, "dense"
+        if witness:
+            report.witness_energy, report.path_len = dense.witness_energy, dense.path_len
     elif mode == "spectral" and dim <= SPECTRAL_DIM_CAP:
         report.overlap0 = phase_mass(net, oracle, sink)
         report.accepted = report.overlap0 >= report.threshold
@@ -299,7 +308,7 @@ def decide_length_bounded(
         report.overlap0 = float(report.accepted)
         report.route = "exact" if mode == "exact" else "exact-fallback"
     ledger.oracle_queries = oracle.query_count
-    if witness and report.accepted:
+    if witness and report.accepted and report.route != "dense":
         if path is None:
             _, path = accepts(net, oracle, sink)
         report.path_len = len(path)

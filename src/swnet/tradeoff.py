@@ -115,7 +115,8 @@ def sweep(config: dict) -> list[TradeoffPoint]:
     optional "c" (default 1.0), "c_L", "decider" (exact | swnet | noisy:P),
     "seeds" (list, default [0]), "edge_prob", "measure_max_n" (default 64),
     "reps".  Duplicate (n, S) pairs are dropped; row order follows config
-    order.  Points with n above measure_max_n carry no ledger.
+    order.  A measured point's ledger folds the dstcon ledgers of its seeds;
+    points with n above measure_max_n carry no ledger.
     """
     if not isinstance(config, dict) or "n" not in config or "S" not in config:
         raise ConfigError('config must provide "n" and "S"')
@@ -153,14 +154,7 @@ def sweep(config: dict) -> list[TradeoffPoint]:
                 for seed in seeds:
                     g = random_digraph(n, edge_prob, int(seed))
                     _, led = dstcon(g, 1, n, L, decider=decider_from_name(decider_name), boost_reps=reps)
-                    ledger.time_steps += led.time_steps
-                    ledger.space_cells = max(ledger.space_cells, led.space_cells)
-                    ledger.oracle_queries += led.oracle_queries
-                    ledger.quantum_space_cells = max(
-                        ledger.quantum_space_cells, led.quantum_space_cells
-                    )
-                    ledger.decider_calls += led.decider_calls
-                    ledger.peak_frontier = max(ledger.peak_frontier, led.peak_frontier)
+                    ledger.fold(led)
                 point.ledger = ledger
             points.append(point)
     return points

@@ -147,6 +147,15 @@ def test_exit_code_bad_input(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg2)]) == 2
 
 
+@pytest.mark.parametrize("header", ["1000000000 0", "0 0"])
+def test_decide_rejects_graph_header_n_out_of_bounds(tmp_path, capsys, header):
+    # refused before the n x n adjacency is allocated
+    graph = tmp_path / "g.txt"
+    graph.write_text(header + "\n")
+    assert main(["decide", "--graph", str(graph), "--u", "1", "--v", "2", "--L", "1"]) == 2
+    assert "MAX_FILE_VERTICES" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["bogus", "noisy:abc"])
 def test_dstcon_rejects_unknown_decider(path_graph, capsys, name):
     assert main(["dstcon", "--graph", path_graph, "--s", "1", "--t", "4", "--L", "2", "--decider", name]) == 2

@@ -6,6 +6,7 @@ import pytest
 import swnet as sw
 from swnet import driver as dr
 from swnet.errors import InvalidParams
+from swnet.spaneval import decide_distance
 
 
 def all_digraphs(n):
@@ -108,7 +109,12 @@ def test_boosted_passthrough_and_majority():
     assert dr.boosted(dec, 1) is dec
     noisy = dr.noisy_decider(0.9, seed=3)
     maj = dr.boosted(noisy, 11)
-    assert maj.time_cost(5, 2) == 11 * noisy.time_cost(5, 2)
+    g = sw.random_digraph(5, 0.5, 7)
+    _, one = noisy.answer(g, 1, 5, 2)
+    _, charge = maj.answer(g, 1, 5, 2)
+    assert charge.time_steps == 11 * one.time_steps
+    assert charge.oracle_queries == 11 * one.oracle_queries
+    assert (one.decider_calls, charge.decider_calls) == (1, 1)
 
 
 def test_noisy_boosted_error_rate_small_sample():
@@ -132,6 +138,26 @@ def test_swnet_decider_agrees_on_small_instance():
         got, ledger = dr.dstcon(g, 1, 4, 2, decider=dr.swnet_decider(mode))
         assert got == dr.CONNECTED
         assert ledger.quantum_space_cells > 0
+
+
+def test_dstcon_ledger_folds_swnet_charges(monkeypatch):
+    # each call is charged its own decision ledger, at the grafted, padded
+    # n' = 16 the decision runs on, not at the graph's n = 8
+    g = sw.random_digraph(8, 0.2, 1)
+    charges = []
+
+    def recording(*args, **kwargs):
+        answer, charge = decide_distance(*args, **kwargs)
+        charges.append(charge)
+        return answer, charge
+
+    monkeypatch.setattr(dr, "decide_distance", recording)
+    result, ledger = dr.dstcon(g, 1, 8, 3, decider=dr.swnet_decider("spectral"))
+    assert result == ground_truth(g, 1, 8)
+    assert ledger.decider_calls == len(charges) > 0
+    assert ledger.time_steps == sum(c.time_steps for c in charges)
+    assert ledger.quantum_space_cells == max(c.quantum_space_cells for c in charges)
+    assert ledger.oracle_queries == sum(c.oracle_queries for c in charges)
 
 
 def test_time_accounting_shape():

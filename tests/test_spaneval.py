@@ -203,6 +203,27 @@ def test_dense_route_equals_exact_through_pipeline():
             assert dense.overlap0 == pytest.approx(2 / (2 * exact.witness_energy + 4), abs=1e-9)
 
 
+def test_dense_route_takes_witness_from_its_own_solve(monkeypatch):
+    g = sw.layered_path(3)
+    exact = se.decide_distance_report(g, 1, 3, 2, mode="exact")
+    calls = []
+    for name in ("accepts", "witness_energy"):
+        monkeypatch.setattr(se, name, lambda *a, name=name: calls.append(name))
+    dense = se.decide_distance_report(g, 1, 3, 2, mode="spectral-dense")
+    assert (dense.accepted, dense.route, dense.path_len) == (True, "dense", exact.path_len)
+    assert dense.witness_energy == pytest.approx(exact.witness_energy, abs=1e-12)
+    assert calls == []
+
+
+def test_ledger_fold_adds_counts_and_maxes_space():
+    total = se.ResourceLedger(time_steps=1.5, space_cells=4, oracle_queries=3, quantum_space_cells=9,
+                              decider_calls=1, peak_frontier=2)
+    total.fold(se.ResourceLedger(time_steps=2.0, space_cells=3, oracle_queries=5, quantum_space_cells=12,
+                                 decider_calls=2, peak_frontier=1))
+    assert total == se.ResourceLedger(time_steps=3.5, space_cells=4, oracle_queries=8, quantum_space_cells=12,
+                                      decider_calls=3, peak_frontier=2)
+
+
 def test_report_routes_and_witness_switch():
     g = sw.layered_path(4)
     report = se.decide_distance_report(g, 1, 4, 3, mode="spectral")
