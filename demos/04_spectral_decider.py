@@ -2,8 +2,11 @@
 
 Reachability is read off the spectrum of a product of reflections: the
 initial state (|s> - |t>)/sqrt2 keeps fixed-space mass exactly when a
-unit flow through on-edges exists.  Accepting instances are guaranteed
-mass at least 2/(2 W+ + 4); rejecting instances show zero.
+unit flow through on-edges exists.  Accepting instances show mass exactly
+2/(2 R + 4), R the source-sink effective resistance of the on-edges, so
+at least 2/(2 W+ + 4); rejecting instances show zero.  Spectral mode reads
+the mass off one sparse solve for R; the dense and sector eigensolves
+below read it off the spectrum.
 """
 
 import numpy as np
@@ -25,9 +28,11 @@ print(f"reach 3 within 2 steps: accepted={report.accepted}, "
       f"overlap0={report.overlap0:.4f} (threshold {report.threshold:.4f})")
 print(f"witness: path length {report.path_len}, flow energy {report.witness_energy:.3f}")
 
-print("\n== fast sector route (same statistic) ==")
+print("\n== sector eigensolve and effective resistance (same statistic) ==")
 mass = se.phase_mass(net, sw.GraphOracle(g2), 2)
-print(f"sector fixed-space mass = {mass:.4f} (dense gave {report.overlap0:.4f})")
+R = se.witness_energy(net, sw.GraphOracle(g2), 2)
+print(f"sector fixed-space mass = {mass:.4f}, 2/(2R+4) = {2 / (2 * R + 4):.4f} "
+      f"(dense gave {report.overlap0:.4f})")
 
 print("\n== accept vs reject across targets and bounds ==")
 for L in (1, 2, 4):

@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import Disconnected, InvalidParams, RankDeficient, ZeroZ
-from .network import SwitchingNet, _component_and_parents
+from .network import SwitchingNet
 
 # -- reduced-representation layout -------------------------------------------
 
@@ -217,37 +217,40 @@ def divergence(net: SwitchingNet, theta: np.ndarray) -> np.ndarray:
 def optimal_flow_lsq(net: SwitchingNet, on_mask: np.ndarray, j: int) -> np.ndarray:
     """Minimum-energy unit flow from source to sink j over the on-subgraph.
 
-    The independent oracle for the recursive flow construction.  By
-    Thomson's principle the minimum-energy unit flow is the electrical
-    flow: ground sink j, solve the Laplacian of the source's on-component
-    for the vertex potentials, and give each on-edge its potential drop.
-    Raises Disconnected when no unit flow exists.  Returns a float edge
-    vector over all edges (zero on off-edges).
+    The independent oracle for the recursive flow construction, and the
+    spectral decision's one solve.  By Thomson's principle the
+    minimum-energy unit flow is the electrical flow: ground sink j, solve
+    the sparse Laplacian of the source's on-component for the vertex
+    potentials, and give each on-edge its potential drop.  Its energy is
+    the source-sink effective resistance.  Raises Disconnected when no unit
+    flow exists.  Returns a float edge vector over all edges (zero on
+    off-edges).
     """
-    dist, _ = _component_and_parents(net, on_mask)
-    if dist[net.sink(j)] < 0:
+    # scipy is imported here, not with the module: the preparers, the dense
+    # cross-checks and the dump commands never solve and skip its ~30 MB
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import spsolve
+
+    nv, source, sink = net.vertex_count, net.source, net.sink(j)
+    on_ids = np.flatnonzero(on_mask)
+    tail, head = (ends[on_ids] for ends in net.struct.edge_ends)
+    # incidence rows: +1 at the tail, -1 at the head; its Gram matrix is the Laplacian
+    rows = np.tile(np.arange(on_ids.size), 2)
+    ones = np.ones(on_ids.size)
+    inc = sparse.csr_matrix((np.r_[ones, -ones], (rows, np.r_[tail, head])), shape=(on_ids.size, nv))
+    lap = (inc.T @ inc).tocsr()
+    _, comp = connected_components(lap, directed=False)
+    if comp[sink] != comp[source]:
         raise Disconnected(f"source and sink {j} are not connected in the on-subgraph")
-    comp = np.nonzero(dist >= 0)[0]
-    local = np.full(net.vertex_count, -1)
-    local[comp] = np.arange(comp.size)
-    on_ids = np.nonzero(on_mask)[0]
-    ends = np.array([net.endpoints(int(e)) for e in on_ids], dtype=np.int64).reshape(-1, 2)
-    inside = dist[ends[:, 0]] >= 0  # an on-edge with one end in the component has both
-    on_ids = on_ids[inside]
-    tail, head = local[ends[inside]].T
-    lap = np.zeros((comp.size, comp.size))
-    np.add.at(lap, (tail, tail), 1.0)
-    np.add.at(lap, (head, head), 1.0)
-    np.add.at(lap, (tail, head), -1.0)
-    np.add.at(lap, (head, tail), -1.0)
-    ground = local[net.sink(j)]
-    keep = np.arange(comp.size) != ground
-    rhs = np.zeros(comp.size)
-    rhs[local[net.source]] = 1.0
-    phi = np.zeros(comp.size)
-    phi[keep] = np.linalg.solve(lap[np.ix_(keep, keep)], rhs[keep])
+    keep = np.flatnonzero(comp == comp[source])
+    keep = keep[keep != sink]
+    phi = np.zeros(nv)
+    # the Laplacian is symmetric: a minimum-degree order on A^T + A solved
+    # 1.5-5x faster than the default column order at (16, 2) and (16, 3)
+    phi[keep] = spsolve(lap[keep][:, keep].tocsc(), (keep == source).astype(float), permc_spec="MMD_AT_PLUS_A")
     out = np.zeros(net.edge_count)
-    out[on_ids] = phi[tail] - phi[head]
+    out[on_ids] = inc @ phi
     return out
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -198,6 +198,14 @@ class NetStructure:
             lab[leaf] = src
         self._leaf_rev = rev
         self._leaf_label_src = lab
+
+    @cached_property
+    def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized :meth:`endpoints`: arrays (tail, head) of length |E|."""
+        src = np.repeat(self._leaf_src_vid, self.n)
+        sink = self._leaf_sink_vid.ravel()
+        rev = np.repeat(self._leaf_rev, self.n)
+        return np.where(rev, sink, src), np.where(rev, src, sink)
 
     # -- edge codecs --------------------------------------------------------
 

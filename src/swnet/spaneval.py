@@ -15,30 +15,32 @@ iff the source reaches the sink through on-edges.  The initial state
     psi0 = (|s> - |t>) / sqrt(2)
 
 lies in the complement of B; its fixed-space mass is exactly
-2 / (2 E + 4) on accepting inputs, where E is the optimal on-flow energy
-(so at least 2 / (2 W+ + 4) with W+ the witness-length bound), and exactly
-zero on rejecting inputs.  Phase estimation at the cost the runtime
-formula pays therefore resolves the answer; here we read the fixed-space
-mass off an exact eigendecomposition.
+2 / (2 R + 4) on accepting inputs, where R is the optimal on-flow energy,
+that is the source-sink effective resistance of the on-subgraph (so at
+least 2 / (2 W+ + 4) with W+ the witness-length bound), and exactly zero
+on rejecting inputs (the witness-size identity of Belovs and Reichardt).
+Phase estimation at the cost the runtime formula pays therefore resolves
+the answer.
 
-Desk-scale shortcut: psi0 lies in the complement of B, which every Jordan
-block of U_alg meets in at most one direction, so the whole spectral
-measure of psi0 is computable from the small symmetric matrix
-M = Q^T P_A Q where Q is the generated complement basis.  ``phase_mass``
-uses that; ``decide_phase_estimation`` on a dense ReflectionPair is the
-direct route and agrees with it.
+Desk-scale shortcut: the spectral decision reads that mass off the
+identity, from one sparse grounded-Laplacian solve for R
+(``flows.optimal_flow_lsq``), at every network size.  Two routes read it
+off the spectrum instead and serve as cross-checks: ``phase_mass``
+diagonalizes the small symmetric matrix M = Q^T P_A Q on the generated
+complement basis Q (psi0 lies in that complement, which every Jordan
+block of U_alg meets in at most one direction), and
+``decide_phase_estimation`` decomposes the dense ReflectionPair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from . import flows as fl
-from .errors import BasisMismatch, InvalidParams
+from .errors import BasisMismatch, Disconnected, InvalidParams
 from .graphs import Digraph, GraphOracle, attach_source_path, pad_to_power_of_two
 from .network import SwitchingNet, _component_and_parents, accepts, build, on_edge_mask
 
@@ -197,15 +199,7 @@ def decide_phase_estimation(
     )
 
 
-# -- fast sector route ---------------------------------------------------------
-
-@lru_cache(maxsize=64)
-def _cached_bperp(n: int, ell: int, sink_index: int) -> np.ndarray:
-    # the complement basis is root independent, so cache per (n, ell, sink)
-    Q = fl.build_Bperp_basis(build(n, ell, 1), sink_index)
-    Q.flags.writeable = False
-    return Q
-
+# -- sector cross-check ----------------------------------------------------------
 
 def phase_mass(net: SwitchingNet, oracle: GraphOracle, sink_index: int) -> float:
     """overlap0 of the default psi0, via the complement-basis sector.
@@ -215,9 +209,9 @@ def phase_mass(net: SwitchingNet, oracle: GraphOracle, sink_index: int) -> float
     block of U_alg with eigenphase pair +-(pi - 2 arccos sqrt(mu)), so the
     phase-0 component of psi0 is its mass on the mu = 1 eigenspace.
     Equals decide_phase_estimation's overlap0 without building dense
-    projectors.
+    projectors.  The complement basis is built on every call.
     """
-    Q = _cached_bperp(net.n, net.ell, sink_index)
+    Q = fl.build_Bperp_basis(net, sink_index)
     mask = on_edge_mask(net, oracle)
     E = net.edge_count
     cols = [Q[:E, :][mask, :].T]
@@ -243,7 +237,7 @@ def witness_energy(net: SwitchingNet, oracle: GraphOracle, sink_index: int) -> f
 
 # -- the length-bounded decision pipeline ---------------------------------------
 
-SPECTRAL_DIM_CAP = 5000  # state-space dimension above which the spectral routes stop
+SPECTRAL_DIM_CAP = 5000  # state-space dimension above which spectral-dense refuses
 
 
 def decide_length_bounded(
@@ -256,15 +250,16 @@ def decide_length_bounded(
 
     - ``trivial``: u == v, answered without a network;
     - ``exact`` (mode "exact"): BFS over the on-subgraph;
-    - ``sector`` (mode "spectral"): the fixed-space mass from phase_mass;
-    - ``exact-fallback`` (mode "spectral" above SPECTRAL_DIM_CAP): BFS, with
-      overlap0 = float(accepted) rather than a measured mass;
+    - ``resistance`` (mode "spectral", every size): the fixed-space mass
+      2 / (2 R + 4) from one sparse solve for the effective resistance R,
+      or 0 when the source and sink are not connected;
     - ``dense`` (mode "spectral-dense"): the dense reflections and their
       eigendecomposition; refused with InvalidParams above SPECTRAL_DIM_CAP.
 
     The ledger carries the accounted quantum time, the oracle queries of the
     decision, and register cells.  With ``witness`` an accepted answer also
-    gets its witness path length and optimal on-flow energy.
+    gets its witness path length and optimal on-flow energy; the resistance
+    route takes the energy from its own solve.
     """
     if L < 1 or L & (L - 1):
         raise InvalidParams(f"L must be a positive power of two, got {L}")
@@ -288,9 +283,8 @@ def decide_length_bounded(
     net = build(g.n, ell, u)
     oracle = GraphOracle(g)
     sink = v - 1
-    dim = 2 * net.edge_count + 4
-    path = None
     if mode == "spectral-dense":
+        dim = 2 * net.edge_count + 4
         if dim > SPECTRAL_DIM_CAP:
             raise InvalidParams(
                 f"spectral-dense needs {dim}x{dim} dense projectors, above SPECTRAL_DIM_CAP={SPECTRAL_DIM_CAP}"
@@ -299,20 +293,29 @@ def decide_length_bounded(
         report.accepted, report.overlap0, report.route = dense.accepted, dense.overlap0, "dense"
         if witness:
             report.witness_energy, report.path_len = dense.witness_energy, dense.path_len
-    elif mode == "spectral" and dim <= SPECTRAL_DIM_CAP:
-        report.overlap0 = phase_mass(net, oracle, sink)
-        report.accepted = report.overlap0 >= report.threshold
-        report.route = "sector"
+    elif mode == "spectral":
+        report.route = "resistance"
+        mask = on_edge_mask(net, oracle)
+        try:
+            theta = fl.optimal_flow_lsq(net, mask, sink)
+        except Disconnected:
+            report.accepted, report.overlap0 = False, 0.0
+        else:
+            energy = float(theta @ theta)
+            report.overlap0 = 2 / (2 * energy + 4)
+            report.accepted = report.overlap0 >= report.threshold
+            if witness and report.accepted:
+                dist, _ = _component_and_parents(net, mask)
+                report.witness_energy, report.path_len = energy, int(dist[net.sink(sink)])
     else:
         report.accepted, path = accepts(net, oracle, sink)
         report.overlap0 = float(report.accepted)
-        report.route = "exact" if mode == "exact" else "exact-fallback"
+        report.route = "exact"
+        if witness and report.accepted:
+            # uncharged: the witness solve asks its own oracle
+            report.path_len = len(path)
+            report.witness_energy = witness_energy(net, GraphOracle(g), sink)
     ledger.oracle_queries = oracle.query_count
-    if witness and report.accepted and report.route != "dense":
-        if path is None:
-            _, path = accepts(net, oracle, sink)
-        report.path_len = len(path)
-        report.witness_energy = witness_energy(net, oracle, sink)
     return report
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -85,7 +86,7 @@ def test_decide_json_route_key(path_graph, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert list(payload) == ["accepted", "overlap0", "witness_energy", "path_len", "threshold",
                              "route", "psi0", "ledger"]
-    assert payload["route"] == "sector"
+    assert payload["route"] == "resistance"
 
 
 def test_decide_witness_solve_single_blas_thread(tmp_path):
@@ -103,6 +104,28 @@ def test_decide_witness_solve_single_blas_thread(tmp_path):
     payload = json.loads(proc.stdout)
     assert payload["accepted"] is True
     assert payload["overlap0"] == pytest.approx(2 / (2 * payload["witness_energy"] + 4), abs=1e-9)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_decide_witness_solve_is_bounded_at_16_3(tmp_path):
+    # the source's on-component has 9493 vertices: a dense grounded Laplacian
+    # of it (721 MB, then a copy) does not fit in a 1 GiB address space
+    graph = tmp_path / "g.txt"
+    sw.write_graph_file(graph, sw.random_digraph(16, 0.1, 3))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(sw.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "swnet.cli", "decide", "--graph", str(graph),
+         "--u", "1", "--v", "5", "--L", "8", "--json"],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert (payload["accepted"], payload["route"], payload["path_len"]) == (True, "resistance", 27)
+    assert payload["overlap0"] == pytest.approx(2 / (2 * payload["witness_energy"] + 4), abs=1e-12)
 
 
 @pytest.mark.parametrize("command", [["basis", "dump"], ["prep", "verify"]])

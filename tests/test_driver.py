@@ -160,6 +160,25 @@ def test_dstcon_ledger_folds_swnet_charges(monkeypatch):
     assert ledger.oracle_queries == sum(c.oracle_queries for c in charges)
 
 
+# G(n, 0.25) seeds where 1 reaches n at distance >= 2, n does not reach 1,
+# and 2 reaches n - 1
+SWNET_CORPUS_SEEDS = {4: 62, 5: 3, 6: 39, 7: 7, 8: 52}
+
+
+def test_dstcon_with_swnet_decider_matches_bfs_corpus():
+    # the outer algorithm end to end with the spectral decider inside;
+    # L >= 5 at n >= 6 runs (16, 3) networks
+    decider = dr.swnet_decider("spectral")
+    for n, seed in SWNET_CORPUS_SEEDS.items():
+        g = sw.random_digraph(n, 0.25, seed)
+        pairs = [(1, n), (n, 1), (2, n - 1)]
+        for L in range(2, n + 1):
+            s, t = pairs[L % 3]
+            result, ledger = dr.dstcon(g, s, t, L, decider=decider)
+            assert result == ground_truth(g, s, t), (n, L, s, t)
+            assert ledger.peak_frontier <= math.ceil(n / L) + 1
+
+
 def test_time_accounting_shape():
     # exact decider charges n per call; call count tracks the n^3/L shape
     for n, L in [(4, 1), (4, 2), (4, 4), (5, 2)]:

@@ -155,3 +155,10 @@ def test_rebuild_top_down_label_invariance_other_root():
     inflated = rebuild_top_down(base)
     target = sw.build(2, 2, 2)
     assert isomorphic(inflated, target)
+
+
+@pytest.mark.parametrize("n,ell", [(2, 0), (2, 2), (4, 1), (4, 2), (8, 1)])
+def test_edge_ends_match_endpoints(n, ell):
+    st = sw.build(n, ell, 1).struct
+    tail, head = st.edge_ends
+    assert [(int(a), int(b)) for a, b in zip(tail, head)] == [st.endpoints(e) for e in range(st.edge_count)]

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swnet as sw
 from swnet import spaneval as se
@@ -179,13 +181,57 @@ def test_spectral_matches_exact_on_sample():
                     assert exact == spectral
 
 
-def test_spectral_cap_falls_back_to_exact(monkeypatch):
+def test_spectral_mode_takes_resistance_route_above_cap(monkeypatch):
+    # the cap guards only spectral-dense: spectral mode still measures its mass
     monkeypatch.setattr(se, "SPECTRAL_DIM_CAP", 10)
     g = sw.layered_path(4)
-    report = se.decide_length_bounded(g, 1, 3, 2, mode="spectral")
+    report = se.decide_length_bounded(g, 1, 3, 2, mode="spectral", witness=True)
     assert report.accepted
     assert report.ledger.time_steps == pytest.approx(se.time_formula(4, 2))
-    assert report.route == "exact-fallback"
+    assert report.route == "resistance"
+    assert report.overlap0 == pytest.approx(2 / (2 * report.witness_energy + 4), abs=1e-12)
+    assert report.witness_energy <= report.path_len
+    assert report.overlap0 == pytest.approx(se.phase_mass(sw.build(4, 1, 1), sw.GraphOracle(g), 2), abs=1e-12)
+
+
+def test_resistance_mass_equals_sector_at_8_2():
+    # the identity at a size the sector eigensolve still reaches: G(8, 0.2)
+    # seeds 0-2, four accepted and five rejected decisions in all
+    for seed in range(3):
+        g = sw.random_digraph(8, 0.2, seed)
+        for u, v in [(4, 7), (6, 3), (1, 5)]:
+            report = se.decide_length_bounded(g, u, v, 4, mode="spectral")
+            mass = se.phase_mass(sw.build(8, 2, u), sw.GraphOracle(g), v - 1)
+            assert report.route == "resistance"
+            assert report.overlap0 == pytest.approx(mass, abs=1e-12), (seed, u, v)
+
+
+@st.composite
+def small_digraphs(draw, max_n=5):
+    # n = 6 would ask L = 5, which pads to a (16, 3) network where each
+    # exact-route decision runs a Python BFS over 36k or more on-edges
+    n = draw(st.integers(2, max_n))
+    slots = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+    return sw.from_edges(n, draw(st.lists(st.sampled_from(slots), unique=True, max_size=len(slots))))
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(small_digraphs())
+def test_exact_and_spectral_modes_equal_bfs_property(g):
+    for u in range(1, g.n + 1):
+        for v in range(1, g.n + 1):
+            if u == v:
+                continue
+            d = sw.bfs_distance(g, u, v)
+            for L in range(1, g.n + 1):
+                want = d <= L
+                assert se.decide_distance(g, u, v, L, mode="exact")[0] == want, (u, v, L)
+                assert se.decide_distance(g, u, v, L, mode="spectral")[0] == want, (u, v, L)
+                report = se.decide_distance_report(g, u, v, L, mode="spectral")
+                assert report.accepted == want
+                if want:
+                    assert report.overlap0 == pytest.approx(2 / (2 * report.witness_energy + 4), abs=1e-12)
+                    assert report.witness_energy <= report.path_len + 1e-9
 
 
 def test_dense_route_equals_exact_through_pipeline():
@@ -227,7 +273,7 @@ def test_ledger_fold_adds_counts_and_maxes_space():
 def test_report_routes_and_witness_switch():
     g = sw.layered_path(4)
     report = se.decide_distance_report(g, 1, 4, 3, mode="spectral")
-    assert (report.accepted, report.route, report.path_len) == (True, "sector", 9)
+    assert (report.accepted, report.route, report.path_len) == (True, "resistance", 9)
     assert report.overlap0 == pytest.approx(2 / (2 * report.witness_energy + 4), abs=1e-9)
     bare = se.decide_length_bounded(g, 1, 4, 4, mode="spectral")
     assert bare.witness_energy is None and bare.path_len is None
