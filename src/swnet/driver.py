@@ -11,25 +11,29 @@ check of the first offset that completes.
 Deciders answer "is there a directed u -> v path of length at most L" and
 return, with each answer, the ResourceLedger of that one call: its model
 time, oracle queries and register cells.  The switching-network decider
-returns the decision's own ledger, charged at the grafted, padded size the
-decision ran on; the exact decider charges n time steps and the oracle
-queries of its BFS; a noisy decider passes its inner charge through, and a
-majority vote sums its repetitions' charges as one call.  dstcon folds
-every charge into its ledger (ResourceLedger.fold), so each call is charged
-once.  Length-0 questions are equality tests and are answered internally
-without consulting (or paying for) the decider.
+answers every sink of one (source, length) from one network evaluation
+(spaneval.Evaluation), kept for the graph it is asking about, and still
+returns each call the full ledger of its decision, charged at the grafted,
+padded size the decision ran on; only the call that ran the evaluation
+counts it in ``network_evaluations``.  The exact decider charges n time
+steps and the oracle queries of its BFS; a noisy decider passes its inner
+charge through, and a majority vote sums its repetitions' charges as one
+call.  dstcon folds every charge into its ledger (ResourceLedger.fold), so
+each call is charged once.  Length-0 questions are equality tests and are
+answered internally without consulting (or paying for) the decider.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, InvalidParams
 from .graphs import Digraph, GraphOracle
-from .spaneval import ResourceLedger, decide_distance
+from .spaneval import DecisionReport, Evaluation, ResourceLedger
+from .spaneval import decide_distance  # noqa: F401  (perfbench's tracer wraps driver.decide_distance)
 
 CONNECTED = "Connected"
 NOT_CONNECTED = "NotConnected"
@@ -75,10 +79,28 @@ def exact_bfs_decider() -> DistDecider:
 
 
 def swnet_decider(mode: str = "spectral") -> DistDecider:
-    """Decide through the switching network (exact or spectral evaluation)."""
+    """Decide through the switching network (exact or spectral evaluation).
+
+    One Evaluation per (u, length) answers every sink of the graph: its
+    per-sink answers and ledgers are kept, keyed by (u, length), for the
+    graph last seen (compared by identity) and dropped when another graph
+    comes.  Every call is still charged a full decision ledger; only the
+    call that ran the evaluation counts it in ``network_evaluations``.
+    """
+    memo: dict[tuple[int, int], dict[int, DecisionReport]] = {}
+    seen: Digraph | None = None
 
     def answer(g: Digraph, u: int, v: int, L: int) -> tuple[bool, ResourceLedger]:
-        return decide_distance(g, u, v, L, mode=mode)
+        nonlocal seen
+        if g is not seen:
+            memo.clear()
+            seen = g
+        ran = (u, L) not in memo
+        if ran:
+            evaluation = Evaluation(g, u, L, mode)
+            memo[u, L] = {w: evaluation.report(w) for w in range(1, g.n + 1)}
+        report = memo[u, L][v]
+        return report.accepted, replace(report.ledger, network_evaluations=int(ran))
 
     return DistDecider(name=f"swnet-{mode}", answer=answer)
 

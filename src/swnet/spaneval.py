@@ -23,26 +23,31 @@ Phase estimation at the cost the runtime formula pays therefore resolves
 the answer.
 
 Desk-scale shortcut: the spectral decision reads that mass off the
-identity, from one sparse grounded-Laplacian solve for R
-(``flows.optimal_flow_lsq``), at every network size.  Two routes read it
-off the spectrum instead and serve as cross-checks: ``phase_mass``
-diagonalizes the small symmetric matrix M = Q^T P_A Q on the generated
-complement basis Q (psi0 lies in that complement, which every Jordan
-block of U_alg meets in at most one direction), and
-``decide_phase_estimation`` decomposes the dense ReflectionPair.
+identity, at every network size.  An ``Evaluation`` of one source and one
+length bound builds and masks the network once and factors the Laplacian
+of the source's on-component, grounded at the source, once; R for each
+sink is then one triangular solve, so one evaluation answers every sink.
+Two routes read the mass off the spectrum instead and serve as
+cross-checks: ``phase_mass`` diagonalizes the small symmetric matrix
+M = Q^T P_A Q on the generated complement basis Q (psi0 lies in that
+complement, which every Jordan block of U_alg meets in at most one
+direction), and ``decide_phase_estimation`` decomposes the dense
+ReflectionPair.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import flows as fl
-from .errors import BasisMismatch, Disconnected, InvalidParams
+from .errors import BasisMismatch, InvalidParams
 from .graphs import Digraph, GraphOracle, attach_source_path, pad_to_power_of_two
-from .network import SwitchingNet, _component_and_parents, accepts, build, on_edge_mask
+from .network import SwitchingNet, _component_and_parents, build, on_edge_mask
+from .network import accepts  # noqa: F401  (bound here for perfbench's tracer, which wraps spaneval.accepts)
 
 #: calibration of the simulated decider: a single global rule, not tuned
 #: per instance.  The acceptance threshold is half the guaranteed witness
@@ -76,13 +81,19 @@ def quantum_space_cells(n: int, L: int) -> int:
 
 @dataclass
 class ResourceLedger:
-    """Operation counters shared by the deciders and the outer driver."""
+    """Operation counters shared by the deciders and the outer driver.
+
+    ``network_evaluations`` counts the switching-network evaluations
+    actually run; a call answered from an earlier evaluation is still
+    charged its full time, queries and decider call but adds 0 there.
+    """
 
     time_steps: float = 0.0
     space_cells: int = 0
     oracle_queries: int = 0
     quantum_space_cells: int = 0
     decider_calls: int = 0
+    network_evaluations: int = 0
     guard_exhausted: bool = False
     peak_frontier: int = 0
 
@@ -91,6 +102,7 @@ class ResourceLedger:
         self.time_steps += other.time_steps
         self.oracle_queries += other.oracle_queries
         self.decider_calls += other.decider_calls
+        self.network_evaluations += other.network_evaluations
         self.space_cells = max(self.space_cells, other.space_cells)
         self.quantum_space_cells = max(self.quantum_space_cells, other.quantum_space_cells)
         self.peak_frontier = max(self.peak_frontier, other.peak_frontier)
@@ -144,7 +156,7 @@ def build_reflections(net: SwitchingNet, oracle: GraphOracle, sink_index: int) -
 class DecisionReport:
     """Outcome of one simulated span-program decision.
 
-    ``route`` names how the answer was reached; see decide_length_bounded.
+    ``route`` names how the answer was reached; see Evaluation.
     """
 
     accepted: bool
@@ -240,96 +252,156 @@ def witness_energy(net: SwitchingNet, oracle: GraphOracle, sink_index: int) -> f
 SPECTRAL_DIM_CAP = 5000  # state-space dimension above which spectral-dense refuses
 
 
+class Evaluation:
+    """One network evaluation for a source u and a length bound L (any L >= 1).
+
+    Rounds L up to 2^ell = 2^ceil(log2 L) by grafting a feeder path of
+    2^ell - L vertices into u, pads the graph to a power of two, builds the
+    depth-ell network rooted at the chain head and masks its edges (|E|
+    oracle queries), once.  The source's on-component is also found once,
+    on the first sink that needs it.  ``report(v)`` then answers "is there a
+    directed u -> v path of length at most L" along one route, recorded in
+    ``report.route``:
+
+    - ``trivial``: v == u, answered without the network;
+    - ``exact`` (mode "exact"): a lookup in the one BFS over the
+      on-subgraph that every sink shares;
+    - ``resistance`` (mode "spectral", every size): the fixed-space mass
+      2 / (2 R + 4), or 0 when the sink is outside the source's component.
+      R = (L_s^-1)_tt is the effective resistance, from one triangular
+      solve against the one factorization of the Laplacian of the source's
+      component with the source grounded;
+    - ``dense`` (mode "spectral-dense"): the dense reflections for sink v
+      and their eigendecomposition, one per sink; refused with
+      InvalidParams above SPECTRAL_DIM_CAP.
+
+    Every report carries the full ledger of one decision: the accounted
+    quantum time and register cells at the grafted, padded size, one
+    decider call, the |E| oracle queries of the mask and one network
+    evaluation.  The trivial report is charged one decider call at the
+    padded, ungrafted size, with no queries and no evaluation.  With
+    ``witness`` an accepted report also gets its witness path length and
+    optimal on-flow energy; the exact and resistance routes take the energy
+    from the shared factorization, which asks no oracle.
+    """
+
+    def __init__(self, g: Digraph, u: int, L: int, mode: str = "exact"):
+        if L < 1:
+            raise InvalidParams("L must be >= 1")
+        if mode not in ("exact", "spectral", "spectral-dense"):
+            raise InvalidParams(f"unknown mode {mode!r}")
+        self.g, self.u, self.mode = g, u, mode
+        self.L = 1 << (L - 1).bit_length()
+        self.threshold = acceptance_threshold(self.L.bit_length() - 1)
+        grafted, root = attach_source_path(g, u, self.L - L)
+        self.graph = pad_to_power_of_two(grafted)
+        self.net = self.mask = None  # above the padded size only v == u has an answer
+        if self.L <= self.graph.n:
+            oracle = GraphOracle(self.graph)
+            self.net = build(self.graph.n, self.L.bit_length() - 1, root)
+            self.mask = on_edge_mask(self.net, oracle)
+            self._charge = ResourceLedger(
+                time_steps=time_formula(self.graph.n, self.L),
+                quantum_space_cells=quantum_space_cells(self.graph.n, self.L),
+                oracle_queries=oracle.query_count, decider_calls=1, network_evaluations=1,
+            )
+
+    @cached_property
+    def _dist(self) -> np.ndarray:
+        """BFS distance from the source over on-edges, -1 outside its component."""
+        return _component_and_parents(self.net, self.mask)[0]
+
+    @cached_property
+    def _component(self):
+        """(lap, reach): the on-subgraph's Laplacian and the source's component."""
+        _, lap, reach = fl.on_laplacian(self.net, self.mask)
+        return lap, reach
+
+    @cached_property
+    def _grounded(self):
+        """(unknowns, lu): the component's vertices other than the source, and
+        the LU factors of the Laplacian on them; factored on the first
+        connected sink, so a rejecting sink costs no factorization."""
+        from scipy.sparse.linalg import splu
+
+        lap, reach = self._component
+        unknowns = np.flatnonzero(reach)
+        unknowns = unknowns[unknowns != self.net.source]
+        return unknowns, splu(lap[unknowns][:, unknowns].tocsc(), permc_spec=fl.LAPLACIAN_ORDER)
+
+    def _resistance(self, t: int) -> float | None:
+        """Effective resistance (L_s^-1)_tt to vertex t; None outside the source's component."""
+        if not self._component[1][t]:
+            return None
+        unknowns, lu = self._grounded
+        k = int(np.searchsorted(unknowns, t))
+        rhs = np.zeros(unknowns.size)
+        rhs[k] = 1.0
+        return float(lu.solve(rhs)[k])
+
+    def report(self, v: int, witness: bool = False) -> DecisionReport:
+        """The decision for sink v; see the class docstring."""
+        report = DecisionReport(
+            accepted=True, overlap0=1.0, witness_energy=None, path_len=None,
+            threshold=self.threshold, route="trivial",
+        )
+        if v == self.u:
+            n = pad_to_power_of_two(self.g).n
+            report.ledger = ResourceLedger(
+                time_steps=time_formula(n, self.L), quantum_space_cells=quantum_space_cells(n, self.L),
+                decider_calls=1,
+            )
+            if witness:
+                report.witness_energy, report.path_len = 0.0, 0
+            return report
+        if self.net is None:
+            raise InvalidParams(f"L = {self.L} exceeds padded vertex count {self.graph.n}")
+        net, sink = self.net, v - 1
+        t = net.sink(sink)
+        if self.mode == "spectral-dense":
+            dim = 2 * net.edge_count + 4
+            if dim > SPECTRAL_DIM_CAP:
+                raise InvalidParams(
+                    f"spectral-dense needs {dim}x{dim} dense projectors, above SPECTRAL_DIM_CAP={SPECTRAL_DIM_CAP}"
+                )
+            # uncharged: the dense route masks again through its own oracle
+            pair = build_reflections(net, GraphOracle(self.graph), sink)
+            dense = decide_phase_estimation(pair, default_psi0(net))
+            report.accepted, report.overlap0, report.route = dense.accepted, dense.overlap0, "dense"
+            if witness:
+                report.witness_energy, report.path_len = dense.witness_energy, dense.path_len
+        elif self.mode == "spectral":
+            report.route = "resistance"
+            energy = self._resistance(t)
+            if energy is None:
+                report.accepted, report.overlap0 = False, 0.0
+            else:
+                report.overlap0 = 2 / (2 * energy + 4)
+                report.accepted = report.overlap0 >= report.threshold
+                if witness and report.accepted:
+                    report.witness_energy, report.path_len = energy, int(self._dist[t])
+        else:
+            report.route = "exact"
+            report.accepted = bool(self._dist[t] >= 0)
+            report.overlap0 = float(report.accepted)
+            if witness and report.accepted:
+                report.witness_energy, report.path_len = self._resistance(t), int(self._dist[t])
+        report.ledger = replace(self._charge)
+        return report
+
+
 def decide_length_bounded(
     g: Digraph, u: int, v: int, L: int, mode: str = "exact", witness: bool = False
 ) -> DecisionReport:
     """Is there a directed u -> v path of length at most L (L a power of two)?
 
-    Pads g, builds the depth-log2(L) network rooted at u and answers along
-    one route, recorded in ``report.route``:
-
-    - ``trivial``: u == v, answered without a network;
-    - ``exact`` (mode "exact"): BFS over the on-subgraph;
-    - ``resistance`` (mode "spectral", every size): the fixed-space mass
-      2 / (2 R + 4) from one sparse solve for the effective resistance R,
-      or 0 when the source and sink are not connected;
-    - ``dense`` (mode "spectral-dense"): the dense reflections and their
-      eigendecomposition; refused with InvalidParams above SPECTRAL_DIM_CAP.
-
-    The ledger carries the accounted quantum time, the oracle queries of the
-    decision, and register cells.  With ``witness`` an accepted answer also
-    gets its witness path length and optimal on-flow energy; the resistance
-    route takes the energy from its own solve.
+    One Evaluation of (g, u, L), which grafts nothing at a power-of-two L,
+    and its report for sink v; see Evaluation for the routes, the ledger and
+    the witness fields.
     """
     if L < 1 or L & (L - 1):
         raise InvalidParams(f"L must be a positive power of two, got {L}")
-    if mode not in ("exact", "spectral", "spectral-dense"):
-        raise InvalidParams(f"unknown mode {mode!r}")
-    g = pad_to_power_of_two(g)
-    ell = L.bit_length() - 1
-    ledger = ResourceLedger(
-        time_steps=time_formula(g.n, L), quantum_space_cells=quantum_space_cells(g.n, L), decider_calls=1
-    )
-    report = DecisionReport(
-        accepted=True, overlap0=1.0, witness_energy=None, path_len=None,
-        threshold=acceptance_threshold(ell), route="trivial", ledger=ledger,
-    )
-    if u == v:
-        if witness:
-            report.witness_energy, report.path_len = 0.0, 0
-        return report
-    if L > g.n:
-        raise InvalidParams(f"L = {L} exceeds padded vertex count {g.n}")
-    net = build(g.n, ell, u)
-    oracle = GraphOracle(g)
-    sink = v - 1
-    if mode == "spectral-dense":
-        dim = 2 * net.edge_count + 4
-        if dim > SPECTRAL_DIM_CAP:
-            raise InvalidParams(
-                f"spectral-dense needs {dim}x{dim} dense projectors, above SPECTRAL_DIM_CAP={SPECTRAL_DIM_CAP}"
-            )
-        dense = decide_phase_estimation(build_reflections(net, oracle, sink), default_psi0(net))
-        report.accepted, report.overlap0, report.route = dense.accepted, dense.overlap0, "dense"
-        if witness:
-            report.witness_energy, report.path_len = dense.witness_energy, dense.path_len
-    elif mode == "spectral":
-        report.route = "resistance"
-        mask = on_edge_mask(net, oracle)
-        try:
-            theta = fl.optimal_flow_lsq(net, mask, sink)
-        except Disconnected:
-            report.accepted, report.overlap0 = False, 0.0
-        else:
-            energy = float(theta @ theta)
-            report.overlap0 = 2 / (2 * energy + 4)
-            report.accepted = report.overlap0 >= report.threshold
-            if witness and report.accepted:
-                dist, _ = _component_and_parents(net, mask)
-                report.witness_energy, report.path_len = energy, int(dist[net.sink(sink)])
-    else:
-        report.accepted, path = accepts(net, oracle, sink)
-        report.overlap0 = float(report.accepted)
-        report.route = "exact"
-        if witness and report.accepted:
-            # uncharged: the witness solve asks its own oracle
-            report.path_len = len(path)
-            report.witness_energy = witness_energy(net, GraphOracle(g), sink)
-    ledger.oracle_queries = oracle.query_count
-    return report
-
-
-def _graft(g: Digraph, u: int, v: int, L: int) -> tuple[Digraph, int, int, int]:
-    """Round L up to 2^ceil(log2 L) by grafting a feeder path into u.
-
-    The new chain head asks the same question at the power-of-two bound.
-    u == v is answered at any bound, so nothing is grafted then.
-    """
-    if L < 1:
-        raise InvalidParams("L must be >= 1")
-    L2 = 1 << (L - 1).bit_length()
-    g2, u2 = attach_source_path(g, u, 0 if u == v else L2 - L)
-    return g2, u2, v, L2
+    return Evaluation(g, u, L, mode).report(v, witness)
 
 
 def decide_distance(
@@ -337,12 +409,12 @@ def decide_distance(
 ) -> tuple[bool, ResourceLedger]:
     """Is there a directed u -> v path of length at most L (any L >= 1)?
 
-    The answer and ledger of decide_length_bounded on the grafted graph.
+    The answer and ledger of one Evaluation's report for v.
     """
-    report = decide_length_bounded(*_graft(g, u, v, L), mode=mode)
+    report = Evaluation(g, u, L, mode).report(v)
     return report.accepted, report.ledger
 
 
 def decide_distance_report(g: Digraph, u: int, v: int, L: int, mode: str = "exact") -> DecisionReport:
     """decide_distance as a full DecisionReport, witness fields included."""
-    return decide_length_bounded(*_graft(g, u, v, L), mode=mode, witness=True)
+    return Evaluation(g, u, L, mode).report(v, witness=True)

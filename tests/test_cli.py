@@ -143,6 +143,30 @@ def test_dstcon_json(path_graph, capsys):
     assert payload["ledger"]["decider_calls"] > 0
 
 
+def test_dstcon_json_counts_network_evaluations(tmp_path, capsys):
+    # one evaluation per (source, length) answers every sink: 27 charged
+    # decider calls here, over 3 evaluations
+    graph = tmp_path / "g.txt"
+    sw.write_graph_file(graph, sw.random_digraph(8, 0.2, 1))
+    argv = ["dstcon", "--graph", str(graph), "--s", "1", "--t", "8", "--L", "3", "--json"]
+    assert main([*argv, "--decider", "swnet"]) == 0
+    ledger = json.loads(capsys.readouterr().out)["ledger"]
+    assert 0 < ledger["network_evaluations"] < ledger["decider_calls"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["ledger"]["network_evaluations"] == 0
+
+
+def test_import_and_decider_construction_load_no_scipy():
+    # scipy is imported inside the solves, so the dump and prep commands,
+    # and a decider nobody has asked yet, run without it
+    code = ("import sys, swnet, swnet.cli; from swnet.driver import swnet_decider; "
+            "swnet_decider('spectral'); print('scipy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sw.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_pebble_trace(capsys):
     assert main(["pebble", "--L", "4"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

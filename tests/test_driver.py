@@ -1,7 +1,10 @@
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swnet as sw
 from swnet import driver as dr
@@ -140,19 +143,21 @@ def test_swnet_decider_agrees_on_small_instance():
         assert ledger.quantum_space_cells > 0
 
 
-def test_dstcon_ledger_folds_swnet_charges(monkeypatch):
+def test_dstcon_ledger_folds_swnet_charges():
     # each call is charged its own decision ledger, at the grafted, padded
     # n' = 16 the decision runs on, not at the graph's n = 8
     g = sw.random_digraph(8, 0.2, 1)
     charges = []
+    decider = dr.swnet_decider("spectral")
+    inner = decider.answer
 
-    def recording(*args, **kwargs):
-        answer, charge = decide_distance(*args, **kwargs)
+    def recording(*args):
+        answer, charge = inner(*args)
         charges.append(charge)
         return answer, charge
 
-    monkeypatch.setattr(dr, "decide_distance", recording)
-    result, ledger = dr.dstcon(g, 1, 8, 3, decider=dr.swnet_decider("spectral"))
+    decider.answer = recording
+    result, ledger = dr.dstcon(g, 1, 8, 3, decider=decider)
     assert result == ground_truth(g, 1, 8)
     assert ledger.decider_calls == len(charges) > 0
     assert ledger.time_steps == sum(c.time_steps for c in charges)
@@ -162,21 +167,66 @@ def test_dstcon_ledger_folds_swnet_charges(monkeypatch):
 
 # G(n, 0.25) seeds where 1 reaches n at distance >= 2, n does not reach 1,
 # and 2 reaches n - 1
-SWNET_CORPUS_SEEDS = {4: 62, 5: 3, 6: 39, 7: 7, 8: 52}
+SWNET_CORPUS_SEEDS = {4: 62, 5: 3, 6: 39, 7: 7, 8: 52, 9: 3, 10: 21, 11: 68, 12: 18, 13: 43, 14: 5, 15: 111, 16: 86}
 
 
 def test_dstcon_with_swnet_decider_matches_bfs_corpus():
     # the outer algorithm end to end with the spectral decider inside;
-    # L >= 5 at n >= 6 runs (16, 3) networks
+    # L >= 5 at n >= 6 runs (16, 3) networks.  Above n = 8 it keeps to
+    # L in {2, 4}: dstcon also asks L - 1, and at n = 16 a length of 5..7
+    # grafts and pads to a (32, 3) network of 8.8M edges
     decider = dr.swnet_decider("spectral")
     for n, seed in SWNET_CORPUS_SEEDS.items():
         g = sw.random_digraph(n, 0.25, seed)
         pairs = [(1, n), (n, 1), (2, n - 1)]
-        for L in range(2, n + 1):
+        for L in range(2, n + 1) if n <= 8 else (2, 4):
             s, t = pairs[L % 3]
             result, ledger = dr.dstcon(g, s, t, L, decider=decider)
             assert result == ground_truth(g, s, t), (n, L, s, t)
             assert ledger.peak_frontier <= math.ceil(n / L) + 1
+            assert 0 < ledger.network_evaluations <= ledger.decider_calls
+
+
+@st.composite
+def dstcon_instances(draw, max_n=7):
+    n = draw(st.integers(2, max_n))
+    slots = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+    g = sw.from_edges(n, draw(st.lists(st.sampled_from(slots), unique=True, max_size=len(slots))))
+    s, t = draw(st.sampled_from(slots))
+    return g, s, t, draw(st.integers(1, n))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(dstcon_instances())
+def test_dstcon_with_swnet_decider_equals_bfs_property(instance):
+    g, s, t, L = instance
+    result, ledger = dr.dstcon(g, s, t, L, decider=dr.swnet_decider("spectral"))
+    assert result == ground_truth(g, s, t)
+    assert ledger.network_evaluations <= ledger.decider_calls
+
+
+def test_swnet_decider_answers_for_the_graph_it_is_asked_about():
+    # the same (u, L) on a second graph must not reuse the first graph's answers
+    g1 = sw.from_edges(4, [(1, 2), (2, 3), (3, 4)])
+    g2 = sw.from_edges(4, [(1, 2)])
+    decider = dr.swnet_decider("spectral")
+    for g in (g1, g2, g1):
+        for v in range(2, 5):
+            got, charge = decider.answer(g, 1, v, 3)
+            want, full = decide_distance(g, 1, v, 3, mode="spectral")
+            assert got == want == (sw.bfs_distance(g, 1, v) <= 3), v
+            assert charge == replace(full, network_evaluations=int(v == 2))
+
+
+def test_swnet_decider_charges_every_call_and_counts_evaluations():
+    g = sw.random_digraph(8, 0.2, 1)
+    decider = dr.swnet_decider("exact")
+    charges = [decider.answer(g, 1, v, 3)[1] for v in (2, 3, 2, 5)]
+    full = decide_distance(g, 1, 3, 3)[1]
+    assert [c.network_evaluations for c in charges] == [1, 0, 0, 0]
+    assert all(replace(c, network_evaluations=1) == full for c in charges)
+    _, ledger = dr.dstcon(g, 1, 8, 3, decider=dr.exact_bfs_decider())
+    assert ledger.network_evaluations == 0
 
 
 def test_time_accounting_shape():

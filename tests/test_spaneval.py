@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import swnet as sw
+from swnet import flows as fl
 from swnet import spaneval as se
 from swnet.errors import Disconnected, InvalidParams
 
@@ -232,6 +233,28 @@ def test_exact_and_spectral_modes_equal_bfs_property(g):
                 if want:
                     assert report.overlap0 == pytest.approx(2 / (2 * report.witness_energy + 4), abs=1e-12)
                     assert report.witness_energy <= report.path_len + 1e-9
+
+
+def test_evaluation_answers_every_sink_as_decide_distance():
+    # one Evaluation per (u, L) gives every sink the answer and ledger of a
+    # fresh decision and the BFS answer; accepted spectral answers also match
+    # the mass from the sink-grounded flow oracle's energy (the evaluation
+    # grounds the source).  A fresh exact decision on a (16, 3) network runs a Python BFS
+    # over 10^5 on-edges per sink, so there the exact route is held to BFS only
+    for n in range(2, 9):
+        g = sw.random_digraph(n, 0.3, n)
+        u = 1 + n % 2
+        for L in range(1, n + 1):
+            for mode in ("exact", "spectral"):
+                evaluation = se.Evaluation(g, u, L, mode)
+                for v in range(1, n + 1):
+                    shared = evaluation.report(v)
+                    assert shared.accepted == (sw.bfs_distance(g, u, v) <= L), (n, L, mode, v)
+                    if mode == "spectral" or v == u or evaluation.net.edge_count < 10**5:
+                        assert (shared.accepted, shared.ledger) == se.decide_distance(g, u, v, L, mode=mode)
+                    if mode == "spectral" and shared.accepted and v != u:
+                        theta = fl.optimal_flow_lsq(evaluation.net, evaluation.mask, v - 1)
+                        assert shared.overlap0 == pytest.approx(2 / (2 * (theta @ theta) + 4), rel=1e-12)
 
 
 def test_dense_route_equals_exact_through_pipeline():
