@@ -23,7 +23,7 @@ net = sw.build(g2.n, 1, root=1)
 pair = se.build_reflections(net, sw.GraphOracle(g2), sink_index=2)  # target 3
 print(f"dim H = {pair.U.shape[0]}, rank P_A = {round(np.trace(pair.P_A))}, "
       f"rank P_B = {round(np.trace(pair.P_B))}")
-report = se.decide_phase_estimation(pair, se.default_psi0(net))
+report = se.decide_phase_estimation(pair, se.default_psi0(net), witness=True)
 print(f"reach 3 within 2 steps: accepted={report.accepted}, "
       f"overlap0={report.overlap0:.4f} (threshold {report.threshold:.4f})")
 print(f"witness: path length {report.path_len}, flow energy {report.witness_energy:.3f}")

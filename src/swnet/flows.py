@@ -126,16 +126,26 @@ def fourier_circulation(n: int, ell: int, z: int, x: int) -> np.ndarray:
         raise ZeroZ("z must be a nonzero bitstring index")
     if ell < 1:
         raise InvalidParams("circulations appear at depth >= 1")
-    tz = sum((-1) ** _bitdot(z, i) * unit_flow(n, ell - 1, i) for i in range(n))
-    tx = sum((-1) ** _bitdot(x, j) * unit_flow(n, ell - 1, j) for j in range(n))
+    tz, tx = _signed_unit_flow_sum(n, ell - 1, z), _signed_unit_flow_sum(n, ell - 1, x)
     block = tz.shape[0]
     out = np.zeros((2 * n + 1) * block, dtype=np.int64)
     if x == 0:
-        out[:block] = n * tz
+        np.multiply(tz, n, out=out[:block])
     for i in range(n):
-        out[(1 + i) * block : (2 + i) * block] = (-1) ** _bitdot(z, i) * tx
+        np.multiply(tx, (-1) ** _bitdot(z, i), out=out[(1 + i) * block : (2 + i) * block])
     for j in range(n):
-        out[(1 + n + j) * block : (2 + n + j) * block] = (-1) ** _bitdot(x, j) * tz
+        np.multiply(tz, (-1) ** _bitdot(x, j), out=out[(1 + n + j) * block : (2 + n + j) * block])
+    return out
+
+
+def _signed_unit_flow_sum(n: int, ell: int, x: int) -> np.ndarray:
+    """sum_j (-1)^(x.j) unit_flow(n, ell, j), accumulated in place."""
+    out = np.zeros(unit_flow(n, ell, 0).shape[0], dtype=np.int64)
+    for j in range(n):
+        if _bitdot(x, j):
+            out -= unit_flow(n, ell, j)
+        else:
+            out += unit_flow(n, ell, j)
     return out
 
 
@@ -146,9 +156,10 @@ def flow_state(net: SwitchingNet, j: int, with_boundary: bool = True) -> np.ndar
     and +1 on rt so that divergence is conserved at the boundary too.
     """
     n, ell = net.n, net.ell
-    theta = unit_flow(n, ell, j).astype(float) / float(n) ** ell
     out = np.zeros(reduced_dim(net.edge_count))
-    out[: net.edge_count] = np.sqrt(2.0) * theta
+    theta = out[: net.edge_count]
+    np.divide(unit_flow(n, ell, j), float(n) ** ell, out=theta)
+    theta *= np.sqrt(2.0)
     if with_boundary:
         out[boundary_index(net.edge_count, LS_SLOT)] = -1.0
         out[boundary_index(net.edge_count, RT_SLOT)] = +1.0
@@ -237,6 +248,22 @@ def on_laplacian(net: SwitchingNet, on_mask: np.ndarray):
     lap = (inc.T @ inc).tocsr()
     _, comp = connected_components(lap, directed=False)
     return inc, lap, comp == comp[net.source]
+
+
+def on_distances(net: SwitchingNet, on_mask: np.ndarray) -> np.ndarray:
+    """Breadth-first distance from the source over on-edges, -1 outside its component.
+
+    Unweighted, undirected shortest paths over the on-edges' (tail, head)
+    arrays, by scipy's csgraph; scipy is imported here as in on_laplacian.
+    """
+    from scipy import sparse
+    from scipy.sparse.csgraph import dijkstra
+
+    tail, head = (ends[on_mask] for ends in net.struct.edge_ends)
+    nv = net.vertex_count
+    adj = sparse.csr_matrix((np.ones(tail.size), (tail, head)), shape=(nv, nv))
+    dist = dijkstra(adj, directed=False, unweighted=True, indices=net.source)
+    return np.where(np.isinf(dist), -1, dist).astype(np.int64)
 
 
 #: a minimum-degree order on A^T + A: the grounded Laplacian is symmetric, and

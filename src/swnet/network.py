@@ -21,6 +21,10 @@ reachable from the root by a directed path of length at most 2^ell.
 
 Structure (vertices, gluing, orientations) is root-independent, so one
 ``NetStructure`` is cached per (n, ell) and ``SwitchingNet`` binds a root.
+It is built with array operations: the glue pairs of every block at every
+depth come from mixed-radix block indices, glued vertices are resolved by
+min-label propagation, and each leaf's orientation and label source are
+read off one decoded (leaves x ell) symbol table.
 """
 
 from __future__ import annotations
@@ -86,23 +90,67 @@ def f1(sigma: tuple, sym: Sym | None = None, n: int | None = None) -> int:
     return best
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
+def leaf_symbols(n: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """(tags, payloads) of every leaf of Sigma^ell, outermost symbol first.
 
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
+    Both arrays are (R^ell, ell) with R = 2n+1: row ``leaf`` decodes the
+    mixed-radix leaf index, so entry [leaf, pos] is ``Sym.tag`` /
+    ``Sym.payload`` of the pos-th code of ``edge_sigma_i(leaf * n)``.
+    """
+    R = 2 * n + 1
+    place = R ** np.arange(ell - 1, -1, -1, dtype=np.int64)
+    codes = np.arange(R**ell, dtype=np.int64)[:, None] // place % R
+    tags = (codes > 0).astype(np.int8) + (codes > n)
+    return tags, np.where(tags == 0, 0, (codes - 1) % n)
 
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+
+def _glue_pairs(n: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pre-vertex pairs glued at every internal block, every depth at once.
+
+    Pre-vertex leaf * (n+1) + slot is slot SRC or sink slot 1+i of a leaf
+    star.  A depth-d block is a length-d prefix of Sigma^ell in mixed radix;
+    its source is its first leaf's source and its sink k is the source of its
+    child (2, k), or leaf sink k at depth ell.  Block 0's sink i is glued to
+    block (1,i)'s source, and block (1,i)'s sink j to block (2,j)'s sink i.
+    """
+    R = 2 * n + 1
+
+    def source(block, depth):
+        return block * R ** (ell - depth) * (n + 1) + SRC
+
+    def sink(block, depth, k):
+        if depth == ell:
+            return block * (n + 1) + 1 + k
+        return source(block * R + 1 + n + k, depth + 1)
+
+    i, j = np.arange(n)[:, None], np.arange(n)[None, :]
+    left, right = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for d in range(ell):
+        first = R * np.arange(R**d, dtype=np.int64)[:, None, None]  # child 0 of each block
+        left += [sink(first, d + 1, i).ravel(), sink(first + 1 + i, d + 1, j).ravel()]
+        right += [source(first + 1 + i, d + 1).ravel(), sink(first + 1 + n + j, d + 1, i).ravel()]
+    return np.concatenate(left), np.concatenate(right)
+
+
+def component_labels(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Smallest vertex of each vertex's component in the graph with edges (a, b).
+
+    Min-label propagation with pointer jumping: every label is a vertex of
+    its own component no larger than itself; each round hooks the larger
+    root of every edge under the smaller one, then follows labels until each
+    points at a root, and stops when every edge joins equal labels.
+    """
+    lab = np.arange(size)
+    while True:
+        la, lb = lab[a], lab[b]
+        if np.array_equal(la, lb):
+            return lab
+        np.minimum.at(lab, np.concatenate([la, lb]), np.concatenate([lb, la]))
+        while True:
+            jumped = lab[lab]
+            if np.array_equal(jumped, lab):
+                break
+            lab = jumped
 
 
 class NetStructure:
@@ -110,7 +158,9 @@ class NetStructure:
 
     Edges are indexed 0..(2n+1)^ell * n - 1; edge (leaf, i) has flat index
     leaf * n + i where ``leaf`` enumerates Sigma^ell in mixed radix with the
-    outermost symbol most significant.
+    outermost symbol most significant.  Vertex ids number the glued
+    components in the order of their smallest pre-vertex, which is the
+    order a scan of the pre-vertices first meets them.
     """
 
     def __init__(self, n: int, ell: int):
@@ -125,79 +175,31 @@ class NetStructure:
         self.num_leaves = R**ell
         self.edge_count = self.num_leaves * n
 
-        uf = _UnionFind(self.num_leaves * (n + 1))
-        radix = [R**k for k in range(ell + 1)]
+        # resolve glued pre-vertices to consecutive ids: a component's id is
+        # the number of smaller components' minima, i.e. its first-seen rank
+        lab = component_labels(self.num_leaves * (n + 1), *_glue_pairs(n, ell))
+        is_root = lab == np.arange(lab.size)
+        vid = (np.cumsum(is_root) - 1)[lab].reshape(self.num_leaves, n + 1)
+        self.vertex_count = int(is_root.sum())
+        self._leaf_src_vid = np.ascontiguousarray(vid[:, SRC])
+        self._leaf_sink_vid = np.ascontiguousarray(vid[:, 1:])
 
-        def leaf_of(path: tuple) -> int:
-            # path is a full-length tuple of int codes, outermost first
-            idx = 0
-            for c in path:
-                idx = idx * R + c
-            return idx
+        # the global source is leaf 0's source; global sink j is the source
+        # of block (2, j), or leaf sink j of the lone star at depth 0
+        self.source_vid = int(self._leaf_src_vid[0])
+        if ell == 0:
+            self.sink_vids = self._leaf_sink_vid[0].copy()
+        else:
+            self.sink_vids = self._leaf_src_vid[(1 + n + np.arange(n)) * R ** (ell - 1)]
 
-        def source_pre(path: tuple) -> int:
-            path = path + (0,) * (ell - len(path))
-            return leaf_of(path) * (n + 1) + SRC
-
-        def sink_pre(path: tuple, i: int) -> int:
-            if len(path) == ell:
-                return leaf_of(path) * (n + 1) + 1 + i
-            return source_pre(path + (self.sym.code(2, i),))
-
-        # glue children pairwise at every internal block
-        def glue(path: tuple):
-            if len(path) == ell:
-                return
-            for i in range(n):
-                uf.union(sink_pre(path + (0,), i), source_pre(path + (self.sym.code(1, i),)))
-                for j in range(n):
-                    uf.union(
-                        sink_pre(path + (self.sym.code(1, i),), j),
-                        sink_pre(path + (self.sym.code(2, j),), i),
-                    )
-            for c in range(R):
-                glue(path + (c,))
-
-        glue(())
-
-        # compress to consecutive vertex ids
-        roots = {}
-        pre_to_vid = np.empty(self.num_leaves * (n + 1), dtype=np.int64)
-        for pre in range(self.num_leaves * (n + 1)):
-            r = uf.find(pre)
-            if r not in roots:
-                roots[r] = len(roots)
-            pre_to_vid[pre] = roots[r]
-        self.vertex_count = len(roots)
-        self._pre_to_vid = pre_to_vid
-
-        self.source_vid = int(pre_to_vid[source_pre(())])
-        self.sink_vids = np.array(
-            [pre_to_vid[sink_pre((), j)] for j in range(n)], dtype=np.int64
-        )
-
-        # per-leaf tables: tail/head pre-vertices, reversal parity, label source
-        leaves = np.arange(self.num_leaves)
-        self._leaf_src_vid = pre_to_vid[leaves * (n + 1) + SRC]
-        self._leaf_sink_vid = np.stack(
-            [pre_to_vid[leaves * (n + 1) + 1 + i] for i in range(n)], axis=1
-        )
-
-        rev = np.zeros(self.num_leaves, dtype=bool)
-        lab = np.full(self.num_leaves, -1, dtype=np.int64)  # -1: label source is the root
-        for leaf in range(self.num_leaves):
-            rest, parity, src = leaf, 0, -1
-            for pos in range(ell):
-                c = (rest // radix[ell - 1 - pos]) % R
-                t = self.sym.tag(c)
-                if t == 2:
-                    parity ^= 1
-                elif t == 1:
-                    src = self.sym.payload(c)
-            rev[leaf] = bool(parity)
-            lab[leaf] = src
-        self._leaf_rev = rev
-        self._leaf_label_src = lab
+        # a leaf is reversed under an odd number of tag-2 symbols, and its
+        # labels start at the payload of its last tag-1 symbol (-1: the root)
+        tags, payloads = leaf_symbols(n, ell)
+        self._leaf_rev = (tags == 2).sum(axis=1) % 2 == 1
+        lab_src = np.full(self.num_leaves, -1, dtype=np.int64)
+        for pos in range(ell):
+            np.copyto(lab_src, payloads[:, pos], where=tags[:, pos] == 1)
+        self._leaf_label_src = lab_src
 
     @cached_property
     def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
@@ -395,10 +397,11 @@ def accepts(net: SwitchingNet, oracle: GraphOracle, sink_index: int):
 
 
 def accepts_all(net: SwitchingNet, oracle: GraphOracle) -> np.ndarray:
-    """Vector of accepts() over all n sinks from a single BFS."""
+    """Vector of accepts() over all n sinks from one labelling of the on-components."""
     mask = on_edge_mask(net, oracle)
-    dist, _ = _component_and_parents(net, mask)
-    return dist[net.struct.sink_vids] >= 0
+    tail, head = (ends[mask] for ends in net.struct.edge_ends)
+    lab = component_labels(net.vertex_count, tail, head)
+    return lab[net.struct.sink_vids] == lab[net.source]
 
 
 # -- top-down rebuild --------------------------------------------------------

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import flows as fl
 from .errors import InvalidParams, NegativePrefix, ZeroZ
+from .network import leaf_symbols
 
 
 @dataclass
@@ -138,20 +139,11 @@ def prepare_sum_of_flows(n: int, ell: int) -> tuple[np.ndarray, PrepCircuit]:
         return out, PrepCircuit(ell=0, ops=("load",), gate_count=_logn(n))
     spec = AmplitudeSpec(m=ell, d=3, prefix_sum=lambda p: prefix_sum_S(n, ell, p))
     layer_amp, step1 = grover_rudolph(spec)
-    edge_count = (2 * n + 1) ** ell * n
-    out = np.zeros(edge_count)
-    R = 2 * n + 1
-    for leaf in range(edge_count // n):
-        tau, rest = [], leaf
-        for _ in range(ell):
-            rest, c = divmod(rest, R)
-            tau.append(0 if c == 0 else (1 if c <= n else 2))
-        tau.reverse()
-        t_index = 0
-        for t in tau:
-            t_index = t_index * 3 + t
-        a = layer_amp[t_index] / math.sqrt(fl.layer_size(n, tuple(tau)))
-        out[leaf * n : (leaf + 1) * n] = a
+    # each leaf's layer: its tag pattern tau in base 3, and |E_tau| = n^(1 + ell - zeros)
+    tags, _ = leaf_symbols(n, ell)
+    t_index = tags @ 3 ** np.arange(ell - 1, -1, -1)
+    layer_size = (n ** (1 + ell - (tags == 0).sum(axis=1))).astype(float)
+    out = np.repeat(layer_amp[t_index] / np.sqrt(layer_size), n)
     gates = step1.gate_count + (ell + 1) * _logn(n)
     ops = step1.ops + ("expand-layers", "hadamard")
     return out, PrepCircuit(ell=ell, ops=ops, gate_count=gates)
@@ -182,10 +174,10 @@ def fourier_flows_C(n: int, ell: int, x: int) -> tuple[np.ndarray, PrepCircuit]:
     block = v_x.shape[0]
     out = np.zeros((2 * n + 1) * block)
     for i in range(n):
-        out[(1 + i) * block : (2 + i) * block] = w1 * v_x
+        np.multiply(v_x, w1, out=out[(1 + i) * block : (2 + i) * block])
     for j in range(n):
         sgn = (-1) ** fl._bitdot(x, j)
-        out[(1 + n + j) * block : (2 + n + j) * block] = w2 * sgn * v_0
+        np.multiply(v_0, w2 * sgn, out=out[(1 + n + j) * block : (2 + n + j) * block])
     gates = 1 + 2 * _logn(n) + max(c_x.gate_count, c_0.gate_count)
     ops = ("rotate", "cswap", "hadamard", ("call", ell - 1))
     return out, PrepCircuit(ell=ell, ops=ops, gate_count=gates)
@@ -214,13 +206,13 @@ def prepare_psi(n: int, ell: int, z: int, x: int) -> tuple[np.ndarray, PrepCircu
     w /= np.linalg.norm(w)
     block = v_z.shape[0]
     out = np.zeros((2 * n + 1) * block)
-    out[:block] = w[0] * v_z
+    np.multiply(v_z, w[0], out=out[:block])
     for i in range(n):
         sgn = (-1) ** fl._bitdot(z, i)
-        out[(1 + i) * block : (2 + i) * block] = w[1] / math.sqrt(n) * sgn * v_x
+        np.multiply(v_x, w[1] / math.sqrt(n) * sgn, out=out[(1 + i) * block : (2 + i) * block])
     for j in range(n):
         sgn = (-1) ** fl._bitdot(x, j)
-        out[(1 + n + j) * block : (2 + n + j) * block] = w[2] / math.sqrt(n) * sgn * v_z
+        np.multiply(v_z, w[2] / math.sqrt(n) * sgn, out=out[(1 + n + j) * block : (2 + n + j) * block])
     gates = 1 + 2 * _logn(n) + max(c_z.gate_count, c_x.gate_count)
     ops = ("rotate", "cswap", "hadamard", ("call", ell - 1))
     return out, PrepCircuit(ell=ell, ops=ops, gate_count=gates)
@@ -252,10 +244,10 @@ def prepare_theta(
         w /= np.linalg.norm(w)
         block = v_rec.shape[0]
         out = np.zeros((2 * n + 1) * block)
-        out[:block] = w[0] * v_sum
+        np.multiply(v_sum, w[0], out=out[:block])
         for i in range(n):
-            out[(1 + i) * block : (2 + i) * block] = w[1] / math.sqrt(n) * v_rec
-        out[(1 + n + j) * block : (2 + n + j) * block] = w[2] * v_sum
+            np.multiply(v_rec, w[1] / math.sqrt(n), out=out[(1 + i) * block : (2 + i) * block])
+        np.multiply(v_sum, w[2], out=out[(1 + n + j) * block : (2 + n + j) * block])
         gates = 1 + 2 * _logn(n) + max(c_rec.gate_count, c_sum.gate_count)
         circ = PrepCircuit(ell=ell, ops=("rotate", "cswap", "hadamard", ("call", ell - 1)), gate_count=gates)
     if not with_boundary:
@@ -264,7 +256,7 @@ def prepare_theta(
     edge_w = math.sqrt(float(2 * Fj / (2 * Fj + 2)))
     bdry_w = math.sqrt(float(1 / (2 * Fj + 2)))
     full = np.zeros(out.shape[0] + 4)
-    full[: out.shape[0]] = edge_w * out
+    np.multiply(out, edge_w, out=full[: out.shape[0]])
     full[out.shape[0] + fl.LS_SLOT] = -bdry_w
     full[out.shape[0] + fl.RT_SLOT] = +bdry_w
     return full, PrepCircuit(

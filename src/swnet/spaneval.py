@@ -46,7 +46,7 @@ import numpy as np
 from . import flows as fl
 from .errors import BasisMismatch, InvalidParams
 from .graphs import Digraph, GraphOracle, attach_source_path, pad_to_power_of_two
-from .network import SwitchingNet, _component_and_parents, build, on_edge_mask
+from .network import SwitchingNet, build, on_edge_mask
 from .network import accepts  # noqa: F401  (bound here for perfbench's tracer, which wraps spaneval.accepts)
 
 #: calibration of the simulated decider: a single global rule, not tuned
@@ -179,14 +179,16 @@ def default_psi0(net: SwitchingNet) -> np.ndarray:
 
 
 def decide_phase_estimation(
-    pair: ReflectionPair, psi0: np.ndarray, threshold: float | None = None
+    pair: ReflectionPair, psi0: np.ndarray, threshold: float | None = None, witness: bool = False
 ) -> DecisionReport:
     """Decide from the exact eigenstructure of the product of reflections.
 
     overlap0 is the squared overlap of psi0 with the phase-0 eigenspace of
     U_alg, read off as the kernel of U_alg - I (eigenphases grouped at
-    tolerance PHASE_TOL); accepted means overlap0 >= threshold.  The
-    report's ledger stays empty: decide_length_bounded charges the decision.
+    tolerance PHASE_TOL); accepted means overlap0 >= threshold.  With
+    ``witness`` an accepted report also gets the optimal on-flow energy and
+    the source-sink distance over on-edges.  The report's ledger stays
+    empty: decide_length_bounded charges the decision.
     """
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise InvalidParams("psi0 must be normalized")
@@ -200,11 +202,10 @@ def decide_phase_estimation(
     overlap0 = float((fixed @ psi0) @ (fixed @ psi0))
     accepted = overlap0 >= threshold
     witness_energy = path_len = None
-    if accepted:
+    if witness and accepted:
         theta = fl.optimal_flow_lsq(net, pair.on_mask, pair.sink_index)
         witness_energy = float(theta @ theta)
-        dist, _ = _component_and_parents(net, pair.on_mask)
-        path_len = int(dist[net.sink(pair.sink_index)])
+        path_len = int(fl.on_distances(net, pair.on_mask)[net.sink(pair.sink_index)])
     return DecisionReport(
         accepted=accepted, overlap0=overlap0, witness_energy=witness_energy,
         path_len=path_len, threshold=threshold, route="dense",
@@ -309,7 +310,7 @@ class Evaluation:
     @cached_property
     def _dist(self) -> np.ndarray:
         """BFS distance from the source over on-edges, -1 outside its component."""
-        return _component_and_parents(self.net, self.mask)[0]
+        return fl.on_distances(self.net, self.mask)
 
     @cached_property
     def _component(self):
@@ -366,10 +367,9 @@ class Evaluation:
                 )
             # uncharged: the dense route masks again through its own oracle
             pair = build_reflections(net, GraphOracle(self.graph), sink)
-            dense = decide_phase_estimation(pair, default_psi0(net))
+            dense = decide_phase_estimation(pair, default_psi0(net), witness=witness)
             report.accepted, report.overlap0, report.route = dense.accepted, dense.overlap0, "dense"
-            if witness:
-                report.witness_energy, report.path_len = dense.witness_energy, dense.path_len
+            report.witness_energy, report.path_len = dense.witness_energy, dense.path_len
         elif self.mode == "spectral":
             report.route = "resistance"
             energy = self._resistance(t)

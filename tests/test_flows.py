@@ -6,6 +6,7 @@ import pytest
 import swnet as sw
 from swnet import flows as fl
 from swnet.errors import Disconnected, RankDeficient, ZeroZ
+from swnet.network import _component_and_parents
 
 TOL = 1e-9
 
@@ -163,6 +164,17 @@ def test_optimal_flow_lsq_disconnected():
     mask = sw.on_edge_mask(net, sw.GraphOracle(g))
     with pytest.raises(Disconnected):
         fl.optimal_flow_lsq(net, mask, 1)  # sink for vertex 2; edge (1,2) is off
+
+
+def test_on_distances_match_python_bfs():
+    # connectivity is undirected: vertices off the source's monotone paths
+    # are reached against edge orientations
+    for seed in range(4):
+        for n, ell in [(2, 2), (4, 1), (4, 2), (8, 2)]:
+            net = sw.build(n, ell, 1 + seed % n)
+            mask = sw.on_edge_mask(net, sw.GraphOracle(sw.random_digraph(n, 0.3, seed)))
+            want, _ = _component_and_parents(net, mask)
+            assert np.array_equal(fl.on_distances(net, mask), want), (seed, n, ell)
 
 
 def test_flow_decomposition_opt_plus_circulation():

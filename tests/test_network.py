@@ -1,9 +1,15 @@
 import itertools
 
+import numpy as np
 import pytest
 
 import swnet as sw
+from oracles import union_find_structure
 from swnet.network import Sym, f1, isomorphic, rebuild_top_down
+
+#: every (n, ell) the test suite builds a network at
+SUITE_SIZES = [(2, 0), (2, 1), (2, 2), (2, 3), (4, 0), (4, 1), (4, 2), (4, 3), (8, 0), (8, 1),
+               (8, 2), (8, 3), (16, 0), (16, 1), (16, 2), (16, 3), (32, 2)]
 
 
 def all_digraphs(n):
@@ -162,3 +168,15 @@ def test_edge_ends_match_endpoints(n, ell):
     st = sw.build(n, ell, 1).struct
     tail, head = st.edge_ends
     assert [(int(a), int(b)) for a, b in zip(tail, head)] == [st.endpoints(e) for e in range(st.edge_count)]
+
+
+@pytest.mark.parametrize("n,ell", SUITE_SIZES)
+def test_structure_equals_union_find_oracle(n, ell):
+    st = sw.structure(n, ell)
+    for name, want in union_find_structure(n, ell).items():
+        got = getattr(st, name)
+        if isinstance(want, np.ndarray):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert np.array_equal(got, want), name
+        else:
+            assert got == want, name
