@@ -13,9 +13,9 @@ return, with each answer, the ResourceLedger of that one call: its model
 time, oracle queries and register cells.  The switching-network decider
 answers every sink of one (source, length) from one network evaluation
 (spaneval.Evaluation), kept for the graph it is asking about, and still
-returns each call the full ledger of its decision, charged at the grafted,
-padded size the decision ran on; only the call that ran the evaluation
-counts it in ``network_evaluations``.  The exact decider charges n time
+returns each call the full ledger of its decision, charged at the grafted
+size its network is built on; only the call that ran the evaluation counts
+it in ``network_evaluations``.  The exact decider charges n time
 steps and the oracle queries of its BFS; a noisy decider passes its inner
 charge through, and a majority vote sums its repetitions' charges as one
 call.  dstcon folds every charge into its ledger (ResourceLedger.fold), so

@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import Disconnected, InvalidParams, RankDeficient, ZeroZ
-from .network import SwitchingNet
+from .network import SwitchingNet, component_labels
 
 # -- reduced-representation layout -------------------------------------------
 
@@ -54,7 +54,21 @@ def _bitdot(a: int, b: int) -> int:
     return bin(a & b).count("1") & 1
 
 
-@lru_cache(maxsize=None)
+def require_power_of_two(n: int) -> None:
+    """Refuse an n whose indices 0..n-1 are not the bitstrings of length log2 n.
+
+    The circulation signs (-1)^(z.i), the signed flow sums and the
+    preparers' Hadamard layers index by those bitstrings; the network, its
+    flows and the decisions take any n.
+    """
+    if n < 1 or n & (n - 1):
+        raise InvalidParams(f"n = {n} is not a power of two, which the bitwise signs z.i and x.j need")
+
+
+# The flow caches are bounded by key count.  verify-dense, the only workload
+# that reads flows, holds 109 unit flows (every sink at (16, 0..3), (8, 0..4)
+# and its dense cases) and fewer than 10 keys in each norm cache.
+@lru_cache(maxsize=64)
 def _sum_unit_flows(n: int, ell: int) -> tuple:
     """sum_j of the optimal unit flows, scaled by n^ell; integer tuple.
 
@@ -70,7 +84,7 @@ def _sum_unit_flows(n: int, ell: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def unit_flow(n: int, ell: int, j: int) -> np.ndarray:
     """Optimal unit flow from the source to sink j, scaled by n^ell.
 
@@ -184,7 +198,7 @@ def flow_sum_norm_sq(n: int, ell: int) -> Fraction:
     return Fraction(n**2 * (n + 2) ** ell, n ** (ell + 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def signed_flow_sum_norm_sq(n: int, ell: int) -> Fraction:
     """Squared norm of sum_j (-1)^(x.j) unit_flow(j) for any nonzero x.
 
@@ -225,36 +239,48 @@ def divergence(net: SwitchingNet, theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def on_laplacian(net: SwitchingNet, on_mask: np.ndarray):
-    """The on-subgraph's incidence and Laplacian, and the source's component.
+def on_component(net: SwitchingNet, on_mask: np.ndarray):
+    """The on-edges and the source's component in the on-subgraph.
 
-    Returns (inc, lap, reach): inc is the CSR incidence matrix with one row
-    per on-edge in edge-id order, +1 at its tail and -1 at its head; lap =
-    inc^T inc is the CSR graph Laplacian over all vertices; reach marks the
-    vertices connected to the source through on-edges.
+    Returns (tail, head, reach): the on-edges' endpoint arrays in edge-id
+    order, and a boolean mask of the vertices joined to the source through
+    them (labelled by :func:`swnet.network.component_labels`).
+    """
+    tail, head = (ends[on_mask] for ends in net.struct.edge_ends)
+    lab = component_labels(net.vertex_count, tail, head)
+    return tail, head, lab == lab[net.source]
+
+
+def grounded_laplacian(tail: np.ndarray, head: np.ndarray, reach: np.ndarray, ground: int):
+    """The Laplacian of one component of the edges (tail, head), one vertex grounded.
+
+    ``reach`` marks the component and ``ground`` is one of its vertices.
+    Returns (unknowns, lap): the component's other vertices in increasing
+    id order, and the CSC Laplacian restricted to them, built by one
+    constructor from the off-diagonal -1 pairs and the degree diagonal
+    (duplicate entries, as from parallel edges, are summed).
     """
     # scipy is imported here, not with the module: the preparers, the dense
     # cross-checks and the dump commands never solve and skip its ~30 MB
     from scipy import sparse
-    from scipy.sparse.csgraph import connected_components
 
-    on_ids = np.flatnonzero(on_mask)
-    tail, head = (ends[on_ids] for ends in net.struct.edge_ends)
-    rows = np.tile(np.arange(on_ids.size), 2)
-    ones = np.ones(on_ids.size)
-    inc = sparse.csr_matrix(
-        (np.r_[ones, -ones], (rows, np.r_[tail, head])), shape=(on_ids.size, net.vertex_count)
-    )
-    lap = (inc.T @ inc).tocsr()
-    _, comp = connected_components(lap, directed=False)
-    return inc, lap, comp == comp[net.source]
+    unknowns = np.flatnonzero(reach)
+    unknowns = unknowns[unknowns != ground]
+    index = np.full(reach.size, -1, dtype=np.int64)  # -1: the ground or outside the component
+    index[unknowns] = np.arange(unknowns.size)
+    a, b = index[tail], index[head]
+    rows, cols = np.concatenate([a, b, a, b]), np.concatenate([b, a, a, b])
+    data = np.repeat([-1.0, 1.0], 2 * a.size)
+    keep = (rows >= 0) & (cols >= 0)
+    lap = sparse.csc_matrix((data[keep], (rows[keep], cols[keep])), shape=(unknowns.size, unknowns.size))
+    return unknowns, lap
 
 
 def on_distances(net: SwitchingNet, on_mask: np.ndarray) -> np.ndarray:
     """Breadth-first distance from the source over on-edges, -1 outside its component.
 
     Unweighted, undirected shortest paths over the on-edges' (tail, head)
-    arrays, by scipy's csgraph; scipy is imported here as in on_laplacian.
+    arrays, by scipy's csgraph; scipy is imported here as in grounded_laplacian.
     """
     from scipy import sparse
     from scipy.sparse.csgraph import dijkstra
@@ -286,15 +312,14 @@ def optimal_flow_lsq(net: SwitchingNet, on_mask: np.ndarray, j: int) -> np.ndarr
     from scipy.sparse.linalg import spsolve
 
     sink = net.sink(j)
-    inc, lap, reach = on_laplacian(net, on_mask)
+    tail, head, reach = on_component(net, on_mask)
     if not reach[sink]:
         raise Disconnected(f"source and sink {j} are not connected in the on-subgraph")
-    keep = np.flatnonzero(reach)
-    keep = keep[keep != sink]
+    unknowns, lap = grounded_laplacian(tail, head, reach, sink)
     phi = np.zeros(net.vertex_count)
-    phi[keep] = spsolve(lap[keep][:, keep].tocsc(), (keep == net.source).astype(float), permc_spec=LAPLACIAN_ORDER)
+    phi[unknowns] = spsolve(lap, (unknowns == net.source).astype(float), permc_spec=LAPLACIAN_ORDER)
     out = np.zeros(net.edge_count)
-    out[on_mask] = inc @ phi
+    out[on_mask] = phi[tail] - phi[head]
     return out
 
 
@@ -394,9 +419,10 @@ def build_Bperp_basis(net: SwitchingNet, sink_j: int) -> np.ndarray:
 
     Block-embedded circulations at every depth, the boundary-augmented
     optimal unit flow to sink_j, and the bare |s>, |t> states.  Cardinality
-    is |E| + 4 - |V|.  Columns are normalized.
+    is |E| + 4 - |V|.  Columns are normalized.  n must be a power of two.
     """
     n, ell = net.n, net.ell
+    require_power_of_two(n)
     E = net.edge_count
     cols = []
     for lp in range(1, ell + 1):

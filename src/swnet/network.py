@@ -1,7 +1,7 @@
 """The recursive switching network for bounded-length directed reachability.
 
-For a vertex count n (a power of two) and depth ell, the network has edge
-set Sigma^ell x [n] where Sigma is the alphabet
+For a vertex count n >= 2 and depth ell, the network has edge set
+Sigma^ell x [n] where Sigma is the alphabet
 
     {(0, 0)} | {(1, i) : i in [n]} | {(2, j) : j in [n]},      |Sigma| = 2n+1.
 
@@ -164,8 +164,8 @@ class NetStructure:
     """
 
     def __init__(self, n: int, ell: int):
-        if n < 2 or n & (n - 1):
-            raise InvalidParams(f"n must be a power of two >= 2, got {n}")
+        if n < 2:
+            raise InvalidParams(f"n must be >= 2, got {n}")
         if ell < 0:
             raise InvalidParams("ell must be >= 0")
         self.n = n
@@ -274,7 +274,8 @@ class NetStructure:
         return tuple(sorted(base))
 
 
-@lru_cache(maxsize=None)
+# bounded by key count; decide-corpus, the workload with the most sizes, touches 17
+@lru_cache(maxsize=32)
 def structure(n: int, ell: int) -> NetStructure:
     return NetStructure(n, ell)
 

@@ -22,7 +22,9 @@ The four preparers output, up to positive scale,
     one optimal flow  theta_j, optionally with boundary slots
 
 where theta_j / p_ij are the recursive optimal-flow states from
-:mod:`swnet.flows`; each is verified against that module's vectors.
+:mod:`swnet.flows`; each is verified against that module's vectors.  Every
+preparer needs n to be a power of two (its Hadamard layers act on log2 n
+qubits) and raises InvalidParams otherwise.
 """
 
 from __future__ import annotations
@@ -134,6 +136,7 @@ def prepare_sum_of_flows(n: int, ell: int) -> tuple[np.ndarray, PrepCircuit]:
     sqrt(n^z / (n+2)^ell) from the exact prefix sums; step 2 expands each
     layer name into the uniform superposition over its edges.
     """
+    fl.require_power_of_two(n)
     if ell == 0:
         out = np.full(n, 1 / math.sqrt(n))
         return out, PrepCircuit(ell=0, ops=("load",), gate_count=_logn(n))
@@ -157,6 +160,7 @@ def fourier_flows_C(n: int, ell: int, x: int) -> tuple[np.ndarray, PrepCircuit]:
     tag-2 branches, a controlled swap and a Hadamard layer set the middle
     register, and the circuit recurses once on the last register.
     """
+    fl.require_power_of_two(n)
     if not 0 <= x < n:
         raise InvalidParams(f"x = {x} out of range")
     if x == 0:
@@ -191,6 +195,7 @@ def prepare_psi(n: int, ell: int, z: int, x: int) -> tuple[np.ndarray, PrepCircu
     signed-sum norm one level down; for nonzero x the tag-0 branch
     vanishes and the weights degenerate to (0, 1/sqrt2, 1/sqrt2).
     """
+    fl.require_power_of_two(n)
     if z == 0:
         raise ZeroZ("z must be nonzero")
     if ell < 1:
@@ -229,6 +234,7 @@ def prepare_theta(
     two boundary slots are rotated in with exact amplitudes, matching
     :func:`swnet.flows.flow_state`.
     """
+    fl.require_power_of_two(n)
     if not 0 <= j < n:
         raise InvalidParams(f"sink index {j} out of range")
     if ell == 0:

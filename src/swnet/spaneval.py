@@ -70,8 +70,10 @@ def time_formula(n: int, L: int) -> float:
 def quantum_space_cells(n: int, L: int) -> int:
     """Register cells to address the edge space plus direction and boundary.
 
-    A bound L that is not a power of two is grafted up to 2^ceil(log2 L), so
-    it is charged the cells of that network.
+    n is the vertex count the network is built on (a decision's grafted
+    n + 2^ceil(log2 L) - L, which need not be a power of two).  A bound L
+    that is not a power of two is grafted up to 2^ceil(log2 L), so it is
+    charged the cells of that network.
     """
     edge_count = (2 * n + 1) ** (L - 1).bit_length() * n
     return math.ceil(math.log2(2 * edge_count + 4)) + 2
@@ -257,12 +259,16 @@ class Evaluation:
     """One network evaluation for a source u and a length bound L (any L >= 1).
 
     Rounds L up to 2^ell = 2^ceil(log2 L) by grafting a feeder path of
-    2^ell - L vertices into u, pads the graph to a power of two, builds the
-    depth-ell network rooted at the chain head and masks its edges (|E|
-    oracle queries), once.  The source's on-component is also found once,
-    on the first sink that needs it.  ``report(v)`` then answers "is there a
-    directed u -> v path of length at most L" along one route, recorded in
-    ``report.route``:
+    2^ell - L vertices into u, builds the depth-ell network on the grafted
+    graph, rooted at the chain head, and masks its edges (|E| oracle
+    queries), once, on the first sink v != u.  Only mode "spectral-dense"
+    pads the grafted graph to a power of two first, since its complement
+    basis signs by bitstrings.  The rounded L may be at most the power of
+    two at or above the grafted vertex count; past that the first sink
+    v != u raises InvalidParams, before anything is allocated.  The
+    source's on-component is also found once, on the first sink that needs
+    it.  ``report(v)`` then answers "is there a directed u -> v path of
+    length at most L" along one route, recorded in ``report.route``:
 
     - ``trivial``: v == u, answered without the network;
     - ``exact`` (mode "exact"): a lookup in the one BFS over the
@@ -277,10 +283,11 @@ class Evaluation:
       InvalidParams above SPECTRAL_DIM_CAP.
 
     Every report carries the full ledger of one decision: the accounted
-    quantum time and register cells at the grafted, padded size, one
-    decider call, the |E| oracle queries of the mask and one network
-    evaluation.  The trivial report is charged one decider call at the
-    padded, ungrafted size, with no queries and no evaluation.  With
+    quantum time and register cells at the vertex count the network is
+    built on (n + 2^ell - L; padded only in spectral-dense), one decider
+    call, the |E| oracle queries of the mask and one network evaluation.
+    The trivial report is charged one decider call at the graph's own n,
+    with no queries and no evaluation, and builds nothing.  With
     ``witness`` an accepted report also gets its witness path length and
     optimal on-flow energy; the exact and resistance routes take the energy
     from the shared factorization, which asks no oracle.
@@ -294,18 +301,26 @@ class Evaluation:
         self.g, self.u, self.mode = g, u, mode
         self.L = 1 << (L - 1).bit_length()
         self.threshold = acceptance_threshold(self.L.bit_length() - 1)
-        grafted, root = attach_source_path(g, u, self.L - L)
-        self.graph = pad_to_power_of_two(grafted)
-        self.net = self.mask = None  # above the padded size only v == u has an answer
-        if self.L <= self.graph.n:
-            oracle = GraphOracle(self.graph)
-            self.net = build(self.graph.n, self.L.bit_length() - 1, root)
-            self.mask = on_edge_mask(self.net, oracle)
-            self._charge = ResourceLedger(
-                time_steps=time_formula(self.graph.n, self.L),
-                quantum_space_cells=quantum_space_cells(self.graph.n, self.L),
-                oracle_queries=oracle.query_count, decider_calls=1, network_evaluations=1,
+        self._feed = self.L - L
+        self.graph = self.net = self.mask = None  # built on the first sink v != u
+
+    def _build(self) -> None:
+        """Graft, build and mask the network; see the class docstring."""
+        grafted_n = self.g.n + self._feed
+        if self.L > 1 << (grafted_n - 1).bit_length():
+            raise InvalidParams(
+                f"L = {self.L} exceeds the power of two at or above the grafted vertex count {grafted_n}"
             )
+        grafted, root = attach_source_path(self.g, self.u, self._feed)
+        self.graph = pad_to_power_of_two(grafted) if self.mode == "spectral-dense" else grafted
+        oracle = GraphOracle(self.graph)
+        self.net = build(self.graph.n, self.L.bit_length() - 1, root)
+        self.mask = on_edge_mask(self.net, oracle)
+        self._charge = ResourceLedger(
+            time_steps=time_formula(self.graph.n, self.L),
+            quantum_space_cells=quantum_space_cells(self.graph.n, self.L),
+            oracle_queries=oracle.query_count, decider_calls=1, network_evaluations=1,
+        )
 
     @cached_property
     def _dist(self) -> np.ndarray:
@@ -314,9 +329,8 @@ class Evaluation:
 
     @cached_property
     def _component(self):
-        """(lap, reach): the on-subgraph's Laplacian and the source's component."""
-        _, lap, reach = fl.on_laplacian(self.net, self.mask)
-        return lap, reach
+        """(tail, head, reach): the on-edges and the source's component."""
+        return fl.on_component(self.net, self.mask)
 
     @cached_property
     def _grounded(self):
@@ -325,14 +339,12 @@ class Evaluation:
         connected sink, so a rejecting sink costs no factorization."""
         from scipy.sparse.linalg import splu
 
-        lap, reach = self._component
-        unknowns = np.flatnonzero(reach)
-        unknowns = unknowns[unknowns != self.net.source]
-        return unknowns, splu(lap[unknowns][:, unknowns].tocsc(), permc_spec=fl.LAPLACIAN_ORDER)
+        unknowns, lap = fl.grounded_laplacian(*self._component, self.net.source)
+        return unknowns, splu(lap, permc_spec=fl.LAPLACIAN_ORDER)
 
     def _resistance(self, t: int) -> float | None:
         """Effective resistance (L_s^-1)_tt to vertex t; None outside the source's component."""
-        if not self._component[1][t]:
+        if not self._component[2][t]:
             return None
         unknowns, lu = self._grounded
         k = int(np.searchsorted(unknowns, t))
@@ -347,7 +359,7 @@ class Evaluation:
             threshold=self.threshold, route="trivial",
         )
         if v == self.u:
-            n = pad_to_power_of_two(self.g).n
+            n = self.g.n
             report.ledger = ResourceLedger(
                 time_steps=time_formula(n, self.L), quantum_space_cells=quantum_space_cells(n, self.L),
                 decider_calls=1,
@@ -356,7 +368,7 @@ class Evaluation:
                 report.witness_energy, report.path_len = 0.0, 0
             return report
         if self.net is None:
-            raise InvalidParams(f"L = {self.L} exceeds padded vertex count {self.graph.n}")
+            self._build()
         net, sink = self.net, v - 1
         t = net.sink(sink)
         if self.mode == "spectral-dense":

@@ -135,6 +135,12 @@ def test_fixed_depth_commands_reject_bad_L(capsys, command, L):
     assert "power of two" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["basis", "dump"], ["prep", "verify"]])
+def test_fixed_depth_commands_reject_non_power_of_two_n(capsys, command):
+    assert main([*command, "--n", "3", "--L", "2"]) == 2
+    assert "power of two" in capsys.readouterr().err
+
+
 def test_dstcon_json(path_graph, capsys):
     rc = main(["dstcon", "--graph", path_graph, "--s", "1", "--t", "4", "--L", "2", "--json"])
     assert rc == 0

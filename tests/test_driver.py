@@ -144,8 +144,8 @@ def test_swnet_decider_agrees_on_small_instance():
 
 
 def test_dstcon_ledger_folds_swnet_charges():
-    # each call is charged its own decision ledger, at the grafted, padded
-    # n' = 16 the decision runs on, not at the graph's n = 8
+    # each call is charged its own decision ledger, at the grafted n' the
+    # decision runs on (9 at length 3), not at the graph's n = 8
     g = sw.random_digraph(8, 0.2, 1)
     charges = []
     decider = dr.swnet_decider("spectral")
@@ -171,15 +171,14 @@ SWNET_CORPUS_SEEDS = {4: 62, 5: 3, 6: 39, 7: 7, 8: 52, 9: 3, 10: 21, 11: 68, 12:
 
 
 def test_dstcon_with_swnet_decider_matches_bfs_corpus():
-    # the outer algorithm end to end with the spectral decider inside;
-    # L >= 5 at n >= 6 runs (16, 3) networks.  Above n = 8 it keeps to
-    # L in {2, 4}: dstcon also asks L - 1, and at n = 16 a length of 5..7
-    # grafts and pads to a (32, 3) network of 8.8M edges
+    # the outer algorithm end to end with the spectral decider inside, at
+    # every L <= min(n, 8); L >= 5 runs depth-3 networks, up to (19, 3) at
+    # n = 16.  L >= 9 would run depth-4 networks of tens of millions of edges
     decider = dr.swnet_decider("spectral")
     for n, seed in SWNET_CORPUS_SEEDS.items():
         g = sw.random_digraph(n, 0.25, seed)
         pairs = [(1, n), (n, 1), (2, n - 1)]
-        for L in range(2, n + 1) if n <= 8 else (2, 4):
+        for L in range(2, min(n, 8) + 1):
             s, t = pairs[L % 3]
             result, ledger = dr.dstcon(g, s, t, L, decider=decider)
             assert result == ground_truth(g, s, t), (n, L, s, t)

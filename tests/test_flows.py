@@ -5,7 +5,7 @@ import pytest
 
 import swnet as sw
 from swnet import flows as fl
-from swnet.errors import Disconnected, RankDeficient, ZeroZ
+from swnet.errors import Disconnected, InvalidParams, RankDeficient, ZeroZ
 from swnet.network import _component_and_parents
 
 TOL = 1e-9
@@ -149,7 +149,7 @@ def test_optimal_flow_lsq_examples():
 
 
 def test_optimal_flow_lsq_matches_recursion():
-    for n, ell in [(2, 1), (2, 2), (4, 1), (4, 2)]:
+    for n, ell in [(2, 1), (2, 2), (4, 1), (4, 2), (3, 1), (3, 2), (5, 1)]:
         net = sw.build(n, ell, 1)
         mask = np.ones(net.edge_count, dtype=bool)
         for j in range(n):
@@ -164,6 +164,25 @@ def test_optimal_flow_lsq_disconnected():
     mask = sw.on_edge_mask(net, sw.GraphOracle(g))
     with pytest.raises(Disconnected):
         fl.optimal_flow_lsq(net, mask, 1)  # sink for vertex 2; edge (1,2) is off
+
+
+def test_flow_caches_are_bounded():
+    for cached, keys in [
+        (fl.unit_flow, ((n, 0, j) for n in range(1, 40) for j in range(n))),
+        (fl._sum_unit_flows, ((n, 0) for n in range(1, 100))),
+        (fl.signed_flow_sum_norm_sq, ((n, 0) for n in range(1, 100))),
+    ]:
+        bound = cached.cache_info().maxsize
+        for key in keys:
+            cached(*key)
+        assert cached.cache_info().misses > bound
+        assert cached.cache_info().currsize <= bound
+
+
+def test_complement_basis_needs_power_of_two():
+    # the network and its flows take any n; the signs z.i of the circulations do not
+    with pytest.raises(InvalidParams, match="power of two"):
+        fl.build_Bperp_basis(sw.build(3, 1, 1), 0)
 
 
 def test_on_distances_match_python_bfs():

@@ -7,9 +7,11 @@ import swnet as sw
 from oracles import union_find_structure
 from swnet.network import Sym, f1, isomorphic, rebuild_top_down
 
-#: every (n, ell) the test suite builds a network at
+#: every power-of-two (n, ell) the test suite builds a network at, and
+#: grafted sizes its decisions build at any n
 SUITE_SIZES = [(2, 0), (2, 1), (2, 2), (2, 3), (4, 0), (4, 1), (4, 2), (4, 3), (8, 0), (8, 1),
-               (8, 2), (8, 3), (16, 0), (16, 1), (16, 2), (16, 3), (32, 2)]
+               (8, 2), (8, 3), (16, 0), (16, 1), (16, 2), (16, 3), (32, 2),
+               (3, 1), (3, 2), (5, 2), (6, 2), (7, 2), (9, 2), (5, 3), (9, 3), (17, 2)]
 
 
 def all_digraphs(n):
@@ -38,7 +40,7 @@ def test_base_star_shape():
         assert tail == net.source and head == net.sink(e)
 
 
-@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
 def test_counting_identities(n):
     # |E| = (2n+1)^ell * n and |V| follows the gluing recurrence
     cap = 10**5
@@ -98,24 +100,19 @@ def test_resolved_vertices_share_assoc():
 
 
 def test_correctness_small_exhaustive():
-    # accepts iff directed distance <= 2^ell; all n=2 digraphs, a few n=4
-    for g in all_digraphs(2):
-        for u in (1, 2):
+    # accepts iff directed distance <= 2^ell, at any n: all n=2 and n=3
+    # digraphs, a few n=4, n=5 and n=6
+    graphs = [*all_digraphs(2), *all_digraphs(3)]
+    graphs += [sw.random_digraph(4, 0.5, seed) for seed in range(10)]
+    graphs += [sw.random_digraph(n, 0.4, seed) for n in (5, 6) for seed in range(3)]
+    for g in graphs:
+        for u in range(1, g.n + 1):
             d = sw.bfs_distances(g, u)
             for ell in (0, 1, 2):
-                acc = sw.accepts_all(sw.build(2, ell, u), sw.GraphOracle(g))
-                for v in (1, 2):
+                acc = sw.accepts_all(sw.build(g.n, ell, u), sw.GraphOracle(g))
+                for v in range(1, g.n + 1):
                     if v != u:
-                        assert acc[v - 1] == (d[v - 1] <= 2**ell)
-    for seed in range(10):
-        g = sw.random_digraph(4, 0.5, seed)
-        for u in range(1, 5):
-            d = sw.bfs_distances(g, u)
-            for ell in (0, 1, 2):
-                acc = sw.accepts_all(sw.build(4, ell, u), sw.GraphOracle(g))
-                for v in range(1, 5):
-                    if v != u:
-                        assert acc[v - 1] == (d[v - 1] <= 2**ell)
+                        assert acc[v - 1] == (d[v - 1] <= 2**ell), (g.n, u, v, ell)
 
 
 def test_witness_path_minimal_and_bounded():
@@ -146,7 +143,7 @@ def test_edge_on_uses_one_query():
 
 
 def test_rebuild_top_down_matches_build():
-    for n, ell in [(2, 0), (2, 1), (4, 0), (4, 1)]:
+    for n, ell in [(2, 0), (2, 1), (4, 0), (4, 1), (3, 0), (3, 1), (5, 0), (5, 1)]:
         base = sw.build(n, ell, 1)
         inflated = rebuild_top_down(base)
         target = sw.build(n, ell + 1, 1)
@@ -180,3 +177,11 @@ def test_structure_equals_union_find_oracle(n, ell):
             assert np.array_equal(got, want), name
         else:
             assert got == want, name
+
+
+def test_structure_cache_is_bounded():
+    # more distinct sizes than the cache keeps, as non-power-of-two n allows
+    bound = sw.structure.cache_info().maxsize
+    for n in range(2, bound + 6):
+        sw.structure(n, 0)
+    assert sw.structure.cache_info().currsize <= bound

@@ -212,3 +212,17 @@ def test_gate_budget_per_level():
                 - prep.prepare_psi(n, ell - 1, 1, 1)[1].gate_count
             )
             assert delta <= budget * logn
+
+
+@pytest.mark.parametrize("make", [
+    lambda: prep.prepare_sum_of_flows(3, 1),
+    lambda: prep.fourier_flows_C(3, 1, 1),
+    lambda: prep.fourier_flows_C(3, 1, 0),
+    lambda: prep.prepare_psi(3, 1, 1, 0),
+    lambda: prep.prepare_theta(3, 1, 0),
+    lambda: prep.prepare_theta(6, 0, 0, with_boundary=True),
+])
+def test_preparers_need_power_of_two(make):
+    # log2 n qubits per register: n = 3 must not floor to one qubit
+    with pytest.raises(InvalidParams, match="power of two"):
+        make()

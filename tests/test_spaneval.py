@@ -219,9 +219,8 @@ def test_resistance_mass_equals_sector_at_8_2():
 
 
 @st.composite
-def small_digraphs(draw, max_n=5):
-    # n = 6 would ask L = 5, which pads to a (16, 3) network: the 540
-    # decisions of one such graph take about 3 s
+def small_digraphs(draw, max_n=6):
+    # n = 6 asks L = 5, which grafts to a (9, 3) network
     n = draw(st.integers(2, max_n))
     slots = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
     return sw.from_edges(n, draw(st.lists(st.sampled_from(slots), unique=True, max_size=len(slots))))
@@ -264,6 +263,55 @@ def test_evaluation_answers_every_sink_as_decide_distance():
                     if mode == "spectral" and shared.accepted and v != u:
                         theta = fl.optimal_flow_lsq(evaluation.net, evaluation.mask, v - 1)
                         assert shared.overlap0 == pytest.approx(2 / (2 * (theta @ theta) + 4), rel=1e-12)
+
+
+def test_decision_is_charged_at_the_unpadded_grafted_size():
+    # n = 8 at L = 3 grafts one vertex and builds (9, 2), not the padded (16, 2)
+    g = sw.random_digraph(8, 0.2, 1)
+    for mode in ("exact", "spectral"):
+        evaluation = se.Evaluation(g, 1, 3, mode)
+        report = evaluation.report(5)
+        assert (evaluation.net.n, evaluation.net.ell) == (9, 2)
+        assert report.ledger == se.ResourceLedger(
+            time_steps=se.time_formula(9, 4), quantum_space_cells=se.quantum_space_cells(9, 4),
+            oracle_queries=19**2 * 9, decider_calls=1, network_evaluations=1,
+        )
+    # spectral-dense alone pads, and is charged at the size it builds
+    g3 = sw.layered_path(3)
+    dense = se.decide_distance_report(g3, 1, 3, 2, mode="spectral-dense")
+    exact = se.decide_distance_report(g3, 1, 3, 2, mode="exact")
+    assert dense.accepted and exact.accepted
+    assert dense.ledger.time_steps == se.time_formula(4, 2) and dense.ledger.oracle_queries == 9 * 4
+    assert exact.ledger.time_steps == se.time_formula(3, 2) and exact.ledger.oracle_queries == 7 * 3
+
+
+@pytest.mark.parametrize("mode", ["exact", "spectral"])
+def test_length_up_to_the_power_of_two_above_n_is_answered(mode):
+    # n = 3, L = 4 grafts nothing and runs on a (3, 2) network; a length past
+    # the power of two at or above the grafted vertex count is refused
+    g = sw.layered_path(3)
+    evaluation = se.Evaluation(g, 1, 4, mode)
+    assert evaluation.report(3).accepted
+    assert (evaluation.net.n, evaluation.net.ell) == (3, 2)
+    assert not se.Evaluation(g, 3, 4, mode).report(1).accepted
+    for L in (8, 2**40):
+        with pytest.raises(InvalidParams, match="exceeds"):
+            se.decide_distance(g, 1, 3, L, mode=mode)
+
+
+def test_same_source_and_sink_builds_no_network(monkeypatch):
+    built, oracles = [], []
+    monkeypatch.setattr(sw.network, "structure", lambda *a: built.append(a))
+    monkeypatch.setattr(se, "GraphOracle", lambda *a: oracles.append(a))
+    g = sw.random_digraph(5, 0.3, 2)
+    for mode in ("exact", "spectral", "spectral-dense"):
+        answer, ledger = se.decide_distance(g, 2, 2, 3, mode=mode)
+        assert answer
+        assert ledger == se.ResourceLedger(
+            time_steps=se.time_formula(5, 4), quantum_space_cells=se.quantum_space_cells(5, 4), decider_calls=1,
+        )
+    assert se.decide_distance(g, 2, 2, 2**40)[0]
+    assert built == oracles == []
 
 
 def test_dense_route_equals_exact_through_pipeline():
