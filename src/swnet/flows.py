@@ -138,18 +138,30 @@ def fourier_circulation(n: int, ell: int, z: int, x: int) -> np.ndarray:
     """
     if z == 0:
         raise ZeroZ("z must be a nonzero bitstring index")
+    return _circulations(n, ell, np.array([z]), np.array([x]))[0, 0]
+
+
+def circulation_matrix(n: int, ell: int) -> np.ndarray:
+    """Every fourier_circulation(n, ell, z, x) as a row, z = 1..n-1 outer, x = 0..n-1 inner."""
+    return _circulations(n, ell, np.arange(1, n), np.arange(n)).reshape((n - 1) * n, -1)
+
+
+def _circulations(n: int, ell: int, zs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """fourier_circulation(n, ell, z, x) at every z in zs and x in xs, as a (|zs|, |xs|, |E|) array.
+
+    Integer-exact: with S[b] = sum_j (-1)^(b.j) unit_flow(n, ell - 1, j),
+    circulation (z, x) holds n S[z] in block 0 when x = 0, (-1)^(z.i) S[x]
+    in block (1,i) and (-1)^(x.j) S[z] in block (2,j).
+    """
     if ell < 1:
         raise InvalidParams("circulations appear at depth >= 1")
-    tz, tx = _signed_unit_flow_sum(n, ell - 1, z), _signed_unit_flow_sum(n, ell - 1, x)
-    block = tz.shape[0]
-    out = np.zeros((2 * n + 1) * block, dtype=np.int64)
-    if x == 0:
-        np.multiply(tz, n, out=out[:block])
-    for i in range(n):
-        np.multiply(tx, (-1) ** _bitdot(z, i), out=out[(1 + i) * block : (2 + i) * block])
-    for j in range(n):
-        np.multiply(tz, (-1) ** _bitdot(x, j), out=out[(1 + n + j) * block : (2 + n + j) * block])
-    return out
+    sz, sx = (np.stack([_signed_unit_flow_sum(n, ell - 1, b) for b in bits]) for bits in (zs, xs))
+    sign_z, sign_x = (np.array([[(-1) ** _bitdot(b, i) for i in range(n)] for b in bits]) for bits in (zs, xs))
+    out = np.zeros((zs.size, xs.size, 2 * n + 1, sz.shape[1]), dtype=np.int64)
+    out[:, xs == 0, 0] = n * sz[:, None]
+    np.multiply(sign_z[:, None, :, None], sx[None, :, None, :], out=out[:, :, 1 : n + 1])
+    np.multiply(sign_x[None, :, :, None], sz[:, None, None, :], out=out[:, :, n + 1 :])
+    return out.reshape(zs.size, xs.size, -1)
 
 
 def _signed_unit_flow_sum(n: int, ell: int, x: int) -> np.ndarray:
@@ -335,9 +347,9 @@ def _full_slots(net: SwitchingNet):
 
 
 def reduced_to_full(net: SwitchingNet, v: np.ndarray) -> np.ndarray:
-    """Embed a reduced vector into the full space (norm preserving)."""
+    """Embed a reduced vector, or each column of a reduced matrix, into the full space (norm preserving)."""
     E = net.edge_count
-    out = np.zeros(full_dim(net))
+    out = np.zeros((full_dim(net),) + v.shape[1:])
     out[0 : 2 * E : 2] = v[:E] / np.sqrt(2.0)
     out[1 : 2 * E + 1 : 2] = -v[:E] / np.sqrt(2.0)
     out[2 * E :] = v[E:]
@@ -383,10 +395,10 @@ def build_A_basis(net: SwitchingNet, oracle) -> tuple[np.ndarray, np.ndarray]:
 
     mask = on_edge_mask(net, oracle)
     E = net.edge_count
+    e = np.arange(E)
     cols = np.zeros((full_dim(net), E + 2))
-    for e in range(E):
-        cols[2 * e, e] = 1.0
-        cols[2 * e + 1, e] = -1.0 if mask[e] else 1.0
+    cols[2 * e, e] = 1.0
+    cols[2 * e + 1, e] = np.where(mask, -1.0, 1.0)
     s_slot, t_slot, ls_slot, rt_slot = _full_slots(net)
     cols[s_slot, E] = cols[ls_slot, E] = 1.0
     cols[rt_slot, E + 1] = cols[t_slot, E + 1] = 1.0
@@ -402,15 +414,20 @@ def build_B_spanning(net: SwitchingNet, sink_j: int) -> np.ndarray:
     also belongs to B is omitted: edge terms of the signed stars cancel
     pairwise across each edge, so the stars already sum to exactly it.
     """
-    cols = [
-        star_state(net, v, signed=True, sink_j=sink_j) for v in range(net.vertex_count)
-    ]
-    E = net.edge_count
-    sym = np.zeros((full_dim(net), E))
-    for e in range(E):
-        sym[2 * e, e] = 1.0
-        sym[2 * e + 1, e] = 1.0
-    mat = np.column_stack([np.column_stack(cols), sym])
+    E, V = net.edge_count, net.vertex_count
+    tail, head = net.struct.edge_ends
+    e = np.arange(E)
+    mat = np.zeros((full_dim(net), V + E))
+    # the head terms go first so that a self-loop keeps its tail term, as in
+    # star_state; no network built here has one
+    mat[2 * e, head] = -0.5
+    mat[2 * e + 1, head] = 0.5
+    mat[2 * e, tail] = 0.5
+    mat[2 * e + 1, tail] = -0.5
+    _, _, ls_slot, rt_slot = _full_slots(net)
+    mat[ls_slot, net.source] += 1.0
+    mat[rt_slot, net.sink(sink_j)] += 1.0
+    mat[2 * e, V + e] = mat[2 * e + 1, V + e] = 1.0
     return mat
 
 
@@ -420,38 +437,37 @@ def build_Bperp_basis(net: SwitchingNet, sink_j: int) -> np.ndarray:
     Block-embedded circulations at every depth, the boundary-augmented
     optimal unit flow to sink_j, and the bare |s>, |t> states.  Cardinality
     is |E| + 4 - |V|.  Columns are normalized.  n must be a power of two.
+    Each depth's circulations are built once, as one matrix, and written
+    into a block-diagonal view of one array with a member per row.  Every
+    member is divided by the norm of its own full-length row: the BLAS dot
+    behind that norm sums by position, so one circulation's norm can differ
+    in the last bit between blocks, and this keeps the bytes of a basis
+    normalized one embedded column at a time.
     """
     n, ell = net.n, net.ell
     require_power_of_two(n)
     E = net.edge_count
-    cols = []
+    expect = E + 4 - net.vertex_count
+    members = 3 + sum((2 * n + 1) ** (ell - lp) * (n - 1) * n for lp in range(1, ell + 1))
+    if members != expect:
+        raise RankDeficient(f"complement basis has {members} members, expected {expect}")
+    rows = np.zeros((expect, reduced_dim(E)))
+    row = 0
     for lp in range(1, ell + 1):
         sub_E = (2 * n + 1) ** lp * n
         scale = float(n) ** (lp - 1)
-        circs = []
-        for z in range(1, n):
-            for x in range(n):
-                c = fourier_circulation(n, lp, z, x).astype(float) / scale
-                circs.append(c)
+        circs = circulation_matrix(n, lp).astype(float) / scale
         n_blocks = E // sub_E  # number of depth-lp blocks = (2n+1)^(ell-lp)
-        for b in range(n_blocks):
-            for c in circs:
-                col = np.zeros(reduced_dim(E))
-                col[b * sub_E : (b + 1) * sub_E] = np.sqrt(2.0) * c
-                cols.append(col / np.linalg.norm(col))
-    theta = flow_state(net, sink_j, with_boundary=True)
-    cols.append(theta / np.linalg.norm(theta))
-    for slot in (S_SLOT, T_SLOT):
-        col = np.zeros(reduced_dim(E))
-        col[boundary_index(E, slot)] = 1.0
-        cols.append(col)
-    out = np.column_stack(cols)
-    expect = E + 4 - net.vertex_count
-    if out.shape[1] != expect:
-        raise RankDeficient(
-            f"complement basis has {out.shape[1]} members, expected {expect}"
-        )
-    return out
+        k = circs.shape[0]
+        blocks = rows[row : row + n_blocks * k, : n_blocks * sub_E].reshape(n_blocks, k, n_blocks, sub_E)
+        diag = np.arange(n_blocks)
+        blocks[diag, :, diag, :] = np.sqrt(2.0) * circs
+        row += n_blocks * k
+    rows[row] = flow_state(net, sink_j, with_boundary=True)
+    rows[row + 1, boundary_index(E, S_SLOT)] = 1.0
+    rows[row + 2, boundary_index(E, T_SLOT)] = 1.0
+    rows /= np.sqrt([r @ r for r in rows])[:, None]
+    return np.ascontiguousarray(rows.T)
 
 
 # -- orthonormalization, projectors, complements ---------------------------------
@@ -459,41 +475,47 @@ def build_Bperp_basis(net: SwitchingNet, sink_j: int) -> np.ndarray:
 RANK_TOL = 1e-10
 
 
-def orthonormalize(columns: np.ndarray, require_full_rank: bool = True) -> np.ndarray:
-    """Modified Gram-Schmidt with a re-orthogonalization pass.
+def _rank_scale(columns: np.ndarray) -> float:
+    """The largest column norm, which RANK_TOL is relative to."""
+    return float(np.linalg.norm(columns, axis=0).max(initial=0.0))
 
-    Returns an orthonormal basis of the column span.  With
-    require_full_rank, raises RankDeficient if any input column drops out.
+
+def orthonormalize(columns: np.ndarray, require_full_rank: bool = True) -> np.ndarray:
+    """Orthonormal basis of the column span.
+
+    With require_full_rank, one Householder QR: column k is dependent on
+    its predecessors when |R_kk|, its distance from their span, is at most
+    RANK_TOL times the largest column norm, and then RankDeficient is
+    raised; the columns of Q are signed so that R has a positive diagonal,
+    as Gram-Schmidt would give.  Without it, the left singular vectors of
+    one SVD whose singular values exceed that bound.
     """
-    basis = []
-    scale = max(np.linalg.norm(columns[:, k]) for k in range(columns.shape[1]))
-    for k in range(columns.shape[1]):
-        v = columns[:, k].astype(float).copy()
-        for _ in range(2):
-            for b in basis:
-                v -= (b @ v) * b
-        norm = np.linalg.norm(v)
-        if norm <= RANK_TOL * scale:
-            if require_full_rank:
-                raise RankDeficient(f"column {k} is dependent on its predecessors")
-            continue
-        basis.append(v / norm)
-    return np.column_stack(basis)
+    columns = np.asarray(columns, dtype=float)
+    tol = RANK_TOL * _rank_scale(columns)
+    if not require_full_rank:
+        u, s, _ = np.linalg.svd(columns, full_matrices=False)
+        return u[:, s > tol]
+    q, r = np.linalg.qr(columns)
+    diag = np.diagonal(r)
+    # a column past the row count is dependent whatever its R entry
+    dependent = np.append(np.flatnonzero(np.abs(diag) <= tol), columns.shape[0])
+    if dependent[0] < columns.shape[1]:
+        raise RankDeficient(f"column {dependent[0]} is dependent on its predecessors")
+    return q * np.sign(diag)
 
 
 def projector(columns: np.ndarray, require_full_rank: bool = True) -> np.ndarray:
-    """Orthogonal projector onto the span of the given columns."""
+    """Orthogonal projector Q Q^T onto the column span, Q from :func:`orthonormalize`."""
     Q = orthonormalize(columns, require_full_rank=require_full_rank)
     return Q @ Q.T
 
 
 def complement_basis(columns: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the column span."""
-    dim = columns.shape[0]
-    Q = orthonormalize(columns, require_full_rank=False)
-    rank = Q.shape[1] if Q.size else 0
-    if rank == dim:
-        return np.zeros((dim, 0))
-    resid = np.eye(dim) - Q @ Q.T if rank else np.eye(dim)
-    u, s, _ = np.linalg.svd(resid)
-    return u[:, s > 0.5]  # residual is a projector: singular values are 0 or 1
+    """Orthonormal basis of the orthogonal complement of the column span.
+
+    The left singular vectors of one full SVD past the span's rank (singular
+    values above RANK_TOL times the largest column norm).
+    """
+    columns = np.asarray(columns, dtype=float)
+    u, s, _ = np.linalg.svd(columns, full_matrices=True)
+    return u[:, int((s > RANK_TOL * _rank_scale(columns)).sum()) :]

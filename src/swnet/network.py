@@ -40,6 +40,27 @@ from .graphs import GraphOracle
 
 SRC = 0  # local source slot of a leaf block; slots 1..n are its sinks
 
+#: the most edges a network may have.  A decision with a witness on a
+#: complete graph peaked at 2.2 KB of address space per edge at (9, 4)
+#: (1.17M edges, almost all of it the sparse LU's workspace; the structure
+#: alone takes 45 B per edge), so 1.25M edges fit under a 3 GiB RLIMIT_AS
+MAX_NETWORK_EDGES = 1_250_000
+
+
+def check_edge_budget(n: int, ell: int) -> int:
+    """The edge count (2n+1)^ell * n of the depth-ell network on n vertices.
+
+    Counted in integer arithmetic, so no size overflows; raises
+    InvalidParams above MAX_NETWORK_EDGES, before anything is allocated.
+    """
+    edges = (2 * n + 1) ** ell * n
+    if edges > MAX_NETWORK_EDGES:
+        raise InvalidParams(
+            f"the depth-{ell} network on {n} vertices has {2 * n + 1}^{ell} * {n} edges, "
+            f"above MAX_NETWORK_EDGES={MAX_NETWORK_EDGES}"
+        )
+    return edges
+
 
 class Sym:
     """Symbol codec for a fixed n: int code <-> (tag, payload)."""
@@ -168,12 +189,12 @@ class NetStructure:
             raise InvalidParams(f"n must be >= 2, got {n}")
         if ell < 0:
             raise InvalidParams("ell must be >= 0")
+        self.edge_count = check_edge_budget(n, ell)
         self.n = n
         self.ell = ell
         self.sym = Sym(n)
         R = self.sym.size
         self.num_leaves = R**ell
-        self.edge_count = self.num_leaves * n
 
         # resolve glued pre-vertices to consecutive ids: a component's id is
         # the number of smaller components' minima, i.e. its first-seen rank

@@ -46,7 +46,7 @@ import numpy as np
 from . import flows as fl
 from .errors import BasisMismatch, InvalidParams
 from .graphs import Digraph, GraphOracle, attach_source_path, pad_to_power_of_two
-from .network import SwitchingNet, build, on_edge_mask
+from .network import SwitchingNet, build, check_edge_budget, on_edge_mask
 from .network import accepts  # noqa: F401  (bound here for perfbench's tracer, which wraps spaneval.accepts)
 
 #: calibration of the simulated decider: a single global rule, not tuned
@@ -133,8 +133,11 @@ class ReflectionPair:
 def build_reflections(net: SwitchingNet, oracle: GraphOracle, sink_index: int) -> ReflectionPair:
     """Build P_A, P_B and U; P_B is constructed twice and must agree.
 
-    Route one orthonormalizes the cut-space spanning set directly; route
-    two takes I minus the projector onto the generated complement basis.
+    Every basis is one array build (flows.build_A_basis, build_B_spanning
+    and the embedded build_Bperp_basis) and every projector one Householder
+    QR (flows.projector), which raises RankDeficient on a dependent column.
+    Route one projects onto the cut-space spanning set directly; route two
+    takes I minus the projector onto the generated complement basis.
     Disagreement beyond 1e-8 Frobenius signals an implementation bug and
     raises BasisMismatch.
     """
@@ -142,15 +145,13 @@ def build_reflections(net: SwitchingNet, oracle: GraphOracle, sink_index: int) -
     P_A = fl.projector(A_cols)
     # the cut-space stars and symmetric edge vectors are independent, so a
     # rank drop here is a bug, not a property of the input
-    span_B = fl.build_B_spanning(net, sink_index)
-    P_B = fl.projector(span_B)
-    Qr = fl.build_Bperp_basis(net, sink_index)
-    Qf = np.column_stack([fl.reduced_to_full(net, Qr[:, k]) for k in range(Qr.shape[1])])
-    P_B2 = np.eye(P_B.shape[0]) - fl.projector(Qf)
-    mismatch = np.linalg.norm(P_B - P_B2)
+    P_B = fl.projector(fl.build_B_spanning(net, sink_index))
+    Qf = fl.reduced_to_full(net, fl.build_Bperp_basis(net, sink_index))
+    eye = np.eye(P_B.shape[0])
+    mismatch = np.linalg.norm(P_B - (eye - fl.projector(Qf)))
     if mismatch > 1e-8:
         raise BasisMismatch(f"cut-space projector routes disagree: {mismatch:.3e} Frobenius")
-    U = (2 * P_A - np.eye(P_A.shape[0])) @ (2 * P_B - np.eye(P_B.shape[0]))
+    U = (2 * P_A - eye) @ (2 * P_B - eye)
     return ReflectionPair(P_A=P_A, P_B=P_B, U=U, net=net, sink_index=sink_index, on_mask=mask)
 
 
@@ -264,11 +265,13 @@ class Evaluation:
     queries), once, on the first sink v != u.  Only mode "spectral-dense"
     pads the grafted graph to a power of two first, since its complement
     basis signs by bitstrings.  The rounded L may be at most the power of
-    two at or above the grafted vertex count; past that the first sink
-    v != u raises InvalidParams, before anything is allocated.  The
-    source's on-component is also found once, on the first sink that needs
-    it.  ``report(v)`` then answers "is there a directed u -> v path of
-    length at most L" along one route, recorded in ``report.route``:
+    two at or above the grafted vertex count, and the network may have at
+    most MAX_NETWORK_EDGES edges (network.check_edge_budget); past either
+    the first sink v != u raises InvalidParams, before anything is grafted
+    or allocated.  The source's on-component is also found once, on the
+    first sink that needs it.  ``report(v)`` then answers "is there a
+    directed u -> v path of length at most L" along one route, recorded in
+    ``report.route``:
 
     - ``trivial``: v == u, answered without the network;
     - ``exact`` (mode "exact"): a lookup in the one BFS over the
@@ -307,10 +310,12 @@ class Evaluation:
     def _build(self) -> None:
         """Graft, build and mask the network; see the class docstring."""
         grafted_n = self.g.n + self._feed
-        if self.L > 1 << (grafted_n - 1).bit_length():
+        padded_n = 1 << (grafted_n - 1).bit_length()
+        if self.L > padded_n:
             raise InvalidParams(
                 f"L = {self.L} exceeds the power of two at or above the grafted vertex count {grafted_n}"
             )
+        check_edge_budget(padded_n if self.mode == "spectral-dense" else grafted_n, self.L.bit_length() - 1)
         grafted, root = attach_source_path(self.g, self.u, self._feed)
         self.graph = pad_to_power_of_two(grafted) if self.mode == "spectral-dense" else grafted
         oracle = GraphOracle(self.graph)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from swnet.network import SRC, Sym
+from swnet import flows as fl
+from swnet.errors import RankDeficient
+from swnet.network import SRC, Sym, on_edge_mask
 
 
 class _UnionFind:
@@ -92,3 +94,78 @@ def union_find_structure(n: int, ell: int) -> dict:
         "_leaf_rev": rev,
         "_leaf_label_src": lab,
     }
+
+
+# -- dense cross-check builders, one column at a time ---------------------------
+
+def mgs_orthonormalize(columns: np.ndarray, require_full_rank: bool = True) -> np.ndarray:
+    """Modified Gram-Schmidt with a re-orthogonalization pass.
+
+    Returns an orthonormal basis of the column span.  With
+    require_full_rank, raises RankDeficient if any input column drops out.
+    """
+    basis = []
+    scale = max(np.linalg.norm(columns[:, k]) for k in range(columns.shape[1]))
+    for k in range(columns.shape[1]):
+        v = columns[:, k].astype(float).copy()
+        for _ in range(2):
+            for b in basis:
+                v -= (b @ v) * b
+        norm = np.linalg.norm(v)
+        if norm <= fl.RANK_TOL * scale:
+            if require_full_rank:
+                raise RankDeficient(f"column {k} is dependent on its predecessors")
+            continue
+        basis.append(v / norm)
+    return np.column_stack(basis)
+
+
+def mgs_projector(columns: np.ndarray, require_full_rank: bool = True) -> np.ndarray:
+    Q = mgs_orthonormalize(columns, require_full_rank=require_full_rank)
+    return Q @ Q.T
+
+
+def loop_A_basis(net, oracle) -> tuple[np.ndarray, np.ndarray]:
+    """flows.build_A_basis, one edge column at a time."""
+    mask = on_edge_mask(net, oracle)
+    E = net.edge_count
+    cols = np.zeros((fl.full_dim(net), E + 2))
+    for e in range(E):
+        cols[2 * e, e] = 1.0
+        cols[2 * e + 1, e] = -1.0 if mask[e] else 1.0
+    s_slot, t_slot, ls_slot, rt_slot = 2 * E, 2 * E + 1, 2 * E + 2, 2 * E + 3
+    cols[s_slot, E] = cols[ls_slot, E] = 1.0
+    cols[rt_slot, E + 1] = cols[t_slot, E + 1] = 1.0
+    return cols, mask
+
+
+def loop_B_spanning(net, sink_j: int) -> np.ndarray:
+    """flows.build_B_spanning from one flows.star_state per vertex and one symmetric column per edge."""
+    cols = [fl.star_state(net, v, signed=True, sink_j=sink_j) for v in range(net.vertex_count)]
+    E = net.edge_count
+    sym = np.zeros((fl.full_dim(net), E))
+    for e in range(E):
+        sym[2 * e, e] = 1.0
+        sym[2 * e + 1, e] = 1.0
+    return np.column_stack([np.column_stack(cols), sym])
+
+
+def loop_fourier_circulation(n: int, ell: int, z: int, x: int) -> np.ndarray:
+    """flows.fourier_circulation from two signed sums of unit flows, one block at a time."""
+
+    def signed_sum(bits: int) -> np.ndarray:
+        out = np.zeros(fl.unit_flow(n, ell - 1, 0).shape[0], dtype=np.int64)
+        for j in range(n):
+            out += (-1) ** fl._bitdot(bits, j) * fl.unit_flow(n, ell - 1, j)
+        return out
+
+    tz, tx = signed_sum(z), signed_sum(x)
+    block = tz.shape[0]
+    out = np.zeros((2 * n + 1) * block, dtype=np.int64)
+    if x == 0:
+        out[:block] = n * tz
+    for i in range(n):
+        out[(1 + i) * block : (2 + i) * block] = (-1) ** fl._bitdot(z, i) * tx
+    for j in range(n):
+        out[(1 + n + j) * block : (2 + n + j) * block] = (-1) ** fl._bitdot(x, j) * tz
+    return out

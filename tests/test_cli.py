@@ -110,6 +110,26 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+@pytest.mark.parametrize("L", [4097, 1048577])
+def test_decide_refuses_a_network_past_the_edge_budget(tmp_path, L):
+    # on 3 vertices, L = 4097 grafts to a (4098, 13) network whose edge count
+    # overflowed int64, and L = 1048577 asked for a 1 TiB grafted adjacency;
+    # both edge counts are checked before anything is grafted
+    graph = tmp_path / "g.txt"
+    sw.write_graph_file(graph, sw.layered_path(3))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(sw.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "swnet.cli", "decide", "--graph", str(graph),
+         "--u", "1", "--v", "3", "--L", str(L)],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "MAX_NETWORK_EDGES" in lines[0]
+
+
 def test_decide_witness_solve_is_bounded_at_16_3(tmp_path):
     # the source's on-component has 9493 vertices: a dense grounded Laplacian
     # of it (721 MB, then a copy) does not fit in a 1 GiB address space

@@ -7,6 +7,7 @@ import swnet as sw
 from swnet import flows as fl
 from swnet.errors import Disconnected, InvalidParams, RankDeficient, ZeroZ
 from swnet.network import _component_and_parents
+from oracles import loop_A_basis, loop_B_spanning, loop_fourier_circulation, mgs_orthonormalize, mgs_projector
 
 TOL = 1e-9
 
@@ -84,6 +85,17 @@ def test_circulations_have_zero_divergence_everywhere():
 def test_fourier_circulation_rejects_zero_z():
     with pytest.raises(ZeroZ):
         fl.fourier_circulation(2, 1, 0, 1)
+
+
+def test_circulations_equal_the_block_by_block_oracle():
+    for n, ell in [(2, 1), (2, 3), (4, 1), (4, 2), (8, 1), (8, 2)]:
+        want = np.stack([loop_fourier_circulation(n, ell, z, x) for z in range(1, n) for x in range(n)])
+        rows = fl.circulation_matrix(n, ell)
+        assert rows.dtype == np.int64 and np.array_equal(rows, want), (n, ell)
+        for k, (z, x) in enumerate((z, x) for z in range(1, n) for x in range(n)):
+            assert np.array_equal(fl.fourier_circulation(n, ell, z, x), want[k]), (n, ell, z, x)
+    with pytest.raises(InvalidParams):
+        fl.circulation_matrix(2, 0)
 
 
 def test_circulations_pairwise_orthogonal():
@@ -311,9 +323,63 @@ def test_projectors_complementary_both_routes():
         net = sw.build(n, ell, 1)
         for j in range(n):
             P_B = fl.projector(fl.build_B_spanning(net, j), require_full_rank=False)
-            Qr = fl.build_Bperp_basis(net, j)
-            Qf = np.column_stack(
-                [fl.reduced_to_full(net, Qr[:, k]) for k in range(Qr.shape[1])]
-            )
-            P_perp = fl.projector(Qf)
+            P_perp = fl.projector(fl.reduced_to_full(net, fl.build_Bperp_basis(net, j)))
             assert np.linalg.norm(P_B + P_perp - np.eye(P_B.shape[0])) < 1e-8
+
+
+# -- array builders and QR against the column-at-a-time oracles -------------------
+
+# every size at which tier-1 builds dense projectors
+DENSE_SIZES = [(2, 0), (2, 1), (2, 2), (4, 0), (4, 1), (4, 2), (8, 0), (8, 1), (2, 3)]
+
+
+@pytest.mark.parametrize("n, ell", DENSE_SIZES)
+def test_dense_builders_equal_loop_oracles(n, ell):
+    net = sw.build(n, ell, 1 + ell % n)
+    g = sw.random_digraph(n, 0.35, n + ell)
+    # no network has a self-loop edge, whose signed star an array build
+    # could sum differently from star_state's loop
+    tail, head = net.struct.edge_ends
+    assert np.all(tail != head)
+    cols, mask = fl.build_A_basis(net, sw.GraphOracle(g))
+    want_cols, want_mask = loop_A_basis(net, sw.GraphOracle(g))
+    assert np.array_equal(mask, want_mask) and np.array_equal(cols, want_cols)
+    j = n - 1
+    span = fl.build_B_spanning(net, j)
+    assert np.array_equal(span, loop_B_spanning(net, j))
+    Q = fl.build_Bperp_basis(net, j)
+    Qf = fl.reduced_to_full(net, Q)
+    assert np.array_equal(Qf, np.column_stack([fl.reduced_to_full(net, Q[:, k]) for k in range(Q.shape[1])]))
+    for basis in (cols, span, Qf):
+        want = mgs_orthonormalize(basis)
+        assert np.abs(fl.orthonormalize(basis) - want).max() <= 1e-12
+        assert np.abs(fl.projector(basis) - want @ want.T).max() <= 1e-12
+
+
+def test_rank_deficient_span_equals_gram_schmidt():
+    # the signed stars sum to |ls> + |rt>, so appending it, and a sum of
+    # symmetric edge columns, leaves the span and its rank unchanged
+    net = sw.build(2, 2, 1)
+    span = fl.build_B_spanning(net, 1)
+    V, E = net.vertex_count, net.edge_count
+    extra = np.zeros((fl.full_dim(net), 2))
+    extra[[2 * E + 2, 2 * E + 3], 0] = 1.0
+    extra[:, 1] = span[:, V : V + 3].sum(axis=1)
+    cols = np.column_stack([span[:, :3], extra, span[:, 3:]])
+    Q = fl.orthonormalize(cols, require_full_rank=False)
+    assert Q.shape[1] == mgs_orthonormalize(cols, require_full_rank=False).shape[1] == V + E
+    want = mgs_projector(cols, require_full_rank=False)
+    assert np.abs(fl.projector(cols, require_full_rank=False) - want).max() <= 1e-12
+    assert np.abs(Q.T @ Q - np.eye(V + E)).max() <= 1e-12
+    # and with full rank required, both name the first dependent column
+    dependent = np.column_stack([span, extra[:, 0]])
+    for build in (fl.projector, mgs_projector):
+        with pytest.raises(RankDeficient, match=f"column {V + E} "):
+            build(dependent)
+
+
+def test_wide_input_is_rank_deficient():
+    cols = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    with pytest.raises(RankDeficient, match="column 2 "):
+        fl.orthonormalize(cols)
+    assert fl.orthonormalize(cols, require_full_rank=False).shape == (2, 2)

@@ -5,6 +5,7 @@ import pytest
 
 import swnet as sw
 from oracles import union_find_structure
+from swnet.errors import InvalidParams
 from swnet.network import Sym, f1, isomorphic, rebuild_top_down
 
 #: every power-of-two (n, ell) the test suite builds a network at, and
@@ -185,3 +186,17 @@ def test_structure_cache_is_bounded():
     for n in range(2, bound + 6):
         sw.structure(n, 0)
     assert sw.structure.cache_info().currsize <= bound
+
+
+def test_edge_budget_admits_every_size_built_and_refuses_past_it():
+    # the largest networks tier-1 and the benchmark build: the grafted
+    # (19, 3) of the dstcon corpus, (16, 3) and (8, 4) of the preparers,
+    # and (9, 4), the size the budget was measured at
+    for n, ell in [(19, 3), (16, 3), (8, 4), (9, 4)]:
+        assert sw.network.check_edge_budget(n, ell) == (2 * n + 1) ** ell * n <= sw.network.MAX_NETWORK_EDGES
+    # counted in integers: (4098, 13) has about 2^206 edges
+    for n, ell in [(20, 3), (4098, 13), (4096, 1)]:
+        with pytest.raises(InvalidParams, match="MAX_NETWORK_EDGES"):
+            sw.network.check_edge_budget(n, ell)
+    with pytest.raises(InvalidParams, match="MAX_NETWORK_EDGES"):
+        sw.network.NetStructure(17, 5)

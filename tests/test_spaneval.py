@@ -315,18 +315,28 @@ def test_same_source_and_sink_builds_no_network(monkeypatch):
 
 
 def test_dense_route_equals_exact_through_pipeline():
-    # the dense route runs on the same grafted, padded network as the others;
-    # a depth-2 dense case (n' = 4) takes seconds, so only two are asked
+    # the dense route runs on the same grafted, padded network as the others.
+    # Every (u, v) pair of a 3-vertex graph at L = 3 and 4 and of a 4-vertex
+    # graph at L = 4 builds a depth-2 network on 4 vertices.  The 4-vertex
+    # graph at L = 3 is left out: it grafts to 5 vertices and pads to 8, a
+    # (8, 2) network whose dense state space has dimension 4628
     g2, g3 = sw.from_edges(2, [(1, 2)]), sw.layered_path(3)
-    cases = [(g2, 1, 2, 1), (g2, 2, 1, 2), (g3, 1, 3, 1), (g3, 1, 3, 2), (g3, 1, 3, 3), (g3, 3, 1, 4)]
-    for g, u, v, L in cases:
-        dense = se.decide_distance_report(g, u, v, L, mode="spectral-dense")
-        exact = se.decide_distance_report(g, u, v, L, mode="exact")
-        assert dense.accepted == exact.accepted == (sw.bfs_distance(g, u, v) <= L), (g.n, u, v, L)
-        assert (dense.route, exact.route) == ("dense", "exact")
-        assert dense.path_len == exact.path_len
-        if dense.accepted:
-            assert dense.overlap0 == pytest.approx(2 / (2 * exact.witness_energy + 4), abs=1e-9)
+    g4 = sw.from_edges(4, [(1, 2), (2, 3), (3, 4), (4, 2)])
+    cases = [(g2, 1), (g2, 2), (g3, 1), (g3, 2), (g3, 3), (g3, 4), (g4, 4)]
+    for g, L in cases:
+        for u in range(1, g.n + 1):
+            dense_eval, exact_eval = se.Evaluation(g, u, L, "spectral-dense"), se.Evaluation(g, u, L, "exact")
+            for v in range(1, g.n + 1):
+                dense, exact = dense_eval.report(v, witness=True), exact_eval.report(v, witness=True)
+                assert dense.accepted == exact.accepted == (sw.bfs_distance(g, u, v) <= L), (g.n, u, v, L)
+                assert dense.path_len == exact.path_len
+                if u == v:
+                    continue
+                assert (dense.route, exact.route) == ("dense", "exact")
+                if L >= 3:
+                    assert (dense_eval.net.n, dense_eval.net.ell) == (4, 2)
+                if dense.accepted:
+                    assert dense.overlap0 == pytest.approx(2 / (2 * exact.witness_energy + 4), abs=1e-9)
 
 
 def test_dense_route_takes_witness_from_its_own_solve(monkeypatch):
