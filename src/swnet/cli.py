@@ -18,7 +18,7 @@ from . import flows as fl
 from . import pebbling as pb
 from . import prep
 from .driver import decider_from_name, dstcon
-from .errors import BasisMismatch, IllegalMove, InvalidParams, RankDeficient, SwnetError
+from .errors import BasisMismatch, IllegalMove, InvalidParams, RankDeficient, ReachMismatch, SwnetError
 from .graphs import layered_path, read_graph_file
 from .network import build
 from .spaneval import decide_distance_report
@@ -212,7 +212,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BasisMismatch, RankDeficient, IllegalMove) as exc:
+    except (BasisMismatch, ReachMismatch, RankDeficient, IllegalMove) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
     except (SwnetError, OSError, json.JSONDecodeError, ValueError) as exc:

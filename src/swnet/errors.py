@@ -55,3 +55,7 @@ class RankDeficient(SwnetError):
 
 class BasisMismatch(SwnetError):
     """Two independently built projectors for the same space disagree."""
+
+
+class ReachMismatch(SwnetError):
+    """Two independent computations of which sinks the source reaches disagree."""

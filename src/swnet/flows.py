@@ -272,8 +272,9 @@ def grounded_laplacian(tail: np.ndarray, head: np.ndarray, reach: np.ndarray, gr
     constructor from the off-diagonal -1 pairs and the degree diagonal
     (duplicate entries, as from parallel edges, are summed).
     """
-    # scipy is imported here, not with the module: the preparers, the dense
-    # cross-checks and the dump commands never solve and skip its ~30 MB
+    # scipy is imported here, not with the module: only optimal_flow_lsq, the
+    # independent oracle, solves with it, so decisions, the preparers and the
+    # dump commands skip its ~30 MB
     from scipy import sparse
 
     unknowns = np.flatnonzero(reach)
@@ -291,17 +292,32 @@ def grounded_laplacian(tail: np.ndarray, head: np.ndarray, reach: np.ndarray, gr
 def on_distances(net: SwitchingNet, on_mask: np.ndarray) -> np.ndarray:
     """Breadth-first distance from the source over on-edges, -1 outside its component.
 
-    Unweighted, undirected shortest paths over the on-edges' (tail, head)
-    arrays, by scipy's csgraph; scipy is imported here as in grounded_laplacian.
+    Unweighted and undirected, level by level: the on-edges are grouped by
+    endpoint into one neighbour array, each level gathers the neighbours of
+    its frontier at once, and the unseen ones, each taken once, form the
+    next frontier.
     """
-    from scipy import sparse
-    from scipy.sparse.csgraph import dijkstra
-
     tail, head = (ends[on_mask] for ends in net.struct.edge_ends)
     nv = net.vertex_count
-    adj = sparse.csr_matrix((np.ones(tail.size), (tail, head)), shape=(nv, nv))
-    dist = dijkstra(adj, directed=False, unweighted=True, indices=net.source)
-    return np.where(np.isinf(dist), -1, dist).astype(np.int64)
+    ends = np.concatenate([tail, head])
+    neighbours = np.concatenate([head, tail])[np.argsort(ends, kind="stable")]
+    degree = np.bincount(ends, minlength=nv)
+    first = np.cumsum(degree) - degree
+    dist = np.full(nv, -1, dtype=np.int64)
+    owner = np.empty(nv, dtype=np.int64)
+    dist[net.source] = 0
+    frontier, level = np.array([net.source]), 0
+    while frontier.size:
+        level += 1
+        count = degree[frontier]
+        start = np.cumsum(count) - count  # each frontier vertex's first place in the gather
+        reached = neighbours[np.arange(count.sum()) + np.repeat(first[frontier] - start, count)]
+        reached = reached[dist[reached] < 0]
+        dist[reached] = level
+        rank = np.arange(reached.size)
+        owner[reached] = rank  # the last copy of each vertex owns it
+        frontier = reached[owner[reached] == rank]
+    return dist
 
 
 #: a minimum-degree order on A^T + A: the grounded Laplacian is symmetric, and

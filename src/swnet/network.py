@@ -25,6 +25,9 @@ It is built with array operations: the glue pairs of every block at every
 depth come from mixed-radix block indices, glued vertices are resolved by
 min-label propagation, and each leaf's orientation and label source are
 read off one decoded (leaves x ell) symbol table.
+
+``boundary_laplacian`` follows the same recursion to reduce the on-subgraph
+onto the source and the sinks without building the network.
 """
 
 from __future__ import annotations
@@ -40,10 +43,13 @@ from .graphs import GraphOracle
 
 SRC = 0  # local source slot of a leaf block; slots 1..n are its sinks
 
-#: the most edges a network may have.  A decision with a witness on a
-#: complete graph peaked at 2.2 KB of address space per edge at (9, 4)
-#: (1.17M edges, almost all of it the sparse LU's workspace; the structure
-#: alone takes 45 B per edge), so 1.25M edges fit under a 3 GiB RLIMIT_AS
+#: the most edges a network may have.  A witness decision on a complete
+#: graph at (9, 4), 1.17M edges, peaks at 210 B of address space per edge
+#: (VmPeak 232 MiB): the structure, the mask, the component labels and the
+#: breadth-first search, while R comes from a 10 x 10 boundary Laplacian.
+#: The budget was set when a sparse LU found R, at 2.4 KB per edge under a
+#: 3 GiB RLIMIT_AS; it stays, because the build, the mask and the labels
+#: still cost O(|E|) time and memory per decision
 MAX_NETWORK_EDGES = 1_250_000
 
 
@@ -424,6 +430,98 @@ def accepts_all(net: SwitchingNet, oracle: GraphOracle) -> np.ndarray:
     tail, head = (ends[mask] for ends in net.struct.edge_ends)
     lab = component_labels(net.vertex_count, tail, head)
     return lab[net.struct.sink_vids] == lab[net.source]
+
+
+# -- the on-subgraph reduced onto the boundary ----------------------------------
+
+def boundary_laplacian(adj: np.ndarray, root: int, ell: int) -> np.ndarray:
+    """Laplacian of the on-subgraph Kron-reduced onto [source, sink_0..sink_{n-1}].
+
+    ``adj`` is the n x n adjacency the depth-ell network rooted at ``root``
+    (1-indexed) is queried against.  Entry [k, l] of the (n+1) x (n+1)
+    result couples boundary vertex k (0 the source, 1+j sink j) to l once
+    every internal vertex is eliminated by a Schur complement, so the
+    source-sink effective resistances of the on-subgraph are those of this
+    small Laplacian.  A block's on-edges depend only on the root its labels
+    inherit (its type), and reversal leaves a Laplacian alone, so each
+    depth needs just n reduced Laplacians, one per type: block 0 and the
+    blocks (2, j) have the parent's type, block (1, i) has type i.  Depth 1
+    has a closed form; each deeper depth is one batched dense solve over
+    every type, the top one over the root's type only.  No oracle is asked,
+    and the cost is O(ell * n^7) flops whatever the edge count.
+    """
+    n = adj.shape[0]
+    on = (adj | np.eye(n, dtype=bool)).astype(float)  # on[r, i]: label (r+1, i+1) is on
+    if ell == 0:
+        K = np.diag(np.concatenate([[on[root - 1].sum()], on[root - 1]]))
+        K[0, 1:] = K[1:, 0] = -on[root - 1]
+        return K
+    # depth 1: midpoint i, behind conductance on(r, i) from the source, meets
+    # sink j through two edges in series, conductance on(i, j)/2 (row i of
+    # W); eliminating every midpoint is a sum of star-mesh transforms
+    W = np.column_stack([np.ones(n), on / 2])
+    types = on if ell > 1 else on[root - 1 : root]
+    K = (types @ W)[:, :, None] * np.eye(n + 1)
+    K -= ((types / W.sum(axis=1))[:, :, None] * W).transpose(0, 2, 1) @ W
+    for depth in range(2, ell + 1):
+        K = _reduce_level(K if depth < ell else K[root - 1 : root], K)
+    return K[0]
+
+
+def _reduce_level(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Reduced Laplacians of depth-d blocks from those of depth d-1.
+
+    P[t] is the child Laplacian of the t-th type asked for, shared by its
+    block 0 and its n blocks (2, j); Q[i] is that of type i, for block
+    (1, i).  The glued graph has N = (n+1)^2 vertices: the boundary, 0 (the
+    source) and 1+j (sink j), then a_i = n+1+i (block 0's sink i and block
+    (1, i)'s source) and b_ij = 2n+1+i*n+j (block (1, i)'s sink j and block
+    (2, j)'s sink i).  Internal vertices that no type joins to the boundary
+    are dropped.  A type grounds the kept vertices it does not join: they
+    touch none of its joined vertices, so its reduction is unchanged.
+    """
+    T, n = P.shape[0], Q.shape[0]
+    N = (n + 1) ** 2
+    # each block's vertices: block 0, the blocks (2, j), then the blocks
+    # (1, i); rows and cols place every entry of their (n+1) x (n+1) child
+    a, b = n + 1 + np.arange(n), 2 * n + 1 + np.arange(n * n).reshape(n, n)
+    idx = np.vstack([np.concatenate([[0], a]), np.column_stack([1 + np.arange(n), b.T]), np.column_stack([a, b])])
+    rows, cols = (x.ravel() for x in np.broadcast_arrays(idx[:, :, None], idx[:, None, :]))
+    vals = np.concatenate([np.broadcast_to(P[:, None], (T, n + 1, n + 1, n + 1)).reshape(T, -1),
+                           np.broadcast_to(Q.ravel(), (T, Q.size))], axis=1)
+
+    # label every type's glued graph at once, vertices offset by N per type;
+    # a tie from the source to each sink gives the joined vertices its label
+    t, e = np.nonzero(vals != 0)
+    ties = N * np.arange(T).repeat(n)
+    lab = component_labels(T * N, np.concatenate([N * t + rows[e], ties]),
+                           np.concatenate([N * t + cols[e], ties + np.tile(1 + np.arange(n), T)]))
+    joined = lab.reshape(T, N) == lab[::N, None]
+    keep = joined.any(axis=0)
+    pos = np.cumsum(keep) - 1
+    M = int(keep.sum())
+
+    inside = keep[rows] & keep[cols]
+    flat = pos[rows[inside]] * M + pos[cols[inside]] + M * M * np.arange(T)[:, None]
+    A = np.bincount(flat.ravel(), vals[:, inside].ravel(), minlength=T * M * M).reshape(T, M, M)
+    A[:, np.arange(M), np.arange(M)] += ~joined[:, keep]
+    B, I = slice(0, n + 1), slice(n + 1, M)
+    K = A[:, B, B] - A[:, B, I] @ np.linalg.solve(A[:, I, I], A[:, I, B])
+    return (K + K.transpose(0, 2, 1)) / 2
+
+
+def source_resistances(K: np.ndarray) -> np.ndarray:
+    """Effective resistance from vertex 0 of the Laplacian K to each other vertex.
+
+    Entry j is (K_0^-1)_jj for vertex 1+j, with K_0 the block of the
+    vertices K's pattern joins to vertex 0, grounded there; nan for the
+    vertices it does not join.
+    """
+    lab = component_labels(K.shape[0], *np.nonzero(K))
+    reached = 1 + np.flatnonzero(lab[1:] == lab[0])
+    out = np.full(K.shape[0] - 1, np.nan)
+    out[reached - 1] = np.diag(np.linalg.inv(K[np.ix_(reached, reached)]))
+    return out
 
 
 # -- top-down rebuild --------------------------------------------------------

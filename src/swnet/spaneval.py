@@ -24,9 +24,13 @@ the answer.
 
 Desk-scale shortcut: the spectral decision reads that mass off the
 identity, at every network size.  An ``Evaluation`` of one source and one
-length bound builds and masks the network once and factors the Laplacian
-of the source's on-component, grounded at the source, once; R for each
-sink is then one triangular solve, so one evaluation answers every sink.
+length bound builds and masks the network once and labels the source's
+on-component once, which settles every rejection.  On the first reached
+sink it Kron-reduces the on-subgraph onto the source and the n sinks
+(``network.boundary_laplacian``, built from the input graph along the
+network's recursion, never from its |E| edges); R for every sink is then
+a diagonal entry of the inverse of that small Laplacian, grounded at the
+source, so one evaluation answers every sink.
 Two routes read the mass off the spectrum instead and serve as
 cross-checks: ``phase_mass`` diagonalizes the small symmetric matrix
 M = Q^T P_A Q on the generated complement basis Q (psi0 lies in that
@@ -44,9 +48,9 @@ from functools import cached_property
 import numpy as np
 
 from . import flows as fl
-from .errors import BasisMismatch, InvalidParams
+from .errors import BasisMismatch, InvalidParams, ReachMismatch
 from .graphs import Digraph, GraphOracle, attach_source_path, pad_to_power_of_two
-from .network import SwitchingNet, build, check_edge_budget, on_edge_mask
+from .network import SwitchingNet, boundary_laplacian, build, check_edge_budget, on_edge_mask, source_resistances
 from .network import accepts  # noqa: F401  (bound here for perfbench's tracer, which wraps spaneval.accepts)
 
 #: calibration of the simulated decider: a single global rule, not tuned
@@ -277,10 +281,12 @@ class Evaluation:
     - ``exact`` (mode "exact"): a lookup in the one BFS over the
       on-subgraph that every sink shares;
     - ``resistance`` (mode "spectral", every size): the fixed-space mass
-      2 / (2 R + 4), or 0 when the sink is outside the source's component.
-      R = (L_s^-1)_tt is the effective resistance, from one triangular
-      solve against the one factorization of the Laplacian of the source's
-      component with the source grounded;
+      2 / (2 R + 4), or 0 when the component labels put the sink outside
+      the source's component.  R is the effective resistance, read for
+      every sink at once off the (n'+1) x (n'+1) boundary Laplacian
+      (network.boundary_laplacian) on the first sink the source reaches;
+      the sinks that Laplacian joins to the source must be those the labels
+      reach, else ReachMismatch;
     - ``dense`` (mode "spectral-dense"): the dense reflections for sink v
       and their eigendecomposition, one per sink; refused with
       InvalidParams above SPECTRAL_DIM_CAP.
@@ -293,7 +299,8 @@ class Evaluation:
     with no queries and no evaluation, and builds nothing.  With
     ``witness`` an accepted report also gets its witness path length and
     optimal on-flow energy; the exact and resistance routes take the energy
-    from the shared factorization, which asks no oracle.
+    from the shared boundary Laplacian, which asks no oracle, and the path
+    length from one breadth-first search over the on-edges.
     """
 
     def __init__(self, g: Digraph, u: int, L: int, mode: str = "exact"):
@@ -333,29 +340,32 @@ class Evaluation:
         return fl.on_distances(self.net, self.mask)
 
     @cached_property
-    def _component(self):
-        """(tail, head, reach): the on-edges and the source's component."""
-        return fl.on_component(self.net, self.mask)
+    def _reach(self) -> np.ndarray:
+        """Whether each vertex is joined to the source by on-edges, from the component labels."""
+        return fl.on_component(self.net, self.mask)[2]
 
     @cached_property
-    def _grounded(self):
-        """(unknowns, lu): the component's vertices other than the source, and
-        the LU factors of the Laplacian on them; factored on the first
-        connected sink, so a rejecting sink costs no factorization."""
-        from scipy.sparse.linalg import splu
+    def _resistances(self) -> np.ndarray:
+        """Effective resistance from the source to every sink, nan outside its component.
 
-        unknowns, lap = fl.grounded_laplacian(*self._component, self.net.source)
-        return unknowns, splu(lap, permc_spec=fl.LAPLACIAN_ORDER)
+        Read off the boundary Laplacian on the first reached sink, so a
+        rejecting sink costs none.  The sinks its pattern joins to the
+        source must be those the component labels reach, else ReachMismatch.
+        """
+        R = source_resistances(boundary_laplacian(self.graph.adj, self.net.root, self.net.ell))
+        mismatch = np.flatnonzero(np.isnan(R) == self._reach[self.net.struct.sink_vids])
+        if mismatch.size:
+            raise ReachMismatch(
+                f"sink indices {mismatch.tolist()}: the boundary Laplacian and the component labels "
+                "disagree on whether the source reaches them"
+            )
+        return R
 
-    def _resistance(self, t: int) -> float | None:
-        """Effective resistance (L_s^-1)_tt to vertex t; None outside the source's component."""
-        if not self._component[2][t]:
+    def _resistance(self, sink: int) -> float | None:
+        """Effective resistance from the source to a sink; None outside the source's component."""
+        if not self._reach[self.net.sink(sink)]:
             return None
-        unknowns, lu = self._grounded
-        k = int(np.searchsorted(unknowns, t))
-        rhs = np.zeros(unknowns.size)
-        rhs[k] = 1.0
-        return float(lu.solve(rhs)[k])
+        return float(self._resistances[sink])
 
     def report(self, v: int, witness: bool = False) -> DecisionReport:
         """The decision for sink v; see the class docstring."""
@@ -389,7 +399,7 @@ class Evaluation:
             report.witness_energy, report.path_len = dense.witness_energy, dense.path_len
         elif self.mode == "spectral":
             report.route = "resistance"
-            energy = self._resistance(t)
+            energy = self._resistance(sink)
             if energy is None:
                 report.accepted, report.overlap0 = False, 0.0
             else:
@@ -402,7 +412,7 @@ class Evaluation:
             report.accepted = bool(self._dist[t] >= 0)
             report.overlap0 = float(report.accepted)
             if witness and report.accepted:
-                report.witness_energy, report.path_len = self._resistance(t), int(self._dist[t])
+                report.witness_energy, report.path_len = self._resistance(sink), int(self._dist[t])
         report.ledger = replace(self._charge)
         return report
 

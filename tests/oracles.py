@@ -169,3 +169,28 @@ def loop_fourier_circulation(n: int, ell: int, z: int, x: int) -> np.ndarray:
     for j in range(n):
         out[(1 + n + j) * block : (2 + n + j) * block] = (-1) ** fl._bitdot(x, j) * tz
     return out
+
+
+# -- effective resistance by a sparse factorization of the whole on-subgraph ---
+
+def splu_resistances(net, mask) -> np.ndarray:
+    """Effective resistance from the source to every sink, nan outside its component.
+
+    One sparse LU of the Laplacian of the source's on-component, grounded at
+    the source (flows.grounded_laplacian), and one solve per reached sink:
+    the |E|-sized route that network.boundary_laplacian reduces away.
+    """
+    from scipy.sparse.linalg import splu
+
+    tail, head, reach = fl.on_component(net, mask)
+    unknowns, lap = fl.grounded_laplacian(tail, head, reach, net.source)
+    out = np.full(net.n, np.nan)
+    lu = splu(lap, permc_spec=fl.LAPLACIAN_ORDER)
+    for j in range(net.n):
+        t = net.sink(j)
+        if reach[t]:
+            k = int(np.searchsorted(unknowns, t))
+            rhs = np.zeros(unknowns.size)
+            rhs[k] = 1.0
+            out[j] = lu.solve(rhs)[k]
+    return out

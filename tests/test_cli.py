@@ -182,15 +182,58 @@ def test_dstcon_json_counts_network_evaluations(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ledger"]["network_evaluations"] == 0
 
 
-def test_import_and_decider_construction_load_no_scipy():
-    # scipy is imported inside the solves, so the dump and prep commands,
-    # and a decider nobody has asked yet, run without it
-    code = ("import sys, swnet, swnet.cli; from swnet.driver import swnet_decider; "
-            "swnet_decider('spectral'); print('scipy' in sys.modules)")
+def test_import_and_decider_construction_load_no_scipy(tmp_path):
+    # scipy is imported inside the independent flow oracle only: importing,
+    # building a decider, accepted decisions with their witness fields in
+    # both modes, and dstcon with the swnet decider all run without it
+    graph = tmp_path / "g.txt"
+    sw.write_graph_file(graph, sw.random_digraph(8, 0.2, 1))
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import swnet, swnet.cli\n"
+        "from swnet.driver import swnet_decider\n"
+        "swnet_decider('spectral')\n"
+        "loaded = ['scipy' in sys.modules]\n"
+        f"g = {str(graph)!r}\n"
+        "out = []\n"
+        "for argv in (['decide', '--graph', g, '--u', '1', '--v', '8', '--L', '5', '--json'],\n"
+        "             ['decide', '--graph', g, '--u', '1', '--v', '8', '--L', '5', '--json', '--mode', 'exact'],\n"
+        "             ['dstcon', '--graph', g, '--s', '1', '--t', '8', '--L', '3', '--decider', 'swnet', '--json']):\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        assert swnet.cli.main(argv) == 0\n"
+        "    out.append(json.loads(buf.getvalue()))\n"
+        "    loaded.append('scipy' in sys.modules)\n"
+        "print(json.dumps({'loaded': loaded, 'out': out}))\n"
+    )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sw.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    payload = json.loads(proc.stdout)
+    spectral, exact, connectivity = payload["out"]
+    for report, route in ((spectral, "resistance"), (exact, "exact")):
+        assert (report["accepted"], report["route"]) == (True, route)
+        assert report["witness_energy"] > 0 and report["path_len"] > 0
+    assert connectivity["ledger"]["network_evaluations"] > 0
+    assert payload["loaded"] == [False] * 4
+
+
+def test_reach_mismatch_exits_3(path_graph, capsys, monkeypatch):
+    # cut the root's own sink, which the component labels always reach, out
+    # of the boundary Laplacian
+    real = se.boundary_laplacian
+
+    def severed(adj, root, ell):
+        K = real(adj, root, ell)
+        K[root, :] = K[:, root] = 0.0
+        return K
+
+    monkeypatch.setattr(se, "boundary_laplacian", severed)
+    # a rejection reads only the labels, so it still answers
+    assert main(["decide", "--graph", path_graph, "--u", "1", "--v", "4", "--L", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "False"
+    assert main(["decide", "--graph", path_graph, "--u", "1", "--v", "3", "--L", "2"]) == 3
+    assert capsys.readouterr().err.startswith("invariant violation: sink indices [0]: the boundary Laplacian")
 
 
 def test_pebble_trace(capsys):

@@ -200,12 +200,12 @@ def test_complement_basis_needs_power_of_two():
 def test_on_distances_match_python_bfs():
     # connectivity is undirected: vertices off the source's monotone paths
     # are reached against edge orientations
-    for seed in range(4):
-        for n, ell in [(2, 2), (4, 1), (4, 2), (8, 2)]:
-            net = sw.build(n, ell, 1 + seed % n)
-            mask = sw.on_edge_mask(net, sw.GraphOracle(sw.random_digraph(n, 0.3, seed)))
-            want, _ = _component_and_parents(net, mask)
-            assert np.array_equal(fl.on_distances(net, mask), want), (seed, n, ell)
+    cases = [(seed, n, ell, 0.3) for seed in range(4) for n, ell in [(2, 2), (4, 1), (4, 2), (8, 2), (5, 2), (6, 3)]]
+    for seed, n, ell, p in cases + [(0, 16, 3, 0.3), (1, 16, 3, 0.1)]:
+        net = sw.build(n, ell, 1 + seed % n)
+        mask = sw.on_edge_mask(net, sw.GraphOracle(sw.random_digraph(n, p, seed)))
+        want, _ = _component_and_parents(net, mask)
+        assert np.array_equal(fl.on_distances(net, mask), want), (seed, n, ell)
 
 
 def test_flow_decomposition_opt_plus_circulation():

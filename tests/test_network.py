@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import swnet as sw
-from oracles import union_find_structure
+from oracles import splu_resistances, union_find_structure
 from swnet.errors import InvalidParams
-from swnet.network import Sym, f1, isomorphic, rebuild_top_down
+from swnet.network import Sym, boundary_laplacian, f1, isomorphic, rebuild_top_down, source_resistances
 
 #: every power-of-two (n, ell) the test suite builds a network at, and
 #: grafted sizes its decisions build at any n
@@ -200,3 +200,52 @@ def test_edge_budget_admits_every_size_built_and_refuses_past_it():
             sw.network.check_edge_budget(n, ell)
     with pytest.raises(InvalidParams, match="MAX_NETWORK_EDGES"):
         sw.network.NetStructure(17, 5)
+
+
+# -- the boundary Laplacian against the sparse LU of the whole on-subgraph -------
+
+#: every (n', ell) the resistance route builds in tier-1, grafted n' included
+RESISTANCE_SIZES = [(n, ell) for ell, ns in ((0, range(2, 17)), (1, range(2, 17)), (2, range(3, 18)),
+                                             (3, range(8, 20))) for n in ns]
+
+
+def assert_resistances_match(g, root, ell):
+    net = sw.build(g.n, ell, root)
+    want = splu_resistances(net, sw.on_edge_mask(net, sw.GraphOracle(g)))
+    got = source_resistances(boundary_laplacian(g.adj, root, ell))
+    assert np.array_equal(np.isnan(got), np.isnan(want)), (g.n, ell, root)
+    reached = ~np.isnan(want)
+    assert np.all(np.abs(got[reached] - want[reached]) <= 1e-12 * want[reached]), (g.n, ell, root)
+    return reached
+
+
+@pytest.mark.parametrize("n, ell", RESISTANCE_SIZES)
+def test_boundary_laplacian_resistances_equal_sparse_lu(n, ell):
+    # sparse draws leave sinks unreached and internal vertices unjoined; the
+    # (n', 3) networks hold up to 1.13M edges, so they get one draw each
+    draws = [(0.1, 1), (0.3, 2), (0.6, 3)] if ell < 3 else [(0.15 + 0.05 * (n % 3), n)]
+    for p, seed in draws:
+        assert_resistances_match(sw.random_digraph(n, p, seed), 1 + seed % n, ell)
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2, 3])
+def test_boundary_laplacian_edge_cases(ell):
+    n = 5
+    # no edges: only the source's own sink, through its constant-true labels
+    reached = assert_resistances_match(sw.from_edges(n, []), 2, ell)
+    assert reached.tolist() == [False, True, False, False, False]
+    assert assert_resistances_match(sw.complete(n), 1, ell).all()
+    # vertex 5 is isolated: the blocks of its type join nothing but their own
+    # source and sink 5, so from depth 2 on the level solve drops vertices
+    ring = sw.from_edges(n, [(1, 2), (2, 3), (3, 4), (4, 1)])
+    assert assert_resistances_match(ring, 1, ell).tolist() == [d <= 2**ell for d in range(4)] + [False]
+    # a root with no out-edges reaches only itself, whatever else is connected
+    sink_only = sw.from_edges(n, [(2, 3), (3, 4), (4, 2), (5, 1)])
+    assert assert_resistances_match(sink_only, 1, ell).tolist() == [True, False, False, False, False]
+
+
+def test_source_resistances_of_a_lone_source():
+    # a component that is only vertex 0: every resistance is nan
+    K = np.zeros((4, 4))
+    K[1:3, 1:3] = [[1, -1], [-1, 1]]
+    assert np.isnan(source_resistances(K)).all()
