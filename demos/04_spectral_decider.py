@@ -5,8 +5,9 @@ initial state (|s> - |t>)/sqrt2 keeps fixed-space mass exactly when a
 unit flow through on-edges exists.  Accepting instances show mass exactly
 2/(2 R + 4), R the source-sink effective resistance of the on-edges, so
 at least 2/(2 W+ + 4); rejecting instances show zero.  Spectral mode reads
-the mass off one sparse solve for R; the dense and sector eigensolves
-below read it off the spectrum.
+the mass off R, which it gets by Kron-reducing the on-edges onto the
+source and the sinks; the dense and sector eigensolves below read it off
+the spectrum.  Every accepted witness path has exactly 3^(log L) edges.
 """
 
 import numpy as np
@@ -23,10 +24,11 @@ net = sw.build(g2.n, 1, root=1)
 pair = se.build_reflections(net, sw.GraphOracle(g2), sink_index=2)  # target 3
 print(f"dim H = {pair.U.shape[0]}, rank P_A = {round(np.trace(pair.P_A))}, "
       f"rank P_B = {round(np.trace(pair.P_B))}")
-report = se.decide_phase_estimation(pair, se.default_psi0(net), witness=True)
+report = se.decide_phase_estimation(pair, se.default_psi0(net))
 print(f"reach 3 within 2 steps: accepted={report.accepted}, "
       f"overlap0={report.overlap0:.4f} (threshold {report.threshold:.4f})")
-print(f"witness: path length {report.path_len}, flow energy {report.witness_energy:.3f}")
+witness = se.decide_distance_report(g, 1, 3, 2, mode="spectral-dense")
+print(f"witness: path length {witness.path_len}, flow energy {witness.witness_energy:.3f}")
 
 print("\n== sector eigensolve and effective resistance (same statistic) ==")
 mass = se.phase_mass(net, sw.GraphOracle(g2), 2)

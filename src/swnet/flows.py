@@ -289,37 +289,6 @@ def grounded_laplacian(tail: np.ndarray, head: np.ndarray, reach: np.ndarray, gr
     return unknowns, lap
 
 
-def on_distances(net: SwitchingNet, on_mask: np.ndarray) -> np.ndarray:
-    """Breadth-first distance from the source over on-edges, -1 outside its component.
-
-    Unweighted and undirected, level by level: the on-edges are grouped by
-    endpoint into one neighbour array, each level gathers the neighbours of
-    its frontier at once, and the unseen ones, each taken once, form the
-    next frontier.
-    """
-    tail, head = (ends[on_mask] for ends in net.struct.edge_ends)
-    nv = net.vertex_count
-    ends = np.concatenate([tail, head])
-    neighbours = np.concatenate([head, tail])[np.argsort(ends, kind="stable")]
-    degree = np.bincount(ends, minlength=nv)
-    first = np.cumsum(degree) - degree
-    dist = np.full(nv, -1, dtype=np.int64)
-    owner = np.empty(nv, dtype=np.int64)
-    dist[net.source] = 0
-    frontier, level = np.array([net.source]), 0
-    while frontier.size:
-        level += 1
-        count = degree[frontier]
-        start = np.cumsum(count) - count  # each frontier vertex's first place in the gather
-        reached = neighbours[np.arange(count.sum()) + np.repeat(first[frontier] - start, count)]
-        reached = reached[dist[reached] < 0]
-        dist[reached] = level
-        rank = np.arange(reached.size)
-        owner[reached] = rank  # the last copy of each vertex owns it
-        frontier = reached[owner[reached] == rank]
-    return dist
-
-
 #: a minimum-degree order on A^T + A: the grounded Laplacian is symmetric, and
 #: this order solved 1.5-5x faster than the default column order at (16, 2)
 #: and (16, 3)

@@ -44,12 +44,12 @@ from .graphs import GraphOracle
 SRC = 0  # local source slot of a leaf block; slots 1..n are its sinks
 
 #: the most edges a network may have.  A witness decision on a complete
-#: graph at (9, 4), 1.17M edges, peaks at 210 B of address space per edge
-#: (VmPeak 232 MiB): the structure, the mask, the component labels and the
-#: breadth-first search, while R comes from a 10 x 10 boundary Laplacian.
-#: The budget was set when a sparse LU found R, at 2.4 KB per edge under a
-#: 3 GiB RLIMIT_AS; it stays, because the build, the mask and the labels
-#: still cost O(|E|) time and memory per decision
+#: graph at (9, 4), 1.17M edges, peaked at 210 B of address space per edge
+#: (VmPeak 232 MiB) for the structure, the mask, the component labels and a
+#: breadth-first search it no longer runs; R comes from a 10 x 10 boundary
+#: Laplacian.  The budget was set when a sparse LU found R, at 2.4 KB per
+#: edge under a 3 GiB RLIMIT_AS; it stays, because the build, the mask and
+#: the labels still cost O(|E|) time and memory per decision
 MAX_NETWORK_EDGES = 1_250_000
 
 

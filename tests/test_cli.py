@@ -185,19 +185,21 @@ def test_dstcon_json_counts_network_evaluations(tmp_path, capsys):
 def test_import_and_decider_construction_load_no_scipy(tmp_path):
     # scipy is imported inside the independent flow oracle only: importing,
     # building a decider, accepted decisions with their witness fields in
-    # both modes, and dstcon with the swnet decider all run without it
-    graph = tmp_path / "g.txt"
+    # every mode, and dstcon with the swnet decider all run without it
+    graph, path3 = tmp_path / "g.txt", tmp_path / "path3.txt"
     sw.write_graph_file(graph, sw.random_digraph(8, 0.2, 1))
+    sw.write_graph_file(path3, sw.layered_path(3))
     code = (
         "import contextlib, io, json, sys\n"
         "import swnet, swnet.cli\n"
         "from swnet.driver import swnet_decider\n"
         "swnet_decider('spectral')\n"
         "loaded = ['scipy' in sys.modules]\n"
-        f"g = {str(graph)!r}\n"
+        f"g, p = {str(graph)!r}, {str(path3)!r}\n"
         "out = []\n"
         "for argv in (['decide', '--graph', g, '--u', '1', '--v', '8', '--L', '5', '--json'],\n"
         "             ['decide', '--graph', g, '--u', '1', '--v', '8', '--L', '5', '--json', '--mode', 'exact'],\n"
+        "             ['decide', '--graph', p, '--u', '1', '--v', '3', '--L', '2', '--json', '--mode', 'spectral-dense'],\n"
         "             ['dstcon', '--graph', g, '--s', '1', '--t', '8', '--L', '3', '--decider', 'swnet', '--json']):\n"
         "    buf = io.StringIO()\n"
         "    with contextlib.redirect_stdout(buf):\n"
@@ -210,12 +212,13 @@ def test_import_and_decider_construction_load_no_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
-    spectral, exact, connectivity = payload["out"]
-    for report, route in ((spectral, "resistance"), (exact, "exact")):
+    spectral, exact, dense, connectivity = payload["out"]
+    for report, route in ((spectral, "resistance"), (exact, "exact"), (dense, "dense")):
         assert (report["accepted"], report["route"]) == (True, route)
         assert report["witness_energy"] > 0 and report["path_len"] > 0
+    assert dense["path_len"] == 3
     assert connectivity["ledger"]["network_evaluations"] > 0
-    assert payload["loaded"] == [False] * 4
+    assert payload["loaded"] == [False] * 5
 
 
 def test_reach_mismatch_exits_3(path_graph, capsys, monkeypatch):
@@ -234,6 +237,25 @@ def test_reach_mismatch_exits_3(path_graph, capsys, monkeypatch):
     assert capsys.readouterr().out.strip() == "False"
     assert main(["decide", "--graph", path_graph, "--u", "1", "--v", "3", "--L", "2"]) == 3
     assert capsys.readouterr().err.startswith("invariant violation: sink indices [0]: the boundary Laplacian")
+
+
+def test_dense_reach_mismatch_exits_3(tmp_path, capsys, monkeypatch):
+    # flip the dense spectrum's verdict against the component labels, on an
+    # accepted and on a rejected question
+    real = se.decide_phase_estimation
+
+    def flipped(pair, psi0):
+        report = real(pair, psi0)
+        report.accepted = not report.accepted
+        return report
+
+    monkeypatch.setattr(se, "decide_phase_estimation", flipped)
+    graph = tmp_path / "path3.txt"
+    sw.write_graph_file(graph, sw.layered_path(3))
+    for u, v in ((1, 3), (3, 1)):
+        argv = ["decide", "--graph", str(graph), "--u", str(u), "--v", str(v), "--L", "2", "--mode", "spectral-dense"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith(f"invariant violation: sink index {v - 1}: the dense spectrum")
 
 
 def test_pebble_trace(capsys):

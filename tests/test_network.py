@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import swnet as sw
-from oracles import splu_resistances, union_find_structure
+from swnet import spaneval as se
+from oracles import on_distances, splu_resistances, union_find_structure
 from swnet.errors import InvalidParams
 from swnet.network import Sym, boundary_laplacian, f1, isomorphic, rebuild_top_down, source_resistances
 
@@ -226,6 +227,30 @@ def test_boundary_laplacian_resistances_equal_sparse_lu(n, ell):
     draws = [(0.1, 1), (0.3, 2), (0.6, 3)] if ell < 3 else [(0.15 + 0.05 * (n % 3), n)]
     for p, seed in draws:
         assert_resistances_match(sw.random_digraph(n, p, seed), 1 + seed % n, ell)
+
+
+@pytest.mark.parametrize("n, ell", RESISTANCE_SIZES)
+def test_witness_path_length_is_3_to_the_ell(n, ell):
+    # spaneval.Evaluation's theorem: a reached sink sits at on-edge distance
+    # exactly 3^ell, the length every accepted report gives.  On the complete
+    # graph every edge is on, so no source-sink path at all is shorter
+    graphs = [(sw.random_digraph(n, 0.3, 2), 2), (sw.complete(n), 1)]
+    if ell == 3:
+        graphs = [(sw.random_digraph(n, 0.15 + 0.05 * (n % 3), n), 1)]
+    for g, root in graphs:
+        dist = None
+        for mode in ("exact", "spectral"):
+            evaluation = se.Evaluation(g, root, 2**ell, mode)
+            for v in range(1, n + 1):
+                if v == root:
+                    continue
+                report = evaluation.report(v, witness=True)
+                if dist is None:
+                    dist = on_distances(evaluation.net, evaluation.mask)
+                d = dist[evaluation.net.sink(v - 1)]
+                assert report.accepted == (d >= 0), (n, ell, mode, v)
+                assert report.path_len == (3**ell if report.accepted else None)
+                assert d in (-1, 3**ell), (n, ell, mode, v)
 
 
 @pytest.mark.parametrize("ell", [0, 1, 2, 3])

@@ -10,6 +10,7 @@ import swnet as sw
 from swnet import flows as fl
 from swnet import spaneval as se
 from swnet.errors import Disconnected, InvalidParams
+from oracles import on_distances
 
 
 def all_digraphs(n):
@@ -66,25 +67,26 @@ def test_dense_and_sector_overlap_agree():
 
 
 def test_decide_phase_estimation_matches_oracle_and_witness_bounds():
+    # the dense route through the pipeline, which fills its witness fields
     for g in all_digraphs(2):
         for u in (1, 2):
             d = sw.bfs_distances(g, u)
             for ell in (0, 1):
-                net = sw.build(2, ell, u)
                 for j in range(2):
                     if j == u - 1:
                         continue
-                    pair = se.build_reflections(net, sw.GraphOracle(g), j)
-                    rep = se.decide_phase_estimation(pair, se.default_psi0(net), witness=True)
+                    rep = se.Evaluation(g, u, 2**ell, "spectral-dense").report(j + 1, witness=True)
                     want = d[j] <= 2**ell
+                    assert rep.route == "dense"
                     assert rep.accepted == want
                     assert 0.0 <= rep.overlap0 <= 1.0 + 1e-12
                     if want:
-                        assert rep.path_len <= 3**ell
+                        assert rep.path_len == 3**ell
                         assert rep.witness_energy <= rep.path_len + 1e-9
 
 
 def test_decide_phase_estimation_witness_is_opt_in(monkeypatch):
+    # the dense decision itself never computes a witness
     g = sw.layered_path(2)
     net = sw.build(2, 1, 1)
     pair = se.build_reflections(net, sw.GraphOracle(g), 1)
@@ -92,6 +94,8 @@ def test_decide_phase_estimation_witness_is_opt_in(monkeypatch):
     monkeypatch.setattr(fl, "optimal_flow_lsq", lambda *a: calls.append(a))
     rep = se.decide_phase_estimation(pair, se.default_psi0(net))
     assert rep.accepted and (rep.witness_energy, rep.path_len) == (None, None)
+    # nor does the pipeline's dense route ask the flow oracle for one
+    assert se.Evaluation(g, 1, 2, "spectral-dense").report(2, witness=True).path_len == 3
     assert calls == []
 
 
@@ -238,11 +242,14 @@ def test_exact_and_spectral_modes_equal_bfs_property(g):
                 want = d <= L
                 assert se.decide_distance(g, u, v, L, mode="exact")[0] == want, (u, v, L)
                 assert se.decide_distance(g, u, v, L, mode="spectral")[0] == want, (u, v, L)
-                report = se.decide_distance_report(g, u, v, L, mode="spectral")
+                evaluation = se.Evaluation(g, u, L, "spectral")  # decide_distance_report's evaluation
+                report = evaluation.report(v, witness=True)
                 assert report.accepted == want
                 if want:
                     assert report.overlap0 == pytest.approx(2 / (2 * report.witness_energy + 4), abs=1e-12)
                     assert report.witness_energy <= report.path_len + 1e-9
+                    net = evaluation.net
+                    assert report.path_len == 3**net.ell == on_distances(net, evaluation.mask)[net.sink(v - 1)]
 
 
 def test_evaluation_answers_every_sink_as_decide_distance():
@@ -340,6 +347,7 @@ def test_dense_route_equals_exact_through_pipeline():
 
 
 def test_dense_route_takes_witness_from_its_own_solve(monkeypatch):
+    # the evaluation's own boundary Laplacian, as on the other routes
     g = sw.layered_path(3)
     exact = se.decide_distance_report(g, 1, 3, 2, mode="exact")
     calls = []
