@@ -38,6 +38,6 @@ Q = fl.build_Bperp_basis(net, 0)
 gram_off = np.abs(Q.T @ Q - np.eye(Q.shape[1])).max()
 print(f"basis size {Q.shape[1]} = |E| + 4 - |V| = {net.edge_count + 4 - net.vertex_count}; "
       f"largest off-diagonal Gram entry {gram_off:.2e}")
-P_B = fl.projector(fl.build_B_spanning(net, 0), require_full_rank=False)
+P_B = fl.projector(fl.build_B_spanning(net, 0))
 frob = np.linalg.norm(P_B + fl.projector(fl.reduced_to_full(net, Q)) - np.eye(P_B.shape[0]))
 print(f"cut-space projector vs complement projector: |P_B + P_perp - I|_F = {frob:.2e}")

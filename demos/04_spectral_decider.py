@@ -32,7 +32,7 @@ print(f"witness: path length {witness.path_len}, flow energy {witness.witness_en
 
 print("\n== sector eigensolve and effective resistance (same statistic) ==")
 mass = se.phase_mass(net, sw.GraphOracle(g2), 2)
-R = se.witness_energy(net, sw.GraphOracle(g2), 2)
+R = se.decide_distance_report(g, 1, 3, 2, mode="spectral").witness_energy
 print(f"sector fixed-space mass = {mass:.4f}, 2/(2R+4) = {2 / (2 * R + 4):.4f} "
       f"(dense gave {report.overlap0:.4f})")
 

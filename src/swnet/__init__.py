@@ -28,11 +28,7 @@ from .network import (
     accepts,
     accepts_all,
     build,
-    edge_on,
-    f1,
-    isomorphic,
     on_edge_mask,
-    rebuild_top_down,
     structure,
 )
 

@@ -50,7 +50,7 @@ def cmd_net_dump(args) -> int:
 
 def cmd_basis_dump(args) -> int:
     ell = _depth(args.L)
-    net = build(args.n, ell, args.root)
+    net = build(args.n, ell, 1)  # the basis reads no query label, so it is the same at every root
     Q = fl.build_Bperp_basis(net, args.sink - 1)
     G = Q.T @ Q
     print(f"# complement basis of n={args.n} L={args.L}: {Q.shape[1]} members")
@@ -91,7 +91,7 @@ def cmd_prep_verify(args) -> int:
                 gates = max(gates, c.gate_count)
         rows.append(("circulations", worst, gates))
     worst, gates = 0.0, 0
-    net = build(n, ell, args.root)
+    net = build(n, ell, 1)  # flow_state reads no query label, so it is the same at every root
     for j in range(n):
         v, c = prep.prepare_theta(n, ell, j, with_boundary=True)
         worst, gates = max(worst, residual(v, fl.flow_state(net, j))), max(gates, c.gate_count)
@@ -162,7 +162,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = basis_sub.add_parser("dump", help="emit the complement-basis Gram matrix as CSV")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
-    p.add_argument("--root", type=int, default=1)
     p.add_argument("--sink", type=int, default=1)
     p.set_defaults(func=cmd_basis_dump)
 
@@ -171,7 +170,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = prep_sub.add_parser("verify", help="print per-family max residual and gate count")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
-    p.add_argument("--root", type=int, default=1)
     p.set_defaults(func=cmd_prep_verify)
 
     p = sub.add_parser("decide", help="bounded-length reachability decision")

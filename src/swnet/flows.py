@@ -20,7 +20,7 @@ Exact arithmetic
 ----------------
 The recursively defined basis flows have rational entries with denominator
 n^ell.  ``unit_flow`` and friends return integer vectors scaled by n^ell
-(or n^(ell-1) for the routed/circulation families), so divergence and norm
+(or n^(ell-1) for the circulations), so divergence and norm
 identities can be checked exactly; closed forms are ``Fraction`` values.
 """
 
@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import Disconnected, InvalidParams, RankDeficient, ZeroZ
-from .network import SwitchingNet, component_labels
+from .network import SwitchingNet, on_component
 
 # -- reduced-representation layout -------------------------------------------
 
@@ -111,30 +111,12 @@ def unit_flow(n: int, ell: int, j: int) -> np.ndarray:
     return out
 
 
-def routed_flow(n: int, ell: int, i: int, j: int) -> np.ndarray:
-    """The unit source-to-sink-j flow routed through midpoint i.
-
-    Scaled by n^(ell-1); requires ell >= 1.  These n^2 vectors average to
-    the optimal flow and their signed combinations span the new
-    circulations created at depth ell.
-    """
-    if ell < 1:
-        raise InvalidParams("routed flows need depth >= 1")
-    ti = unit_flow(n, ell - 1, i)
-    tj = unit_flow(n, ell - 1, j)
-    block = ti.shape[0]
-    out = np.zeros((2 * n + 1) * block, dtype=np.int64)
-    out[:block] = ti
-    out[(1 + i) * block : (2 + i) * block] = tj
-    out[(1 + n + j) * block : (2 + n + j) * block] = ti
-    return out
-
-
 def fourier_circulation(n: int, ell: int, z: int, x: int) -> np.ndarray:
-    """Signed sum over routed flows: sum_{j,i} (-1)^(x.j + z.i) routed(i, j).
+    """Signed sum over routed flows: sum_{j,i} (-1)^(x.j + z.i) p_ij.
 
-    Scaled by n^(ell-1).  A circulation for every z != 0; pairwise
-    orthogonal over (z, x).
+    p_ij is the unit flow to sink j through midpoint i.  Scaled by
+    n^(ell-1).  A circulation for every z != 0; pairwise orthogonal over
+    (z, x).
     """
     if z == 0:
         raise ZeroZ("z must be a nonzero bitstring index")
@@ -200,11 +182,6 @@ def layer_size(n: int, tau: tuple) -> int:
     return n ** (1 + len(tau) - zeros)
 
 
-def sum_inverse_layers(n: int, ell: int) -> Fraction:
-    """sum over tag patterns tau of 1/|E_tau|; equals (n+2)^ell / n^(ell+1)."""
-    return Fraction((n + 2) ** ell, n ** (ell + 1))
-
-
 def flow_sum_norm_sq(n: int, ell: int) -> Fraction:
     """Squared norm of sum_j unit_flow(j) (true scale): n^2 (n+2)^ell / n^(ell+1)."""
     return Fraction(n**2 * (n + 2) ** ell, n ** (ell + 1))
@@ -249,18 +226,6 @@ def divergence(net: SwitchingNet, theta: np.ndarray) -> np.ndarray:
         out[a] += theta[e]
         out[b] -= theta[e]
     return out
-
-
-def on_component(net: SwitchingNet, on_mask: np.ndarray):
-    """The on-edges and the source's component in the on-subgraph.
-
-    Returns (tail, head, reach): the on-edges' endpoint arrays in edge-id
-    order, and a boolean mask of the vertices joined to the source through
-    them (labelled by :func:`swnet.network.component_labels`).
-    """
-    tail, head = (ends[on_mask] for ends in net.struct.edge_ends)
-    lab = component_labels(net.vertex_count, tail, head)
-    return tail, head, lab == lab[net.source]
 
 
 def grounded_laplacian(tail: np.ndarray, head: np.ndarray, reach: np.ndarray, ground: int):
@@ -455,31 +420,21 @@ def build_Bperp_basis(net: SwitchingNet, sink_j: int) -> np.ndarray:
     return np.ascontiguousarray(rows.T)
 
 
-# -- orthonormalization, projectors, complements ---------------------------------
+# -- orthonormalization and projectors ------------------------------------------
 
 RANK_TOL = 1e-10
 
 
-def _rank_scale(columns: np.ndarray) -> float:
-    """The largest column norm, which RANK_TOL is relative to."""
-    return float(np.linalg.norm(columns, axis=0).max(initial=0.0))
+def orthonormalize(columns: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span, from one Householder QR.
 
-
-def orthonormalize(columns: np.ndarray, require_full_rank: bool = True) -> np.ndarray:
-    """Orthonormal basis of the column span.
-
-    With require_full_rank, one Householder QR: column k is dependent on
-    its predecessors when |R_kk|, its distance from their span, is at most
-    RANK_TOL times the largest column norm, and then RankDeficient is
-    raised; the columns of Q are signed so that R has a positive diagonal,
-    as Gram-Schmidt would give.  Without it, the left singular vectors of
-    one SVD whose singular values exceed that bound.
+    Column k is dependent on its predecessors when |R_kk|, its distance
+    from their span, is at most RANK_TOL times the largest column norm, and
+    then RankDeficient is raised; the columns of Q are signed so that R has
+    a positive diagonal, as Gram-Schmidt would give.
     """
     columns = np.asarray(columns, dtype=float)
-    tol = RANK_TOL * _rank_scale(columns)
-    if not require_full_rank:
-        u, s, _ = np.linalg.svd(columns, full_matrices=False)
-        return u[:, s > tol]
+    tol = RANK_TOL * np.linalg.norm(columns, axis=0).max(initial=0.0)
     q, r = np.linalg.qr(columns)
     diag = np.diagonal(r)
     # a column past the row count is dependent whatever its R entry
@@ -489,18 +444,7 @@ def orthonormalize(columns: np.ndarray, require_full_rank: bool = True) -> np.nd
     return q * np.sign(diag)
 
 
-def projector(columns: np.ndarray, require_full_rank: bool = True) -> np.ndarray:
+def projector(columns: np.ndarray) -> np.ndarray:
     """Orthogonal projector Q Q^T onto the column span, Q from :func:`orthonormalize`."""
-    Q = orthonormalize(columns, require_full_rank=require_full_rank)
+    Q = orthonormalize(columns)
     return Q @ Q.T
-
-
-def complement_basis(columns: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the column span.
-
-    The left singular vectors of one full SVD past the span's rank (singular
-    values above RANK_TOL times the largest column norm).
-    """
-    columns = np.asarray(columns, dtype=float)
-    u, s, _ = np.linalg.svd(columns, full_matrices=True)
-    return u[:, int((s > RANK_TOL * _rank_scale(columns)).sum()) :]

@@ -43,13 +43,15 @@ from .graphs import GraphOracle
 
 SRC = 0  # local source slot of a leaf block; slots 1..n are its sinks
 
-#: the most edges a network may have.  A witness decision on a complete
-#: graph at (9, 4), 1.17M edges, peaked at 210 B of address space per edge
-#: (VmPeak 232 MiB) for the structure, the mask, the component labels and a
-#: breadth-first search it no longer runs; R comes from a 10 x 10 boundary
-#: Laplacian.  The budget was set when a sparse LU found R, at 2.4 KB per
-#: edge under a 3 GiB RLIMIT_AS; it stays, because the build, the mask and
-#: the labels still cost O(|E|) time and memory per decision
+#: the most edges a network may have.  The largest decision it admits is
+#: (67, 2), 1.22M edges: `swnet decide` at L = 4 on G(67, p), seed 1, takes
+#: 1.7-2.0 s, VmPeak 533 MiB and ru_maxrss 455-457 MB at p in {0.3, 0.6, 1},
+#: and 0.32 s and 155 MB at p = 0.05 (2-core x86, one BLAS thread).  The
+#: structure, the mask and the component labels take 0.13 s and 103 MB of
+#: that; on the denser graphs the rest is boundary_laplacian's top-level
+#: dense solve over up to 67 * 68 internal vertices (1.64 s, 418 MB
+#: alone).  The budget was set when a sparse LU found R, at 2.4 KB per edge
+#: under a 3 GiB RLIMIT_AS
 MAX_NETWORK_EDGES = 1_250_000
 
 
@@ -97,24 +99,6 @@ class Sym:
         if code == 0:
             return 0
         return code - 1 if code <= self.n else code - 1 - self.n
-
-
-def f1(sigma: tuple, sym: Sym | None = None, n: int | None = None) -> int:
-    """Position (1-indexed) of the last tag-1 symbol in sigma, else 0.
-
-    ``sigma`` is a tuple of (tag, payload) pairs or of int codes (then a
-    ``Sym`` or n is required).  Position 1 is the outermost block; the last
-    tag-1 symbol names the root of the leaf block an edge lives in.
-    """
-    if sigma and isinstance(sigma[0], int):
-        if sym is None:
-            sym = Sym(n)
-        sigma = [(sym.tag(c), sym.payload(c)) for c in sigma]
-    best = 0
-    for pos, (tag, _payload) in enumerate(sigma, start=1):
-        if tag == 1:
-            best = pos
-    return best
 
 
 def leaf_symbols(n: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
@@ -178,6 +162,18 @@ def component_labels(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             if np.array_equal(jumped, lab):
                 break
             lab = jumped
+
+
+def on_component(net: SwitchingNet, on_mask: np.ndarray):
+    """The on-edges and the source's component in the on-subgraph.
+
+    Returns (tail, head, reach): the on-edges' endpoint arrays in edge-id
+    order, and a boolean mask of the vertices joined to the source through
+    them (labelled by :func:`component_labels`).
+    """
+    tail, head = (ends[on_mask] for ends in net.struct.edge_ends)
+    lab = component_labels(net.vertex_count, tail, head)
+    return tail, head, lab == lab[net.source]
 
 
 class NetStructure:
@@ -355,22 +351,13 @@ def build(n: int, ell: int, root: int) -> SwitchingNet:
 
 # -- evaluation against an input graph --------------------------------------
 
-def edge_on(net: SwitchingNet, e: int, oracle: GraphOracle) -> bool:
-    """Whether edge e is on for the oracle's graph; costs one oracle query.
+def on_edge_mask(net: SwitchingNet, oracle: GraphOracle) -> np.ndarray:
+    """Boolean on/off mask over all edges; costs exactly |E| oracle queries.
 
     Labels with equal endpoints are constant-true literals (reaching a
     vertex from itself is free); they are on regardless of the input, which
     is what makes the recursive construction decide "distance at most
     2^ell" rather than "exact length 2^ell".
-    """
-    a, b = net.query_label(e)
-    return a == b or oracle.query(a, b)
-
-
-def on_edge_mask(net: SwitchingNet, oracle: GraphOracle) -> np.ndarray:
-    """Boolean on/off mask over all edges; costs exactly |E| oracle queries.
-
-    Equal-endpoint labels are always on; see :func:`edge_on`.
     """
     a, b = net.struct.label_arrays(net.root)
     oracle.query_count += net.edge_count
@@ -425,11 +412,8 @@ def accepts(net: SwitchingNet, oracle: GraphOracle, sink_index: int):
 
 
 def accepts_all(net: SwitchingNet, oracle: GraphOracle) -> np.ndarray:
-    """Vector of accepts() over all n sinks from one labelling of the on-components."""
-    mask = on_edge_mask(net, oracle)
-    tail, head = (ends[mask] for ends in net.struct.edge_ends)
-    lab = component_labels(net.vertex_count, tail, head)
-    return lab[net.struct.sink_vids] == lab[net.source]
+    """Vector of accepts() over all n sinks, from the labelling decisions read (:func:`on_component`)."""
+    return on_component(net, on_edge_mask(net, oracle))[2][net.struct.sink_vids]
 
 
 # -- the on-subgraph reduced onto the boundary ----------------------------------
@@ -523,107 +507,3 @@ def source_resistances(K: np.ndarray) -> np.ndarray:
     out[reached - 1] = np.diag(np.linalg.inv(K[np.ix_(reached, reached)]))
     return out
 
-
-# -- top-down rebuild --------------------------------------------------------
-
-class RebuiltNet:
-    """Depth-(ell+1) network obtained by inflating each leaf to a depth-1 block.
-
-    Independent of the bottom-up recursion in NetStructure: the depth-ell
-    skeleton is kept, every leaf star is replaced in place by a two-level
-    block with the same boundary, and only the new internal vertices are
-    created.  Used to cross-check the construction.
-    """
-
-    def __init__(self, base: SwitchingNet):
-        st = base.struct
-        n, R = st.n, st.sym.size
-        self.n = n
-        self.ell = st.ell + 1
-        self.root = base.root
-        self.edge_count = st.edge_count * R
-        self.sym = st.sym
-
-        # new internal vertices per old leaf: mid_i and pair_{i,j}
-        nv = st.vertex_count
-        self._mid = {}
-        self._pair = {}
-        for leaf in range(st.num_leaves):
-            for i in range(n):
-                self._mid[leaf, i] = nv
-                nv += 1
-            for i in range(n):
-                for j in range(n):
-                    self._pair[leaf, i, j] = nv
-                    nv += 1
-        self.vertex_count = nv
-        self._st = st
-        self.source = st.source_vid
-        self.sink_vids = st.sink_vids
-
-    def endpoints(self, e: int) -> tuple[int, int]:
-        # e indexes Sigma^(ell+1) x [n] = (old leaf) x Sigma x [n]
-        st = self._st
-        n, R = self.n, self.sym.size
-        rest, k = divmod(e, n)
-        leaf, c = divmod(rest, R)
-        old_src = int(st._leaf_src_vid[leaf])
-        tag, pay = self.sym.tag(c), self.sym.payload(c)
-        if tag == 0:
-            a, b = old_src, self._mid[leaf, k]
-        elif tag == 1:
-            a, b = self._mid[leaf, pay], self._pair[leaf, pay, k]
-        else:
-            # block (2,j): source is the enclosing leaf's sink j; reversed
-            a, b = self._pair[leaf, k, pay], int(st._leaf_sink_vid[leaf, pay])
-        if st._leaf_rev[leaf]:
-            a, b = b, a
-        return a, b
-
-    def query_label(self, e: int) -> tuple[int, int]:
-        st = self._st
-        n, R = self.n, self.sym.size
-        rest, k = divmod(e, n)
-        leaf, c = divmod(rest, R)
-        tag, pay = self.sym.tag(c), self.sym.payload(c)
-        if tag == 1:
-            return pay + 1, k + 1
-        src = st._leaf_label_src[leaf]
-        a = self.root if src < 0 else int(src) + 1
-        return a, k + 1
-
-
-def rebuild_top_down(base: SwitchingNet) -> RebuiltNet:
-    """Inflate every leaf block of ``base`` one level; see RebuiltNet."""
-    return RebuiltNet(base)
-
-
-def isomorphic(a, b) -> bool:
-    """Structural equality of two networks over the shared edge id space.
-
-    Checks edge counts, per-edge query labels, boundary identification, and
-    that the endpoint pairs induce a consistent vertex bijection.
-    """
-    if a.edge_count != b.edge_count or a.vertex_count != b.vertex_count:
-        return False
-    fwd, bwd = {}, {}
-
-    def match(x, y):
-        if fwd.setdefault(x, y) != y or bwd.setdefault(y, x) != x:
-            return False
-        return True
-
-    a_sinks = a.sink_vids if hasattr(a, "sink_vids") else a.struct.sink_vids
-    b_sinks = b.sink_vids if hasattr(b, "sink_vids") else b.struct.sink_vids
-    if not match(a.source, b.source):
-        return False
-    for sa, sb in zip(a_sinks, b_sinks):
-        if not match(int(sa), int(sb)):
-            return False
-    for e in range(a.edge_count):
-        if a.query_label(e) != b.query_label(e):
-            return False
-        (ta, ha), (tb, hb) = a.endpoints(e), b.endpoints(e)
-        if not (match(ta, tb) and match(ha, hb)):
-            return False
-    return True

@@ -61,14 +61,13 @@ class AmplitudeSpec:
     """Target amplitudes over length-m strings via exact prefix sums.
 
     ``prefix_sum(p)`` returns the exact sum of squared amplitudes over all
-    strings extending the prefix p (a tuple over range(d)); ``sign(s)``
-    optionally supplies amplitude signs (default nonnegative).
+    strings extending the prefix p (a tuple over range(d)).  Amplitudes are
+    nonnegative; the preparers sign their own blocks.
     """
 
     m: int
     d: int
     prefix_sum: object
-    sign: object = None
 
 
 def grover_rudolph(spec: AmplitudeSpec) -> tuple[np.ndarray, PrepCircuit]:
@@ -90,10 +89,7 @@ def grover_rudolph(spec: AmplitudeSpec) -> tuple[np.ndarray, PrepCircuit]:
         if weight < 0:
             raise NegativePrefix(f"prefix {prefix} has negative squared amplitude")
         if len(prefix) == spec.m:
-            a = math.sqrt(float(weight / total))
-            if spec.sign is not None and spec.sign(prefix) < 0:
-                a = -a
-            amps[index] = a
+            amps[index] = math.sqrt(float(weight / total))
             return
         children = [spec.prefix_sum(prefix + (c,)) for c in range(spec.d)]
         if sum(children) != weight:

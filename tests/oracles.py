@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from swnet import flows as fl
-from swnet.errors import RankDeficient
-from swnet.network import SRC, Sym, on_edge_mask
+from swnet.errors import InvalidParams, RankDeficient
+from swnet.network import SRC, SwitchingNet, Sym, on_component, on_edge_mask
 
 
 class _UnionFind:
@@ -98,11 +98,11 @@ def union_find_structure(n: int, ell: int) -> dict:
 
 # -- dense cross-check builders, one column at a time ---------------------------
 
-def mgs_orthonormalize(columns: np.ndarray, require_full_rank: bool = True) -> np.ndarray:
+def mgs_orthonormalize(columns: np.ndarray) -> np.ndarray:
     """Modified Gram-Schmidt with a re-orthogonalization pass.
 
-    Returns an orthonormal basis of the column span.  With
-    require_full_rank, raises RankDeficient if any input column drops out.
+    Returns an orthonormal basis of the column span; raises RankDeficient
+    if any input column drops out.
     """
     basis = []
     scale = max(np.linalg.norm(columns[:, k]) for k in range(columns.shape[1]))
@@ -113,15 +113,13 @@ def mgs_orthonormalize(columns: np.ndarray, require_full_rank: bool = True) -> n
                 v -= (b @ v) * b
         norm = np.linalg.norm(v)
         if norm <= fl.RANK_TOL * scale:
-            if require_full_rank:
-                raise RankDeficient(f"column {k} is dependent on its predecessors")
-            continue
+            raise RankDeficient(f"column {k} is dependent on its predecessors")
         basis.append(v / norm)
     return np.column_stack(basis)
 
 
-def mgs_projector(columns: np.ndarray, require_full_rank: bool = True) -> np.ndarray:
-    Q = mgs_orthonormalize(columns, require_full_rank=require_full_rank)
+def mgs_projector(columns: np.ndarray) -> np.ndarray:
+    Q = mgs_orthonormalize(columns)
     return Q @ Q.T
 
 
@@ -171,6 +169,25 @@ def loop_fourier_circulation(n: int, ell: int, z: int, x: int) -> np.ndarray:
     return out
 
 
+def routed_flow(n: int, ell: int, i: int, j: int) -> np.ndarray:
+    """The unit source-to-sink-j flow routed through midpoint i.
+
+    Scaled by n^(ell-1); requires ell >= 1.  These n^2 vectors average to
+    the optimal flow and their signed combinations span the new
+    circulations created at depth ell.
+    """
+    if ell < 1:
+        raise InvalidParams("routed flows need depth >= 1")
+    ti = fl.unit_flow(n, ell - 1, i)
+    tj = fl.unit_flow(n, ell - 1, j)
+    block = ti.shape[0]
+    out = np.zeros((2 * n + 1) * block, dtype=np.int64)
+    out[:block] = ti
+    out[(1 + i) * block : (2 + i) * block] = tj
+    out[(1 + n + j) * block : (2 + n + j) * block] = ti
+    return out
+
+
 # -- on-edge distances by breadth-first search ------------------------------------
 
 def on_distances(net, on_mask) -> np.ndarray:
@@ -216,7 +233,7 @@ def splu_resistances(net, mask) -> np.ndarray:
     """
     from scipy.sparse.linalg import splu
 
-    tail, head, reach = fl.on_component(net, mask)
+    tail, head, reach = on_component(net, mask)
     unknowns, lap = fl.grounded_laplacian(tail, head, reach, net.source)
     out = np.full(net.n, np.nan)
     lu = splu(lap, permc_spec=fl.LAPLACIAN_ORDER)
@@ -228,3 +245,108 @@ def splu_resistances(net, mask) -> np.ndarray:
             rhs[k] = 1.0
             out[j] = lu.solve(rhs)[k]
     return out
+
+
+# -- the network one level deeper, rebuilt top-down ----------------------------
+
+class RebuiltNet:
+    """Depth-(ell+1) network obtained by inflating each leaf to a depth-1 block.
+
+    Independent of the bottom-up recursion in NetStructure: the depth-ell
+    skeleton is kept, every leaf star is replaced in place by a two-level
+    block with the same boundary, and only the new internal vertices are
+    created.  Used to cross-check the construction.
+    """
+
+    def __init__(self, base: SwitchingNet):
+        st = base.struct
+        n, R = st.n, st.sym.size
+        self.n = n
+        self.ell = st.ell + 1
+        self.root = base.root
+        self.edge_count = st.edge_count * R
+        self.sym = st.sym
+
+        # new internal vertices per old leaf: mid_i and pair_{i,j}
+        nv = st.vertex_count
+        self._mid = {}
+        self._pair = {}
+        for leaf in range(st.num_leaves):
+            for i in range(n):
+                self._mid[leaf, i] = nv
+                nv += 1
+            for i in range(n):
+                for j in range(n):
+                    self._pair[leaf, i, j] = nv
+                    nv += 1
+        self.vertex_count = nv
+        self._st = st
+        self.source = st.source_vid
+        self.sink_vids = st.sink_vids
+
+    def endpoints(self, e: int) -> tuple[int, int]:
+        # e indexes Sigma^(ell+1) x [n] = (old leaf) x Sigma x [n]
+        st = self._st
+        n, R = self.n, self.sym.size
+        rest, k = divmod(e, n)
+        leaf, c = divmod(rest, R)
+        old_src = int(st._leaf_src_vid[leaf])
+        tag, pay = self.sym.tag(c), self.sym.payload(c)
+        if tag == 0:
+            a, b = old_src, self._mid[leaf, k]
+        elif tag == 1:
+            a, b = self._mid[leaf, pay], self._pair[leaf, pay, k]
+        else:
+            # block (2,j): source is the enclosing leaf's sink j; reversed
+            a, b = self._pair[leaf, k, pay], int(st._leaf_sink_vid[leaf, pay])
+        if st._leaf_rev[leaf]:
+            a, b = b, a
+        return a, b
+
+    def query_label(self, e: int) -> tuple[int, int]:
+        st = self._st
+        n, R = self.n, self.sym.size
+        rest, k = divmod(e, n)
+        leaf, c = divmod(rest, R)
+        tag, pay = self.sym.tag(c), self.sym.payload(c)
+        if tag == 1:
+            return pay + 1, k + 1
+        src = st._leaf_label_src[leaf]
+        a = self.root if src < 0 else int(src) + 1
+        return a, k + 1
+
+
+def rebuild_top_down(base: SwitchingNet) -> RebuiltNet:
+    """Inflate every leaf block of ``base`` one level; see RebuiltNet."""
+    return RebuiltNet(base)
+
+
+def isomorphic(a, b) -> bool:
+    """Structural equality of two networks over the shared edge id space.
+
+    Checks edge counts, per-edge query labels, boundary identification, and
+    that the endpoint pairs induce a consistent vertex bijection.
+    """
+    if a.edge_count != b.edge_count or a.vertex_count != b.vertex_count:
+        return False
+    fwd, bwd = {}, {}
+
+    def match(x, y):
+        if fwd.setdefault(x, y) != y or bwd.setdefault(y, x) != x:
+            return False
+        return True
+
+    a_sinks = a.sink_vids if hasattr(a, "sink_vids") else a.struct.sink_vids
+    b_sinks = b.sink_vids if hasattr(b, "sink_vids") else b.struct.sink_vids
+    if not match(a.source, b.source):
+        return False
+    for sa, sb in zip(a_sinks, b_sinks):
+        if not match(int(sa), int(sb)):
+            return False
+    for e in range(a.edge_count):
+        if a.query_label(e) != b.query_label(e):
+            return False
+        (ta, ha), (tb, hb) = a.endpoints(e), b.endpoints(e)
+        if not (match(ta, tb) and match(ha, hb)):
+            return False
+    return True

@@ -108,7 +108,7 @@ def test_criterion_03_basis_validity():
             for k in range(Q.shape[1] - 3):  # all but the flow and |s>, |t>
                 theta = Q[: net.edge_count, k] / math.sqrt(2.0)
                 div_worst = max(div_worst, np.abs(fl.divergence(net, theta)).max())
-            P_B = fl.projector(fl.build_B_spanning(net, j), require_full_rank=False)
+            P_B = fl.projector(fl.build_B_spanning(net, j))
             frob = np.linalg.norm(P_B + fl.projector(fl.reduced_to_full(net, Q)) - np.eye(P_B.shape[0]))
             ok &= card_ok and gram < 1e-9 and div_worst < 1e-9 and frob < 1e-8
             details.append(f"n={n},L={L},j={j}: gram {gram:.1e} frob {frob:.1e}")

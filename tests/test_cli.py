@@ -130,6 +130,27 @@ def test_decide_refuses_a_network_past_the_edge_budget(tmp_path, L):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "MAX_NETWORK_EDGES" in lines[0]
 
 
+@pytest.mark.parametrize("n, code", [(67, 0), (68, 2)])
+def test_decide_at_the_edge_budget(tmp_path, n, code):
+    # (67, 2) is the largest network MAX_NETWORK_EDGES admits, and its
+    # decision fits in a 1 GiB address space (VmPeak 533 MiB measured);
+    # (68, 2) is refused before anything is built
+    graph = tmp_path / "g.txt"
+    sw.write_graph_file(graph, sw.random_digraph(n, 0.3, 1))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(sw.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "swnet.cli", "decide", "--graph", str(graph),
+         "--u", "1", "--v", str(n), "--L", "4", "--json"],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert json.loads(proc.stdout)["route"] == "resistance"
+    else:
+        assert proc.stdout == "" and "MAX_NETWORK_EDGES" in proc.stderr
+
+
 def test_decide_witness_solve_is_bounded_at_16_3(tmp_path):
     # the source's on-component has 9493 vertices: a dense grounded Laplacian
     # of it (721 MB, then a copy) does not fit in a 1 GiB address space
@@ -153,6 +174,15 @@ def test_decide_witness_solve_is_bounded_at_16_3(tmp_path):
 def test_fixed_depth_commands_reject_bad_L(capsys, command, L):
     assert main([*command, "--n", "2", "--L", L]) == 2
     assert "power of two" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["basis", "dump"], ["prep", "verify"]])
+def test_fixed_depth_commands_take_no_root(capsys, command):
+    # their output is the same at every root, so the option is gone
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--n", "2", "--L", "2", "--root", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --root 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["basis", "dump"], ["prep", "verify"]])

@@ -5,10 +5,12 @@ import pytest
 
 import swnet as sw
 from swnet import flows as fl
+from swnet import prep
 from swnet.errors import Disconnected, InvalidParams, RankDeficient, ZeroZ
 from swnet.network import _component_and_parents
 from oracles import (
     loop_A_basis, loop_B_spanning, loop_fourier_circulation, mgs_orthonormalize, mgs_projector, on_distances,
+    routed_flow,
 )
 
 TOL = 1e-9
@@ -25,7 +27,7 @@ def test_layer_size_formula():
     assert fl.layer_size(2, (0,)) == 2
     assert fl.layer_size(2, (1,)) == 4
     # brute force at n=2, ell=1: layers of sizes 2, 4, 4
-    assert fl.sum_inverse_layers(2, 1) == Fraction(1, 2) + Fraction(1, 4) + Fraction(1, 4)
+    assert prep.prefix_sum_S(2, 1, ()) == Fraction(1, 2) + Fraction(1, 4) + Fraction(1, 4)
 
 
 def test_flow_norm_closed_forms_match_integer_vectors():
@@ -53,7 +55,7 @@ def test_specific_norm_values():
     assert fl.flow_norm_sq(2, 1) == Fraction(3, 2)  # 3/n at n=2
     assert fl.flow_norm_sq(2, 2) == Fraction(33, 12)
     assert fl.flow_sum_norm_sq(2, 1) == 4
-    assert fl.sum_inverse_layers(2, 1) == 1
+    assert prep.prefix_sum_S(2, 1, ()) == 1
 
 
 # -- flows and circulations on the network -------------------------------------
@@ -71,7 +73,7 @@ def test_unit_flow_divergence():
 
 def test_routed_flow_averages_to_unit_flow():
     for n, ell in [(2, 1), (4, 2)]:
-        total = sum(fl.routed_flow(n, ell, i, 0) for i in range(n))
+        total = sum(routed_flow(n, ell, i, 0) for i in range(n))
         assert (total == fl.unit_flow(n, ell, 0)).all()
 
 
@@ -117,7 +119,7 @@ def test_routed_vs_circulation_inner_products():
     n, ell = 4, 1
     scale = float(n) ** (ell - 1)
     p = {
-        (i, j): fl.routed_flow(n, ell, i, j).astype(float) / scale
+        (i, j): routed_flow(n, ell, i, j).astype(float) / scale
         for i in range(n)
         for j in range(n)
     }
@@ -140,7 +142,7 @@ def test_routed_vs_circulation_inner_products():
 
 def test_routed_norm_is_three_blocks():
     # <p_ij, p_ij> = 3 c1, with c1 = 1 at depth 1
-    p = fl.routed_flow(2, 1, 0, 1).astype(float)
+    p = routed_flow(2, 1, 0, 1).astype(float)
     assert p @ p == pytest.approx(3.0)
 
 
@@ -197,6 +199,17 @@ def test_complement_basis_needs_power_of_two():
     # the network and its flows take any n; the signs z.i of the circulations do not
     with pytest.raises(InvalidParams, match="power of two"):
         fl.build_Bperp_basis(sw.build(3, 1, 1), 0)
+
+
+@pytest.mark.parametrize("n, ell", [(2, 2), (4, 1), (4, 2)])
+def test_complement_basis_and_flow_state_are_root_independent(n, ell):
+    # they read no query label, which is why basis dump and prep verify take no --root
+    for j in range(n):
+        basis, flow = fl.build_Bperp_basis(sw.build(n, ell, 1), j), fl.flow_state(sw.build(n, ell, 1), j)
+        for root in range(2, n + 1):
+            net = sw.build(n, ell, root)
+            assert fl.build_Bperp_basis(net, j).tobytes() == basis.tobytes(), (n, ell, root, j)
+            assert fl.flow_state(net, j).tobytes() == flow.tobytes(), (n, ell, root, j)
 
 
 def test_on_distances_match_python_bfs():
@@ -306,11 +319,6 @@ def test_projector_properties_and_complement():
     assert np.abs(P - P.T).max() < 1e-12
     assert np.abs(P @ P - P).max() < 1e-10
     assert round(np.trace(P)) == net.edge_count + 2
-    comp = fl.complement_basis(cols)
-    assert comp.shape[1] == fl.full_dim(net) - (net.edge_count + 2)
-    assert np.abs(cols.T @ comp).max() < 1e-9
-    full = np.eye(4)
-    assert fl.complement_basis(full).shape[1] == 0
 
 
 def test_projector_rank_deficient_raises():
@@ -324,7 +332,7 @@ def test_projectors_complementary_both_routes():
     for n, ell in [(2, 1), (2, 2)]:
         net = sw.build(n, ell, 1)
         for j in range(n):
-            P_B = fl.projector(fl.build_B_spanning(net, j), require_full_rank=False)
+            P_B = fl.projector(fl.build_B_spanning(net, j))
             P_perp = fl.projector(fl.reduced_to_full(net, fl.build_Bperp_basis(net, j)))
             assert np.linalg.norm(P_B + P_perp - np.eye(P_B.shape[0])) < 1e-8
 
@@ -359,22 +367,14 @@ def test_dense_builders_equal_loop_oracles(n, ell):
 
 
 def test_rank_deficient_span_equals_gram_schmidt():
-    # the signed stars sum to |ls> + |rt>, so appending it, and a sum of
-    # symmetric edge columns, leaves the span and its rank unchanged
+    # the signed stars sum to |ls> + |rt>, so appending it leaves the span
+    # unchanged, and QR and Gram-Schmidt both name it the first dependent column
     net = sw.build(2, 2, 1)
     span = fl.build_B_spanning(net, 1)
     V, E = net.vertex_count, net.edge_count
-    extra = np.zeros((fl.full_dim(net), 2))
-    extra[[2 * E + 2, 2 * E + 3], 0] = 1.0
-    extra[:, 1] = span[:, V : V + 3].sum(axis=1)
-    cols = np.column_stack([span[:, :3], extra, span[:, 3:]])
-    Q = fl.orthonormalize(cols, require_full_rank=False)
-    assert Q.shape[1] == mgs_orthonormalize(cols, require_full_rank=False).shape[1] == V + E
-    want = mgs_projector(cols, require_full_rank=False)
-    assert np.abs(fl.projector(cols, require_full_rank=False) - want).max() <= 1e-12
-    assert np.abs(Q.T @ Q - np.eye(V + E)).max() <= 1e-12
-    # and with full rank required, both name the first dependent column
-    dependent = np.column_stack([span, extra[:, 0]])
+    extra = np.zeros(fl.full_dim(net))
+    extra[[2 * E + 2, 2 * E + 3]] = 1.0
+    dependent = np.column_stack([span, extra])
     for build in (fl.projector, mgs_projector):
         with pytest.raises(RankDeficient, match=f"column {V + E} "):
             build(dependent)
@@ -384,4 +384,3 @@ def test_wide_input_is_rank_deficient():
     cols = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
     with pytest.raises(RankDeficient, match="column 2 "):
         fl.orthonormalize(cols)
-    assert fl.orthonormalize(cols, require_full_rank=False).shape == (2, 2)

@@ -56,15 +56,6 @@ def test_grover_rudolph_negative_prefix():
         prep.grover_rudolph(spec)
 
 
-def test_grover_rudolph_signs():
-    spec = prep.AmplitudeSpec(
-        m=1, d=2, prefix_sum=lambda p: Fraction(2 ** (1 - len(p)), 2),
-        sign=lambda s: -1 if s[0] else 1,
-    )
-    v, _ = prep.grover_rudolph(spec)
-    assert np.abs(v - [1 / math.sqrt(2), -1 / math.sqrt(2)]).max() < 1e-12
-
-
 def test_prefix_sums_exact_against_enumeration():
     for n in (2, 4):
         for ell in (1, 2, 3):
