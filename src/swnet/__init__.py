@@ -32,4 +32,9 @@ from .network import (
     structure,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Digraph", "GraphOracle", "INF", "attach_source_path", "bfs_distance", "bfs_distances", "complete",
+    "from_edges", "layered_path", "pad_to_power_of_two", "random_digraph", "read_graph_file",
+    "write_graph_file", "NetStructure", "SwitchingNet", "accepts", "accepts_all", "build", "on_edge_mask",
+    "structure",
+]

@@ -43,15 +43,17 @@ from .graphs import GraphOracle
 
 SRC = 0  # local source slot of a leaf block; slots 1..n are its sinks
 
-#: the most edges a network may have.  The largest decision it admits is
-#: (67, 2), 1.22M edges: `swnet decide` at L = 4 on G(67, p), seed 1, takes
-#: 1.7-2.0 s, VmPeak 533 MiB and ru_maxrss 455-457 MB at p in {0.3, 0.6, 1},
-#: and 0.32 s and 155 MB at p = 0.05 (2-core x86, one BLAS thread).  The
-#: structure, the mask and the component labels take 0.13 s and 103 MB of
-#: that; on the denser graphs the rest is boundary_laplacian's top-level
-#: dense solve over up to 67 * 68 internal vertices (1.64 s, 418 MB
-#: alone).  The budget was set when a sparse LU found R, at 2.4 KB per edge
-#: under a 3 GiB RLIMIT_AS
+#: the most edges a network may have, checked in every decision mode.  The
+#: largest decision it admits is (67, 2), 1.22M edges.  Only the exact and
+#: spectral-dense routes build the structure, the mask and (exact) the
+#: component labels, 0.08-0.1 s and 33-36 MB of max RSS; the spectral route
+#: builds none of them.  `swnet decide` (spectral) at L = 4 on G(67, p),
+#: seed 1, takes 1.0-1.1 s and ru_maxrss 409-410 MB at p in {0.3, 0.6, 1},
+#: and 0.13 s and 117 MB at p = 0.05 (2-core x86, one BLAS thread, one run
+#: each; 1.1 s / 444-446 MB and 0.21 s / 150 MB while it built them).  On
+#: the denser graphs that is mostly boundary_laplacian's top-level dense
+#: solve over up to 67 * 68 internal vertices.  The budget was set when a
+#: sparse LU found R, at 2.4 KB per edge under a 3 GiB RLIMIT_AS
 MAX_NETWORK_EDGES = 1_250_000
 
 
@@ -412,7 +414,7 @@ def accepts(net: SwitchingNet, oracle: GraphOracle, sink_index: int):
 
 
 def accepts_all(net: SwitchingNet, oracle: GraphOracle) -> np.ndarray:
-    """Vector of accepts() over all n sinks, from the labelling decisions read (:func:`on_component`)."""
+    """Vector of accepts() over all n sinks, from the labelling the exact route reads (:func:`on_component`)."""
     return on_component(net, on_edge_mask(net, oracle))[2][net.struct.sink_vids]
 
 

@@ -23,13 +23,14 @@ Phase estimation at the cost the runtime formula pays therefore resolves
 the answer.
 
 Desk-scale shortcut: the spectral decision reads that mass off the
-identity, at every network size.  An ``Evaluation`` of one source and one
-length bound builds and masks the network once and labels the source's
-on-component once; every route reads reach from those labels, which
-settles every rejection.  On the first sink that needs R it Kron-reduces
-the on-subgraph onto the source and the n sinks
-(``network.boundary_laplacian``, built from the input graph along the
-network's recursion, never from its |E| edges); R for every sink is then
+identity, at every network size, and builds no network.  An ``Evaluation``
+of one source and one length bound grafts the input once and finds reach
+once, by a BFS of the grafted graph bounded at the rounded length, which
+the network theorem (swnet.network) makes the source's on-component; every
+route's verdict is held to it, and it settles every rejection.  On the
+first sink that needs R it Kron-reduces the on-subgraph onto the source
+and the n sinks (``network.boundary_laplacian``, built from the input
+graph along the network's recursion, never from its |E| edges); R for every sink is then
 a diagonal entry of the inverse of that small Laplacian, grounded at the
 source, so one evaluation answers every sink.  Every route's witness is
 that R and the path length 3^ell, which the Evaluation docstring proves.
@@ -51,8 +52,10 @@ import numpy as np
 
 from . import flows as fl
 from .errors import BasisMismatch, InvalidParams, ReachMismatch
-from .graphs import Digraph, GraphOracle, attach_source_path, pad_to_power_of_two
-from .network import SwitchingNet, boundary_laplacian, build, check_edge_budget, on_edge_mask, source_resistances
+from .graphs import Digraph, GraphOracle, attach_source_path, bfs_distances, pad_to_power_of_two
+from .network import (
+    SwitchingNet, accepts_all, boundary_laplacian, build, check_edge_budget, on_edge_mask, source_resistances,
+)
 from .network import accepts  # noqa: F401  (bound here for perfbench's tracer, which wraps spaneval.accepts)
 
 #: calibration of the simulated decider: a single global rule, not tuned
@@ -252,46 +255,51 @@ SPECTRAL_DIM_CAP = 5000  # state-space dimension above which spectral-dense refu
 class Evaluation:
     """One network evaluation for a source u and a length bound L (any L >= 1).
 
+    u must be a vertex of g and every sink v one too, else InvalidParams.
     Rounds L up to 2^ell = 2^ceil(log2 L) by grafting a feeder path of
-    2^ell - L vertices into u, builds the depth-ell network on the grafted
-    graph, rooted at the chain head, and masks its edges (|E| oracle
-    queries), once, on the first sink v != u.  Only mode "spectral-dense"
-    pads the grafted graph to a power of two first, since its complement
-    basis signs by bitstrings.  The rounded L may be at most the power of
-    two at or above the grafted vertex count, and the network may have at
-    most MAX_NETWORK_EDGES edges (network.check_edge_budget); past either
-    the first sink v != u raises InvalidParams, before anything is grafted
-    or allocated.  The source's on-component is also labelled once, on the
-    first sink that needs it, and every route reads reach from those labels.
-    ``report(v)`` then answers "is there a directed u -> v path of length at
-    most L" along one route, recorded in ``report.route``:
+    2^ell - L vertices into u, once, on the first sink v != u; the depth-ell
+    network on the grafted graph is rooted at the chain head.  Only mode
+    "spectral-dense" pads the grafted graph to a power of two first, since
+    its complement basis signs by bitstrings.  The rounded L may be at most
+    the power of two at or above the grafted vertex count, and the network
+    may have at most MAX_NETWORK_EDGES edges (network.check_edge_budget), in
+    every mode, built or not; past either the first sink v != u raises
+    InvalidParams, before anything is grafted or allocated.  Reach is found
+    once: a vertex is reached when the BFS of the grafted graph puts it
+    within distance 2^ell of the root, which the network theorem
+    (swnet.network) makes the sinks of the source's on-component.  Every
+    route's verdict is held to it, and ReachMismatch is raised if they
+    differ.  ``report(v)`` then answers "is there a directed u -> v path of
+    length at most L" along one route, recorded in ``report.route``:
 
     - ``trivial``: v == u, answered without the network;
-    - ``exact`` (mode "exact"): whether the labels put sink v in the
-      source's on-component;
+    - ``exact`` (mode "exact"): whether the component labels of the built
+      and masked network put sink v in the source's on-component;
     - ``resistance`` (mode "spectral", every size): the fixed-space mass
-      2 / (2 R + 4), or 0 when the labels put sink v outside the source's
-      component.  R is the effective resistance, read for every sink at
-      once off the (n'+1) x (n'+1) boundary Laplacian
-      (network.boundary_laplacian) on the first sink that needs it;
+      2 / (2 R + 4), or 0 when sink v is not reached; builds no network.
+      R is the effective resistance, read for every sink at once off the
+      (n'+1) x (n'+1) boundary Laplacian (network.boundary_laplacian) on
+      the first reached sink, whose pattern must join the reached sinks to
+      the source and no others;
     - ``dense`` (mode "spectral-dense"): the dense reflections for sink v
-      and their eigendecomposition, one per sink; refused with
-      InvalidParams above SPECTRAL_DIM_CAP.  The spectrum's verdict must be
-      the labels', else ReachMismatch.
+      and their eigendecomposition, one per sink, on the built network;
+      refused with InvalidParams above SPECTRAL_DIM_CAP, before it is
+      built.
 
-    Every report carries the full ledger of one decision: the accounted
-    quantum time and register cells at the vertex count the network is
-    built on (n + 2^ell - L; padded only in spectral-dense), one decider
-    call, the |E| oracle queries of the mask and one network evaluation.
-    The trivial report is charged one decider call at the graph's own n,
-    with no queries and no evaluation, and builds nothing.
+    Only the exact and dense routes build the network (``net``, on first
+    use).  Every report carries the full ledger of one decision: the
+    accounted quantum time and register cells at the vertex count the
+    network is built on (n + 2^ell - L; padded only in spectral-dense), one
+    decider call, the |E| oracle queries of masking the network and one
+    network evaluation, charged whether or not the route builds it.  The
+    trivial report is charged one decider call at the graph's own n, with
+    no queries and no evaluation, and builds nothing.
 
     With ``witness`` an accepted report also gets its witness, the same on
     every route: the optimal on-flow energy R from the boundary Laplacian,
-    which asks no oracle (the sinks it joins to the source must be those the
-    labels reach, else ReachMismatch), and the path length 3^ell, the
-    on-edge distance from the source to sink v.  A trivial report's witness
-    is energy 0 and length 0.
+    which asks no oracle, and the path length 3^ell, the on-edge distance
+    from the source to sink v.  A trivial report's witness is energy 0 and
+    length 0.
 
     Proof that the path length is 3^ell.  Write N_k(a) for the depth-k
     network rooted at a, with source s and sinks t_b.
@@ -322,36 +330,46 @@ class Evaluation:
             raise InvalidParams("L must be >= 1")
         if mode not in ("exact", "spectral", "spectral-dense"):
             raise InvalidParams(f"unknown mode {mode!r}")
+        if not 1 <= u <= g.n:
+            raise InvalidParams(f"source u = {u} out of range 1..{g.n}")
         self.g, self.u, self.mode = g, u, mode
         self.L = 1 << (L - 1).bit_length()
-        self.threshold = acceptance_threshold(self.L.bit_length() - 1)
+        self.ell = self.L.bit_length() - 1
+        self.threshold = acceptance_threshold(self.ell)
         self._feed = self.L - L
-        self.graph = self.net = self.mask = None  # built on the first sink v != u
+        self.graph = None  # grafted on the first sink v != u
 
     def _build(self) -> None:
-        """Graft, build and mask the network; see the class docstring."""
+        """Graft and charge; see the class docstring."""
         grafted_n = self.g.n + self._feed
         padded_n = 1 << (grafted_n - 1).bit_length()
         if self.L > padded_n:
             raise InvalidParams(
                 f"L = {self.L} exceeds the power of two at or above the grafted vertex count {grafted_n}"
             )
-        check_edge_budget(padded_n if self.mode == "spectral-dense" else grafted_n, self.L.bit_length() - 1)
-        grafted, root = attach_source_path(self.g, self.u, self._feed)
+        n = padded_n if self.mode == "spectral-dense" else grafted_n
+        queries = check_edge_budget(n, self.ell)
+        grafted, self._root = attach_source_path(self.g, self.u, self._feed)
         self.graph = pad_to_power_of_two(grafted) if self.mode == "spectral-dense" else grafted
-        oracle = GraphOracle(self.graph)
-        self.net = build(self.graph.n, self.L.bit_length() - 1, root)
-        self.mask = on_edge_mask(self.net, oracle)
         self._charge = ResourceLedger(
-            time_steps=time_formula(self.graph.n, self.L),
-            quantum_space_cells=quantum_space_cells(self.graph.n, self.L),
-            oracle_queries=oracle.query_count, decider_calls=1, network_evaluations=1,
+            time_steps=time_formula(n, self.L), quantum_space_cells=quantum_space_cells(n, self.L),
+            oracle_queries=queries, decider_calls=1, network_evaluations=1,
         )
 
     @cached_property
+    def net(self) -> SwitchingNet:
+        """The network on the grafted graph, built only by the routes that read it."""
+        return build(self.graph.n, self.ell, self._root)
+
+    @cached_property
     def _reach(self) -> np.ndarray:
-        """Whether each vertex is joined to the source by on-edges, from the component labels."""
-        return fl.on_component(self.net, self.mask)[2]
+        """Whether each vertex lies within distance L of the root: the bounded BFS every route is held to."""
+        return bfs_distances(self.graph, self._root) <= self.L
+
+    @cached_property
+    def _labels(self) -> np.ndarray:
+        """Whether the component labels join each sink to the source; the exact route's verdicts."""
+        return accepts_all(self.net, GraphOracle(self.graph))  # uncharged: _build charged the |E| queries
 
     @cached_property
     def _resistances(self) -> np.ndarray:
@@ -359,13 +377,13 @@ class Evaluation:
 
         Read off the boundary Laplacian on the first sink that needs R, so a
         rejecting sink costs none.  The sinks its pattern joins to the
-        source must be those the component labels reach, else ReachMismatch.
+        source must be those the bounded BFS reaches, else ReachMismatch.
         """
-        R = source_resistances(boundary_laplacian(self.graph.adj, self.net.root, self.net.ell))
-        mismatch = np.flatnonzero(np.isnan(R) == self._reach[self.net.struct.sink_vids])
+        R = source_resistances(boundary_laplacian(self.graph.adj, self._root, self.ell))
+        mismatch = np.flatnonzero(np.isnan(R) == self._reach)
         if mismatch.size:
             raise ReachMismatch(
-                f"sink indices {mismatch.tolist()}: the boundary Laplacian and the component labels "
+                f"sink indices {mismatch.tolist()}: the boundary Laplacian and the bounded BFS "
                 "disagree on whether the source reaches them"
             )
         return R
@@ -376,6 +394,8 @@ class Evaluation:
             accepted=True, overlap0=1.0, witness_energy=None, path_len=None,
             threshold=self.threshold, route="trivial",
         )
+        if not 1 <= v <= self.g.n:
+            raise InvalidParams(f"sink v = {v} out of range 1..{self.g.n}")
         if v == self.u:
             n = self.g.n
             report.ledger = ResourceLedger(
@@ -385,30 +405,32 @@ class Evaluation:
             if witness:
                 report.witness_energy, report.path_len = 0.0, 0
             return report
-        if self.net is None:
+        if self.graph is None:
             self._build()
-        net, sink = self.net, v - 1
-        reached = bool(self._reach[net.sink(sink)])
+        sink = v - 1
+        reached = bool(self._reach[sink])
         if self.mode == "spectral-dense":
-            dim = 2 * net.edge_count + 4
+            dim = 2 * self._charge.oracle_queries + 4  # refused before the network is built
             if dim > SPECTRAL_DIM_CAP:
                 raise InvalidParams(
                     f"spectral-dense needs {dim}x{dim} dense projectors, above SPECTRAL_DIM_CAP={SPECTRAL_DIM_CAP}"
                 )
-            # uncharged: the dense route masks again through its own oracle
-            pair = build_reflections(net, GraphOracle(self.graph), sink)
-            dense = decide_phase_estimation(pair, default_psi0(net))
+            # uncharged: _build charged the |E| queries
+            pair = build_reflections(self.net, GraphOracle(self.graph), sink)
+            dense = decide_phase_estimation(pair, default_psi0(self.net))
             if dense.accepted != reached:
-                raise ReachMismatch(f"sink index {sink}: the dense spectrum and the component labels disagree")
+                raise ReachMismatch(f"sink index {sink}: the dense spectrum and the bounded BFS disagree")
             report.accepted, report.overlap0, report.route = dense.accepted, dense.overlap0, "dense"
         elif self.mode == "spectral":
             report.route = "resistance"
             report.overlap0 = 2 / (2 * float(self._resistances[sink]) + 4) if reached else 0.0
             report.accepted = report.overlap0 >= report.threshold
         else:
+            if self._labels[sink] != reached:
+                raise ReachMismatch(f"sink index {sink}: the component labels and the bounded BFS disagree")
             report.route, report.accepted, report.overlap0 = "exact", reached, float(reached)
         if witness and report.accepted:
-            report.witness_energy, report.path_len = float(self._resistances[sink]), 3**net.ell
+            report.witness_energy, report.path_len = float(self._resistances[sink]), 3**self.ell
         report.ledger = replace(self._charge)
         return report
 

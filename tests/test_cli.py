@@ -133,7 +133,7 @@ def test_decide_refuses_a_network_past_the_edge_budget(tmp_path, L):
 @pytest.mark.parametrize("n, code", [(67, 0), (68, 2)])
 def test_decide_at_the_edge_budget(tmp_path, n, code):
     # (67, 2) is the largest network MAX_NETWORK_EDGES admits, and its
-    # decision fits in a 1 GiB address space (VmPeak 533 MiB measured);
+    # decision fits in a 1 GiB address space (VmPeak 497 MiB measured);
     # (68, 2) is refused before anything is built
     graph = tmp_path / "g.txt"
     sw.write_graph_file(graph, sw.random_digraph(n, 0.3, 1))
@@ -262,15 +262,36 @@ def test_reach_mismatch_exits_3(path_graph, capsys, monkeypatch):
         return K
 
     monkeypatch.setattr(se, "boundary_laplacian", severed)
-    # a rejection reads only the labels, so it still answers
+    # a rejection reads only the bounded BFS, never the Laplacian, so it still answers
     assert main(["decide", "--graph", path_graph, "--u", "1", "--v", "4", "--L", "2"]) == 0
     assert capsys.readouterr().out.strip() == "False"
     assert main(["decide", "--graph", path_graph, "--u", "1", "--v", "3", "--L", "2"]) == 3
     assert capsys.readouterr().err.startswith("invariant violation: sink indices [0]: the boundary Laplacian")
 
 
+def test_exact_label_mismatch_exits_3(path_graph, capsys, monkeypatch):
+    # invert the exact route's component labels against the bounded BFS: a
+    # rejected and an accepted question both trip
+    real = se.accepts_all
+    monkeypatch.setattr(se, "accepts_all", lambda net, oracle: ~real(net, oracle))
+    for v in (4, 3):
+        assert main(["decide", "--graph", path_graph, "--u", "1", "--v", str(v), "--L", "2", "--mode", "exact"]) == 3
+        assert capsys.readouterr().err.startswith(f"invariant violation: sink index {v - 1}: the component labels")
+
+
+@pytest.mark.parametrize("mode", ["exact", "spectral", "spectral-dense"])
+@pytest.mark.parametrize("u, v, L", [(1, 0, 2), (1, 9, 3), (1, 9, 2), (0, 1, 3), (9, 9, 2)])
+def test_decide_refuses_vertices_out_of_range(tmp_path, capsys, mode, u, v, L):
+    # sink 0 would wrap to the last vertex and sink 9 is the grafted feeder
+    graph = tmp_path / "g.txt"
+    sw.write_graph_file(graph, sw.random_digraph(8, 0.3, 1))
+    argv = ["decide", "--graph", str(graph), "--u", str(u), "--v", str(v), "--L", str(L), "--mode", mode]
+    assert main(argv) == 2
+    assert "out of range 1..8" in capsys.readouterr().err
+
+
 def test_dense_reach_mismatch_exits_3(tmp_path, capsys, monkeypatch):
-    # flip the dense spectrum's verdict against the component labels, on an
+    # flip the dense spectrum's verdict against the bounded BFS, on an
     # accepted and on a rejected question
     real = se.decide_phase_estimation
 

@@ -20,8 +20,8 @@ def test_public_surface():
     # re-exporting a name, such as a cross-check, from the package is a deliberate change
     assert sorted(sw.__all__) == [
         "Digraph", "GraphOracle", "INF", "NetStructure", "SwitchingNet", "accepts", "accepts_all",
-        "attach_source_path", "bfs_distance", "bfs_distances", "build", "complete", "errors", "from_edges",
-        "graphs", "layered_path", "network", "on_edge_mask", "pad_to_power_of_two", "random_digraph",
+        "attach_source_path", "bfs_distance", "bfs_distances", "build", "complete", "from_edges",
+        "layered_path", "on_edge_mask", "pad_to_power_of_two", "random_digraph",
         "read_graph_file", "structure", "write_graph_file",
     ]
 
@@ -239,7 +239,7 @@ def test_witness_path_length_is_3_to_the_ell(n, ell):
                     continue
                 report = evaluation.report(v, witness=True)
                 if dist is None:
-                    dist = on_distances(evaluation.net, evaluation.mask)
+                    dist = on_distances(evaluation.net, sw.on_edge_mask(evaluation.net, sw.GraphOracle(g)))
                 d = dist[evaluation.net.sink(v - 1)]
                 assert report.accepted == (d >= 0), (n, ell, mode, v)
                 assert report.path_len == (3**ell if report.accepted else None)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import swnet as sw
+from swnet import driver
 from swnet import flows as fl
 from swnet import spaneval as se
 from swnet.errors import Disconnected, InvalidParams
@@ -249,7 +250,8 @@ def test_exact_and_spectral_modes_equal_bfs_property(g):
                     assert report.overlap0 == pytest.approx(2 / (2 * report.witness_energy + 4), abs=1e-12)
                     assert report.witness_energy <= report.path_len + 1e-9
                     net = evaluation.net
-                    assert report.path_len == 3**net.ell == on_distances(net, evaluation.mask)[net.sink(v - 1)]
+                    mask = sw.on_edge_mask(net, sw.GraphOracle(evaluation.graph))
+                    assert report.path_len == 3**net.ell == on_distances(net, mask)[net.sink(v - 1)]
 
 
 def test_evaluation_answers_every_sink_as_decide_distance():
@@ -268,7 +270,8 @@ def test_evaluation_answers_every_sink_as_decide_distance():
                     assert shared.accepted == (sw.bfs_distance(g, u, v) <= L), (n, L, mode, v)
                     assert (shared.accepted, shared.ledger) == se.decide_distance(g, u, v, L, mode=mode)
                     if mode == "spectral" and shared.accepted and v != u:
-                        theta = fl.optimal_flow_lsq(evaluation.net, evaluation.mask, v - 1)
+                        mask = sw.on_edge_mask(evaluation.net, sw.GraphOracle(evaluation.graph))
+                        theta = fl.optimal_flow_lsq(evaluation.net, mask, v - 1)
                         assert shared.overlap0 == pytest.approx(2 / (2 * (theta @ theta) + 4), rel=1e-12)
 
 
@@ -319,6 +322,32 @@ def test_same_source_and_sink_builds_no_network(monkeypatch):
         )
     assert se.decide_distance(g, 2, 2, 2**40)[0]
     assert built == oracles == []
+
+
+def test_spectral_decisions_build_no_network(monkeypatch):
+    # the resistance route reads reach from the bounded BFS and R from the
+    # boundary Laplacian: no structure, mask or component labels, in a
+    # decision or in dstcon
+    def refuse(*args):
+        raise AssertionError("the spectral route built the network")
+
+    for module, name in ((sw.network, "structure"), (se, "build"), (se, "on_edge_mask"), (sw.network, "on_edge_mask"),
+                         (sw.network, "on_component"), (se, "accepts_all")):
+        monkeypatch.setattr(module, name, refuse)
+    g = sw.random_digraph(8, 0.2, 1)
+    seen = set()
+    for L in range(1, 9):  # ell 0..3, grafted at every L that is not a power of two
+        for u in (1, 2):
+            for v in range(1, 9):
+                report = se.decide_distance_report(g, u, v, L, mode="spectral")
+                assert report.accepted == (sw.bfs_distance(g, u, v) <= L), (L, u, v)
+                seen.add(((L - 1).bit_length(), report.accepted))
+    assert seen == {(ell, answer) for ell in range(4) for answer in (True, False)}
+    decider = driver.swnet_decider("spectral")
+    for s, t in ((1, 5), (2, 7), (5, 1)):
+        for L in (3, 4):
+            want = driver.CONNECTED if sw.bfs_distance(g, s, t) < sw.INF else driver.NOT_CONNECTED
+            assert driver.dstcon(g, s, t, L, decider=decider)[0] == want, (s, t, L)
 
 
 def test_dense_route_equals_exact_through_pipeline():
