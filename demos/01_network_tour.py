@@ -7,6 +7,7 @@ directed reachability.
 """
 
 import swnet as sw
+from swnet.network import leaf_symbols
 
 n = 4
 
@@ -18,11 +19,11 @@ for ell in range(3):
 
 print("\n== edge addressing and query labels (depth 1, root 2) ==")
 net = sw.build(n, 1, root=2)
+tags, _ = leaf_symbols(n, 1)  # edge e is sink slot e % n of leaf e // n
+label_from, label_to = net.struct.label_arrays(net.root)
 for e in [0, 5, n, 7 * n + 2]:
-    sigma, i = net.struct.edge_sigma_i(e)
-    tags = [net.struct.sym.tag(c) for c in sigma]
-    print(f"edge {e:3d}: block path tags {tags}, sink slot {i}, "
-          f"query label {net.query_label(e)}")
+    print(f"edge {e:3d}: block path tags {tags[e // n].tolist()}, sink slot {e % n}, "
+          f"query label {(int(label_from[e]), int(label_to[e]))}")
 
 print("\n== connectivity == (graph: 1 -> 2 -> 3, plus 4 isolated)")
 g = sw.from_edges(n, [(1, 2), (2, 3)])

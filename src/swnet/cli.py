@@ -20,15 +20,9 @@ from . import prep
 from .driver import decider_from_name, dstcon
 from .errors import BasisMismatch, IllegalMove, InvalidParams, RankDeficient, ReachMismatch, SwnetError
 from .graphs import layered_path, read_graph_file
-from .network import build
+from .network import build, leaf_symbols
 from .spaneval import decide_distance_report
 from .tradeoff import sweep_csv
-
-
-def _sigma_repr(sym, sigma: tuple) -> str:
-    if not sigma:
-        return "-"
-    return ",".join(f"{sym.tag(c)}.{sym.payload(c)}" for c in sigma)
 
 
 def _depth(L: int) -> int:
@@ -40,11 +34,11 @@ def _depth(L: int) -> int:
 
 def cmd_net_dump(args) -> int:
     net = build(args.n, args.ell, args.root)
-    st = net.struct
+    tags, payloads = leaf_symbols(net.n, net.ell)
+    sigmas = [",".join(f"{t}.{p}" for t, p in zip(*row)) or "-" for row in zip(tags.tolist(), payloads.tolist())]
+    a, b = (x.tolist() for x in net.struct.label_arrays(net.root))
     for e in range(net.edge_count):
-        sigma, i = st.edge_sigma_i(e)
-        a, b = net.query_label(e)
-        print(f"{_sigma_repr(st.sym, sigma)};{i};{a};{b}")
+        print(f"{sigmas[e // net.n]};{e % net.n};{a[e]};{b[e]}")
     return 0
 
 

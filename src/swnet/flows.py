@@ -219,12 +219,11 @@ def flow_norm_sq(n: int, ell: int) -> Fraction:
 
 def divergence(net: SwitchingNet, theta: np.ndarray) -> np.ndarray:
     """Per-vertex net outflow of an edge function (any numeric dtype)."""
-    st = net.struct
-    out = np.zeros(st.vertex_count, dtype=np.asarray(theta).dtype)
-    for e in range(st.edge_count):
-        a, b = st.endpoints(e)
-        out[a] += theta[e]
-        out[b] -= theta[e]
+    theta = np.asarray(theta)
+    tail, head = net.struct.edge_ends
+    out = np.zeros(net.vertex_count, dtype=theta.dtype)
+    np.add.at(out, tail, theta)
+    np.subtract.at(out, head, theta)
     return out
 
 
@@ -314,17 +313,15 @@ def star_state(net: SwitchingNet, v: int, signed: bool = False, sink_j: int | No
     When v is the source (or sink_j is given and v is that sink) the
     matching boundary slot is added, as the cut-space basis requires.
     """
-    st = net.struct
+    tail, head = net.struct.edge_ends
     E = net.edge_count
     out = np.zeros(full_dim(net))
-    for e in range(E):
-        a, b = st.endpoints(e)
-        if a != v and b != v:
-            continue
+    for e in np.flatnonzero((tail == v) | (head == v)):
+        outgoing = tail[e] == v
         if not signed:
-            out[2 * e if a == v else 2 * e + 1] += 1.0
+            out[2 * e if outgoing else 2 * e + 1] += 1.0
         else:
-            sgn = 0.5 if a == v else -0.5
+            sgn = 0.5 if outgoing else -0.5
             out[2 * e] += sgn
             out[2 * e + 1] -= sgn
     if v == net.source:

@@ -72,43 +72,15 @@ def check_edge_budget(n: int, ell: int) -> int:
     return edges
 
 
-class Sym:
-    """Symbol codec for a fixed n: int code <-> (tag, payload)."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.size = 2 * n + 1
-
-    def code(self, tag: int, payload: int = 0) -> int:
-        if tag == 0:
-            if payload != 0:
-                raise InvalidParams("tag-0 symbol must carry zero payload")
-            return 0
-        if not 0 <= payload < self.n:
-            raise InvalidParams(f"payload {payload} out of range")
-        if tag == 1:
-            return 1 + payload
-        if tag == 2:
-            return 1 + self.n + payload
-        raise InvalidParams(f"bad tag {tag}")
-
-    def tag(self, code: int) -> int:
-        if code == 0:
-            return 0
-        return 1 if code <= self.n else 2
-
-    def payload(self, code: int) -> int:
-        if code == 0:
-            return 0
-        return code - 1 if code <= self.n else code - 1 - self.n
-
-
 def leaf_symbols(n: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
     """(tags, payloads) of every leaf of Sigma^ell, outermost symbol first.
 
-    Both arrays are (R^ell, ell) with R = 2n+1: row ``leaf`` decodes the
-    mixed-radix leaf index, so entry [leaf, pos] is ``Sym.tag`` /
-    ``Sym.payload`` of the pos-th code of ``edge_sigma_i(leaf * n)``.
+    A symbol is coded as one integer in [0, R), R = 2n+1: (0, 0) is 0,
+    (1, i) is 1+i and (2, j) is 1+n+j.  A leaf is the number whose base-R
+    digits, most significant first, are the codes of its symbols, and edge
+    (leaf, i) of Sigma^ell x [n] has id leaf * n + i.  Both arrays are
+    (R^ell, ell): entry [leaf, pos] is the tag and the payload of the
+    leaf's pos-th symbol (payload 0 under tag 0).
     """
     R = 2 * n + 1
     place = R ** np.arange(ell - 1, -1, -1, dtype=np.int64)
@@ -181,11 +153,10 @@ def on_component(net: SwitchingNet, on_mask: np.ndarray):
 class NetStructure:
     """Root-independent skeleton: resolved vertices, orientations, labels.
 
-    Edges are indexed 0..(2n+1)^ell * n - 1; edge (leaf, i) has flat index
-    leaf * n + i where ``leaf`` enumerates Sigma^ell in mixed radix with the
-    outermost symbol most significant.  Vertex ids number the glued
-    components in the order of their smallest pre-vertex, which is the
-    order a scan of the pre-vertices first meets them.
+    Edges are numbered as :func:`leaf_symbols` states, and every per-edge
+    fact is read off per-leaf arrays indexed by ``e // n``.  Vertex ids
+    number the glued components in the order of their smallest pre-vertex,
+    which is the order a scan of the pre-vertices first meets them.
     """
 
     def __init__(self, n: int, ell: int):
@@ -196,8 +167,7 @@ class NetStructure:
         self.edge_count = check_edge_budget(n, ell)
         self.n = n
         self.ell = ell
-        self.sym = Sym(n)
-        R = self.sym.size
+        R = 2 * n + 1
         self.num_leaves = R**ell
 
         # resolve glued pre-vertices to consecutive ids: a component's id is
@@ -228,75 +198,18 @@ class NetStructure:
 
     @cached_property
     def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`endpoints`: arrays (tail, head) of length |E|."""
+        """Arrays (tail, head) of length |E|: each edge's vertex ids in its left-to-right orientation."""
         src = np.repeat(self._leaf_src_vid, self.n)
         sink = self._leaf_sink_vid.ravel()
         rev = np.repeat(self._leaf_rev, self.n)
         return np.where(rev, sink, src), np.where(rev, src, sink)
 
-    # -- edge codecs --------------------------------------------------------
-
-    def edge_id(self, sigma: tuple, i: int) -> int:
-        """Flat edge index from a sigma tuple of int codes and sink index i."""
-        if len(sigma) != self.ell or not 0 <= i < self.n:
-            raise InvalidParams("bad edge coordinates")
-        leaf = 0
-        for c in sigma:
-            leaf = leaf * self.sym.size + c
-        return leaf * self.n + i
-
-    def edge_sigma_i(self, e: int) -> tuple[tuple, int]:
-        """Inverse of :meth:`edge_id`: (sigma codes outermost-first, i)."""
-        leaf, i = divmod(e, self.n)
-        codes = []
-        for _ in range(self.ell):
-            leaf, c = divmod(leaf, self.sym.size)
-            codes.append(c)
-        return tuple(reversed(codes)), i
-
-    def endpoints(self, e: int) -> tuple[int, int]:
-        """(tail, head) vertex ids of edge e in its left-to-right orientation."""
-        leaf, i = divmod(e, self.n)
-        a = int(self._leaf_src_vid[leaf])
-        b = int(self._leaf_sink_vid[leaf, i])
-        return (b, a) if self._leaf_rev[leaf] else (a, b)
-
-    def query_label(self, e: int, root: int) -> tuple[int, int]:
-        """Query label (a, b) in 1-indexed G vertices for a given root."""
-        leaf, i = divmod(e, self.n)
-        src = self._leaf_label_src[leaf]
-        a = root if src < 0 else int(src) + 1
-        return a, i + 1
-
     def label_arrays(self, root: int) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized query labels: arrays (a, b), 1-indexed, length |E|."""
+        """Every edge's query label at ``root``: arrays (a, b) of 1-indexed G vertices, length |E|."""
         src = np.repeat(self._leaf_label_src, self.n)
         a = np.where(src < 0, root, src + 1)
         b = np.tile(np.arange(1, self.n + 1), self.num_leaves)
         return a.astype(np.int64), b
-
-    def assoc(self, e_or_pre, root: int, endpoint: int | None = None):
-        """Associated multiset of G-vertices for an endpoint of edge e.
-
-        endpoint=0 gives the leaf-source side, endpoint=1 the leaf-sink side
-        (pre-reversal sides; as multisets the sink side is the source side
-        plus the query target).  Returned as a sorted tuple of 1-indexed ids.
-        """
-        e = e_or_pre
-        leaf, i = divmod(e, self.n)
-        sigma, _ = self.edge_sigma_i(e)
-        cur, aug = root, []
-        for c in sigma:
-            t = self.sym.tag(c)
-            if t == 1:
-                aug.append(cur)
-                cur = self.sym.payload(c) + 1
-            elif t == 2:
-                aug.append(self.sym.payload(c) + 1)
-        base = aug + [cur]
-        if endpoint == 1:
-            base = base + [i + 1]
-        return tuple(sorted(base))
 
 
 # bounded by key count; decide-corpus, the workload with the most sizes, touches 17
@@ -336,19 +249,12 @@ class SwitchingNet:
         """Vertex id of global sink j (0-indexed: target vertex v_{j+1})."""
         return int(self.struct.sink_vids[j])
 
-    def query_label(self, e: int) -> tuple[int, int]:
-        return self.struct.query_label(e, self.root)
-
-    def endpoints(self, e: int) -> tuple[int, int]:
-        return self.struct.endpoints(e)
-
 
 def build(n: int, ell: int, root: int) -> SwitchingNet:
     """Construct (or fetch cached) the depth-ell network rooted at ``root``."""
-    st = structure(n, ell)
     if not 1 <= root <= n:
         raise InvalidParams(f"root {root} out of range 1..{n}")
-    return SwitchingNet(st, root)
+    return SwitchingNet(structure(n, ell), root)
 
 
 # -- evaluation against an input graph --------------------------------------
@@ -368,13 +274,13 @@ def on_edge_mask(net: SwitchingNet, oracle: GraphOracle) -> np.ndarray:
 
 def _component_and_parents(net: SwitchingNet, mask: np.ndarray):
     """BFS over on-edges from the source; returns (dist, parent_edge) arrays."""
-    st = net.struct
-    nv = st.vertex_count
+    nv = net.vertex_count
     adj: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
-    for e in np.nonzero(mask)[0]:
-        a, b = st.endpoints(int(e))
-        adj[a].append((b, int(e)))
-        adj[b].append((a, int(e)))
+    on = np.flatnonzero(mask)
+    tail, head = (ends[on] for ends in net.struct.edge_ends)
+    for e, a, b in zip(on.tolist(), tail.tolist(), head.tolist()):
+        adj[a].append((b, e))
+        adj[b].append((a, e))
     dist = np.full(nv, -1, dtype=np.int64)
     parent = np.full(nv, -1, dtype=np.int64)
     dist[net.source] = 0
@@ -403,12 +309,11 @@ def accepts(net: SwitchingNet, oracle: GraphOracle, sink_index: int):
         return False, None
     path = []
     v = t
-    st = net.struct
+    tail, head = net.struct.edge_ends
     while v != net.source:
         e = int(parent[v])
         path.append(e)
-        a, b = st.endpoints(e)
-        v = a if v == b else b
+        v = int(tail[e] if v == head[e] else head[e])
     path.reverse()
     return True, path
 

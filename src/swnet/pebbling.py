@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import BadPath, CapExceeded, IllegalMove, InvalidParams
 from .graphs import Digraph
+from .network import leaf_symbols
 
 PLACE, REMOVE = "P", "R"
 
@@ -148,34 +149,42 @@ def format_trace(L: int, path: list[int], moves) -> str:
     return "\n".join(lines) + "\n"
 
 
-def path_to_moves(net, witness_edges, start: int):
-    """Convert an on-path of the network into a legal pebbling trace.
+def leaf_source_support(tags, payloads, root: int) -> set[int]:
+    """The graph vertices of the multiset carried by a leaf's source.
 
-    Network vertices carry associated multisets of graph vertices; the
-    pebbled set tracks the support of the current multiset.  Crossing an
-    edge toward the larger multiset places the query target (supported by
-    the query source), crossing back removes it.  Steps that leave the
-    support unchanged (repeated multiset elements, self-labeled edges) are
-    skipped.
+    ``tags`` and ``payloads`` are the leaf's row of
+    :func:`~swnet.network.leaf_symbols`.  The network's source carries
+    {root}; block (1, i) re-roots at v_i and keeps its parent's root, block
+    (2, j) adds v_j, and block 0 adds nothing, so the support is the root
+    and v_{payload+1} of every symbol with a nonzero tag.  A leaf's sinks
+    carry the source's multiset plus the query target.
     """
-    moves = []
+    return {root, *(payloads[tags > 0] + 1).tolist()}
+
+
+def path_to_moves(net, witness_edges, start: int):
+    """Convert an on-path of the network into a legal pebbling trace from ``start``.
+
+    Network vertices carry multisets of graph vertices, and the pebbled set
+    tracks the support of the current one (:func:`leaf_source_support`).
+    Crossing an edge toward its leaf sink places the query target (supported
+    by the query source), crossing back removes it; when the target is
+    already in the support the step is skipped.  ``start`` must be the
+    network's root, where the trace begins.
+    """
+    if start != net.root:
+        raise InvalidParams(f"start {start} is not the network's root {net.root}")
     st = net.struct
+    tags, payloads = leaf_symbols(net.n, net.ell)
+    label_src, _ = st.label_arrays(net.root)
+    moves = []
     cur_vid = net.source
     for e in witness_edges:
-        leaf = e // net.n
-        vsrc = int(st._leaf_src_vid[leaf])
-        vsink = int(st._leaf_sink_vid[leaf, e % net.n])
-        src, dst = net.query_label(e)
-        if cur_vid == vsrc:  # toward the larger multiset
-            small = st.assoc(e, net.root, endpoint=0)
-            if dst not in small:
-                moves.append(PebbleMove(PLACE, src, dst))
-            cur_vid = vsink
-        elif cur_vid == vsink:
-            after = st.assoc(e, net.root, endpoint=0)
-            if dst not in after:
-                moves.append(PebbleMove(REMOVE, src, dst))
-            cur_vid = vsrc
-        else:
+        leaf, i = divmod(e, net.n)
+        vsrc, vsink = int(st._leaf_src_vid[leaf]), int(st._leaf_sink_vid[leaf, i])
+        if cur_vid not in (vsrc, vsink):
             raise InvalidParams("witness edges do not form a path from the source")
+        if i + 1 not in leaf_source_support(tags[leaf], payloads[leaf], net.root):
+            moves.append(PebbleMove(PLACE if cur_vid == vsrc else REMOVE, int(label_src[e]), i + 1))
+        cur_vid = vsink if cur_vid == vsrc else vsrc
     return moves

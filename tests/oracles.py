@@ -6,7 +6,80 @@ import numpy as np
 
 from swnet import flows as fl
 from swnet.errors import InvalidParams, RankDeficient
-from swnet.network import SRC, SwitchingNet, Sym, on_component, on_edge_mask
+from swnet.network import SRC, SwitchingNet, on_component, on_edge_mask
+
+
+# -- the edge codec, one scalar at a time -----------------------------------------
+
+def symbol_code(n: int, tag: int, payload: int = 0) -> int:
+    """Integer code of symbol (tag, payload): (0, 0) is 0, (1, i) is 1+i, (2, j) is 1+n+j."""
+    return 0 if tag == 0 else 1 + (tag - 1) * n + payload
+
+
+def symbol_of(n: int, code: int) -> tuple[int, int]:
+    """(tag, payload) of a symbol code; inverse of :func:`symbol_code`."""
+    if code == 0:
+        return 0, 0
+    return (1, code - 1) if code <= n else (2, code - 1 - n)
+
+
+def edge_id(n: int, codes: tuple, i: int) -> int:
+    """Edge id of (sigma, i), sigma given as codes outermost first."""
+    leaf = 0
+    for c in codes:
+        leaf = leaf * (2 * n + 1) + c
+    return leaf * n + i
+
+
+def edge_symbols(n: int, ell: int, e: int) -> tuple[tuple, int]:
+    """Inverse of :func:`edge_id`: (sigma codes outermost first, i)."""
+    leaf, i = divmod(e, n)
+    codes = []
+    for _ in range(ell):
+        leaf, c = divmod(leaf, 2 * n + 1)
+        codes.append(c)
+    return tuple(reversed(codes)), i
+
+
+def endpoints(st, e: int) -> tuple[int, int]:
+    """(tail, head) vertex ids of edge e of ``st``: its leaf's source and sink i, swapped in a reversed leaf."""
+    leaf, i = divmod(e, st.n)
+    a, b = int(st._leaf_src_vid[leaf]), int(st._leaf_sink_vid[leaf, i])
+    return (b, a) if st._leaf_rev[leaf] else (a, b)
+
+
+def loop_divergence(net, theta) -> np.ndarray:
+    """flows.divergence, one edge at a time."""
+    out = np.zeros(net.vertex_count, dtype=np.asarray(theta).dtype)
+    for e in range(net.edge_count):
+        a, b = endpoints(net.struct, e)
+        out[a] += theta[e]
+        out[b] -= theta[e]
+    return out
+
+
+def assoc(n: int, ell: int, e: int, root: int, endpoint: int) -> tuple:
+    """Associated multiset of G-vertices at an endpoint of edge e.
+
+    endpoint=0 gives the leaf-source side, endpoint=1 the leaf-sink side
+    (pre-reversal sides; the sink side is the source side plus the query
+    target).  Walks the block path: entering block (1, i) keeps the current
+    root and re-roots at v_i, entering block (2, j) adds v_j.  Returned as a
+    sorted tuple of 1-indexed ids.
+    """
+    sigma, i = edge_symbols(n, ell, e)
+    cur, aug = root, []
+    for c in sigma:
+        tag, payload = symbol_of(n, c)
+        if tag == 1:
+            aug.append(cur)
+            cur = payload + 1
+        elif tag == 2:
+            aug.append(payload + 1)
+    base = aug + [cur]
+    if endpoint == 1:
+        base.append(i + 1)
+    return tuple(sorted(base))
 
 
 class _UnionFind:
@@ -36,8 +109,7 @@ def union_find_structure(n: int, ell: int) -> dict:
     reversal parity and label source symbol by symbol.  Keys name the
     ``NetStructure`` attributes they reproduce.
     """
-    sym = Sym(n)
-    R = sym.size
+    R = 2 * n + 1
     num_leaves = R**ell
     uf = _UnionFind(num_leaves * (n + 1))
 
@@ -53,15 +125,15 @@ def union_find_structure(n: int, ell: int) -> dict:
     def sink_pre(path: tuple, i: int) -> int:
         if len(path) == ell:
             return leaf_of(path) * (n + 1) + 1 + i
-        return source_pre(path + (sym.code(2, i),))
+        return source_pre(path + (symbol_code(n, 2, i),))
 
     def glue(path: tuple):
         if len(path) == ell:
             return
         for i in range(n):
-            uf.union(sink_pre(path + (0,), i), source_pre(path + (sym.code(1, i),)))
+            uf.union(sink_pre(path + (0,), i), source_pre(path + (symbol_code(n, 1, i),)))
             for j in range(n):
-                uf.union(sink_pre(path + (sym.code(1, i),), j), sink_pre(path + (sym.code(2, j),), i))
+                uf.union(sink_pre(path + (symbol_code(n, 1, i),), j), sink_pre(path + (symbol_code(n, 2, j),), i))
         for c in range(R):
             glue(path + (c,))
 
@@ -75,13 +147,13 @@ def union_find_structure(n: int, ell: int) -> dict:
     rev = np.zeros(num_leaves, dtype=bool)
     lab = np.full(num_leaves, -1, dtype=np.int64)
     for leaf in range(num_leaves):
-        rest, parity, src = leaf, 0, -1
-        for pos in range(ell):
-            c = (rest // R ** (ell - 1 - pos)) % R
-            if sym.tag(c) == 2:
+        parity, src = 0, -1
+        for c in edge_symbols(n, ell, leaf * n)[0]:
+            tag, payload = symbol_of(n, c)
+            if tag == 2:
                 parity ^= 1
-            elif sym.tag(c) == 1:
-                src = sym.payload(c)
+            elif tag == 1:
+                src = payload
         rev[leaf], lab[leaf] = bool(parity), src
 
     leaves = np.arange(num_leaves) * (n + 1)
@@ -260,12 +332,11 @@ class RebuiltNet:
 
     def __init__(self, base: SwitchingNet):
         st = base.struct
-        n, R = st.n, st.sym.size
+        n, R = st.n, 2 * st.n + 1
         self.n = n
         self.ell = st.ell + 1
         self.root = base.root
         self.edge_count = st.edge_count * R
-        self.sym = st.sym
 
         # new internal vertices per old leaf: mid_i and pair_{i,j}
         nv = st.vertex_count
@@ -287,11 +358,11 @@ class RebuiltNet:
     def endpoints(self, e: int) -> tuple[int, int]:
         # e indexes Sigma^(ell+1) x [n] = (old leaf) x Sigma x [n]
         st = self._st
-        n, R = self.n, self.sym.size
+        n = self.n
         rest, k = divmod(e, n)
-        leaf, c = divmod(rest, R)
+        leaf, c = divmod(rest, 2 * n + 1)
         old_src = int(st._leaf_src_vid[leaf])
-        tag, pay = self.sym.tag(c), self.sym.payload(c)
+        tag, pay = symbol_of(n, c)
         if tag == 0:
             a, b = old_src, self._mid[leaf, k]
         elif tag == 1:
@@ -305,10 +376,10 @@ class RebuiltNet:
 
     def query_label(self, e: int) -> tuple[int, int]:
         st = self._st
-        n, R = self.n, self.sym.size
+        n = self.n
         rest, k = divmod(e, n)
-        leaf, c = divmod(rest, R)
-        tag, pay = self.sym.tag(c), self.sym.payload(c)
+        leaf, c = divmod(rest, 2 * n + 1)
+        tag, pay = symbol_of(n, c)
         if tag == 1:
             return pay + 1, k + 1
         src = st._leaf_label_src[leaf]
@@ -321,13 +392,14 @@ def rebuild_top_down(base: SwitchingNet) -> RebuiltNet:
     return RebuiltNet(base)
 
 
-def isomorphic(a, b) -> bool:
-    """Structural equality of two networks over the shared edge id space.
+def isomorphic(rebuilt: RebuiltNet, net: SwitchingNet) -> bool:
+    """Structural equality of a rebuilt network and a built one over the shared edge id space.
 
     Checks edge counts, per-edge query labels, boundary identification, and
-    that the endpoint pairs induce a consistent vertex bijection.
+    that the endpoint pairs induce a consistent vertex bijection.  The built
+    side is read from its arrays (``edge_ends``, ``label_arrays``).
     """
-    if a.edge_count != b.edge_count or a.vertex_count != b.vertex_count:
+    if rebuilt.edge_count != net.edge_count or rebuilt.vertex_count != net.vertex_count:
         return False
     fwd, bwd = {}, {}
 
@@ -336,17 +408,17 @@ def isomorphic(a, b) -> bool:
             return False
         return True
 
-    a_sinks = a.sink_vids if hasattr(a, "sink_vids") else a.struct.sink_vids
-    b_sinks = b.sink_vids if hasattr(b, "sink_vids") else b.struct.sink_vids
-    if not match(a.source, b.source):
+    if not match(rebuilt.source, net.source):
         return False
-    for sa, sb in zip(a_sinks, b_sinks):
+    for sa, sb in zip(rebuilt.sink_vids, net.struct.sink_vids):
         if not match(int(sa), int(sb)):
             return False
-    for e in range(a.edge_count):
-        if a.query_label(e) != b.query_label(e):
+    tail, head = (x.tolist() for x in net.struct.edge_ends)
+    label_from, label_to = (x.tolist() for x in net.struct.label_arrays(net.root))
+    for e in range(net.edge_count):
+        if rebuilt.query_label(e) != (label_from[e], label_to[e]):
             return False
-        (ta, ha), (tb, hb) = a.endpoints(e), b.endpoints(e)
-        if not (match(ta, tb) and match(ha, hb)):
+        ta, ha = rebuilt.endpoints(e)
+        if not (match(ta, tail[e]) and match(ha, head[e])):
             return False
     return True

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import swnet as sw
+from oracles import edge_symbols, symbol_of
 from swnet import spaneval as se
 from swnet.cli import main
 
@@ -31,6 +32,38 @@ def test_net_dump_golden_depth_zero(capsys):
     assert main(["net", "dump", "--n", "2", "--ell", "0"]) == 0
     out = capsys.readouterr().out
     assert out == "-;0;1;1\n-;1;1;2\n"
+
+
+def test_net_dump_golden_depth_one(capsys):
+    # frozen edge dump at n=2, depth 1, root 2: one line per edge id leaf * n + i
+    assert main(["net", "dump", "--n", "2", "--ell", "1", "--root", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "0.0;0;2;1\n0.0;1;2;2\n1.0;0;1;1\n1.0;1;1;2\n1.1;0;2;1\n"
+        "1.1;1;2;2\n2.0;0;2;1\n2.0;1;2;2\n2.1;0;2;1\n2.1;1;2;2\n"
+    )
+
+
+def test_net_dump_equals_scalar_decode(capsys):
+    # every line: the edge's symbols as tag.payload, its sink slot, and its
+    # query label (the payload of the deepest tag-1 symbol, else the root)
+    n, ell, root = 4, 2, 3
+    assert main(["net", "dump", "--n", str(n), "--ell", str(ell), "--root", str(root)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == (2 * n + 1) ** ell * n
+    for e, line in enumerate(lines):
+        sigma, i = edge_symbols(n, ell, e)
+        symbols = [symbol_of(n, c) for c in sigma]
+        label_from = ([root] + [payload + 1 for tag, payload in symbols if tag == 1])[-1]
+        assert line == f"{','.join(f'{t}.{p}' for t, p in symbols)};{i};{label_from};{i + 1}", e
+
+
+@pytest.mark.parametrize("root", [0, 68])
+def test_net_dump_refuses_a_bad_root_before_building(capsys, root):
+    # (67, 2) is the largest size the edge budget admits: 1.22M edges
+    misses = sw.structure.cache_info().misses
+    assert main(["net", "dump", "--n", "67", "--ell", "2", "--root", str(root)]) == 2
+    assert "out of range 1..67" in capsys.readouterr().err
+    assert sw.structure.cache_info().misses == misses
 
 
 def test_basis_dump_gram(capsys):

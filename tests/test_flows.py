@@ -9,8 +9,8 @@ from swnet import prep
 from swnet.errors import Disconnected, InvalidParams, RankDeficient, ZeroZ
 from swnet.network import _component_and_parents
 from oracles import (
-    loop_A_basis, loop_B_spanning, loop_fourier_circulation, mgs_orthonormalize, mgs_projector, on_distances,
-    routed_flow,
+    loop_A_basis, loop_B_spanning, loop_divergence, loop_fourier_circulation, mgs_orthonormalize, mgs_projector,
+    on_distances, routed_flow,
 )
 
 TOL = 1e-9
@@ -69,6 +69,16 @@ def test_unit_flow_divergence():
             assert div[net.sink(j)] == -(n**ell)
             div[net.source] = div[net.sink(j)] = 0
             assert not div.any()
+
+
+@pytest.mark.parametrize("n,ell", [(2, 0), (2, 2), (3, 2), (4, 2)])
+def test_divergence_equals_the_edge_loop(n, ell):
+    net = sw.build(n, ell, 1)
+    rng = np.random.default_rng(n + ell)
+    ints = rng.integers(-5, 6, net.edge_count)
+    assert np.array_equal(fl.divergence(net, ints), loop_divergence(net, ints))
+    floats = rng.standard_normal(net.edge_count)
+    assert np.abs(fl.divergence(net, floats) - loop_divergence(net, floats)).max() <= 1e-12
 
 
 def test_routed_flow_averages_to_unit_flow():

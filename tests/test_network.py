@@ -5,9 +5,12 @@ import pytest
 
 import swnet as sw
 from swnet import spaneval as se
-from oracles import isomorphic, on_distances, rebuild_top_down, splu_resistances, union_find_structure
+from oracles import (
+    assoc, edge_id, edge_symbols, endpoints, isomorphic, on_distances, rebuild_top_down, splu_resistances, symbol_code,
+    symbol_of, union_find_structure,
+)
 from swnet.errors import InvalidParams
-from swnet.network import boundary_laplacian, source_resistances
+from swnet.network import boundary_laplacian, leaf_symbols, source_resistances
 
 #: every power-of-two (n, ell) the test suite builds a network at, and
 #: grafted sizes its decisions build at any n
@@ -36,10 +39,11 @@ def test_base_star_shape():
     net = sw.build(4, 0, 2)
     assert net.edge_count == 4
     assert net.vertex_count == 5
+    label_from, label_to = net.struct.label_arrays(net.root)
+    tail, head = net.struct.edge_ends
     for e in range(4):
-        assert net.query_label(e) == (2, e + 1)
-        tail, head = net.endpoints(e)
-        assert tail == net.source and head == net.sink(e)
+        assert (label_from[e], label_to[e]) == (2, e + 1)
+        assert tail[e] == net.source and head[e] == net.sink(e)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
@@ -60,14 +64,25 @@ def test_counting_identities(n):
 def test_query_labels_match_block_roots():
     # inner tag-1 symbols own the label source; none defaults to the root
     net = sw.build(4, 2, 3)
-    st = net.struct
-    sym = st.sym
-    e = st.edge_id((sym.code(1, 1), sym.code(0)), 2)
-    assert net.query_label(e) == (2, 3)  # source v_2 from the tag-1 payload
-    e = st.edge_id((sym.code(2, 1), sym.code(0)), 0)
-    assert net.query_label(e) == (3, 1)  # no tag-1: the root
-    e = st.edge_id((sym.code(1, 0), sym.code(1, 3)), 2)
-    assert net.query_label(e) == (4, 3)  # deepest tag-1 wins
+    label_from, label_to = net.struct.label_arrays(net.root)
+
+    def label(sigma, i):
+        e = edge_id(4, tuple(symbol_code(4, *symbol) for symbol in sigma), i)
+        return label_from[e], label_to[e]
+
+    assert label([(1, 1), (0, 0)], 2) == (2, 3)  # source v_2 from the tag-1 payload
+    assert label([(2, 1), (0, 0)], 0) == (3, 1)  # no tag-1: the root
+    assert label([(1, 0), (1, 3)], 2) == (4, 3)  # deepest tag-1 wins
+
+
+@pytest.mark.parametrize("n,ell", [(2, 0), (2, 3), (3, 2), (4, 2), (5, 1)])
+def test_leaf_symbols_match_scalar_decode(n, ell):
+    tags, payloads = leaf_symbols(n, ell)
+    assert tags.shape == payloads.shape == ((2 * n + 1) ** ell, ell)
+    for leaf in range(tags.shape[0]):
+        sigma, i = edge_symbols(n, ell, leaf * n)
+        assert i == 0
+        assert [symbol_of(n, c) for c in sigma] == list(zip(tags[leaf].tolist(), payloads[leaf].tolist()))
 
 
 def test_gluing_consistency_assoc_multisets():
@@ -75,11 +90,11 @@ def test_gluing_consistency_assoc_multisets():
     # the smaller multiset
     for n, ell in [(2, 1), (2, 2), (4, 1), (4, 2)]:
         net = sw.build(n, ell, 1)
-        st = net.struct
+        label_from, label_to = net.struct.label_arrays(net.root)
         for e in range(net.edge_count):
-            small = st.assoc(e, net.root, endpoint=0)
-            large = st.assoc(e, net.root, endpoint=1)
-            src, dst = net.query_label(e)
+            small = assoc(n, ell, e, net.root, endpoint=0)
+            large = assoc(n, ell, e, net.root, endpoint=1)
+            src, dst = label_from[e], label_to[e]
             assert len(large) == len(small) + 1
             diff = list(large)
             for x in small:
@@ -97,7 +112,7 @@ def test_resolved_vertices_share_assoc():
         for e in range(net.edge_count):
             leaf = e // n
             for endpoint, vid in ((0, st._leaf_src_vid[leaf]), (1, st._leaf_sink_vid[leaf, e % n])):
-                ms = st.assoc(e, 2, endpoint=endpoint)
+                ms = assoc(n, ell, e, 2, endpoint=endpoint)
                 assert by_vid.setdefault(int(vid), ms) == ms
 
 
@@ -143,8 +158,9 @@ def test_rebuild_top_down_matches_build():
         target = sw.build(n, ell + 1, 1)
         assert isomorphic(inflated, target)
         # labels are identical under the canonical edge identification
+        label_from, label_to = target.struct.label_arrays(target.root)
         for e in range(0, inflated.edge_count, 7):
-            assert inflated.query_label(e) == target.query_label(e)
+            assert inflated.query_label(e) == (label_from[e], label_to[e])
 
 
 def test_rebuild_top_down_label_invariance_other_root():
@@ -158,7 +174,7 @@ def test_rebuild_top_down_label_invariance_other_root():
 def test_edge_ends_match_endpoints(n, ell):
     st = sw.build(n, ell, 1).struct
     tail, head = st.edge_ends
-    assert [(int(a), int(b)) for a, b in zip(tail, head)] == [st.endpoints(e) for e in range(st.edge_count)]
+    assert list(zip(tail.tolist(), head.tolist())) == [endpoints(st, e) for e in range(st.edge_count)]
 
 
 @pytest.mark.parametrize("n,ell", SUITE_SIZES)

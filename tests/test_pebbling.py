@@ -1,10 +1,13 @@
+import itertools
 import math
 
 import pytest
 
 import swnet as sw
+from oracles import assoc
 from swnet import pebbling as pb
-from swnet.errors import BadPath, CapExceeded, IllegalMove
+from swnet.errors import BadPath, CapExceeded, IllegalMove, InvalidParams
+from swnet.network import leaf_symbols
 
 
 def test_apply_move_rules():
@@ -93,13 +96,13 @@ def test_trace_format():
 
 
 def test_witness_paths_convert_to_legal_traces():
-    for seed in range(12):
-        g = sw.random_digraph(4, 0.5, 200 + seed)
+    for n, seed in itertools.product((3, 4, 5), range(12)):
+        g = sw.random_digraph(n, 0.5, 200 + seed)
         for u in (1, 3):
             for ell in (1, 2):
-                net = sw.build(4, ell, u)
+                net = sw.build(n, ell, u)
                 oracle = sw.GraphOracle(g)
-                for j in range(4):
+                for j in range(n):
                     if j == u - 1:
                         continue
                     ok, path = sw.accepts(net, oracle, j)
@@ -109,3 +112,25 @@ def test_witness_paths_convert_to_legal_traces():
                     final, peak = pb.replay(g, u, moves)
                     assert final == frozenset({u, j + 1})
                     assert peak <= ell + 2
+
+
+def test_path_to_moves_refuses_a_start_other_than_the_root():
+    g = sw.from_edges(4, [(1, 2), (2, 3)])
+    net = sw.build(4, 1, 1)
+    ok, path = sw.accepts(net, sw.GraphOracle(g), 2)
+    assert ok and pb.path_to_moves(net, path, 1)
+    with pytest.raises(InvalidParams, match="root"):
+        pb.path_to_moves(net, path, 2)
+
+
+@pytest.mark.parametrize("n,ell", [(2, 1), (2, 2), (2, 3), (3, 2), (4, 2), (5, 2)])
+def test_leaf_source_support_is_the_support_of_assoc(n, ell):
+    # path_to_moves places or removes dst exactly when dst is outside it
+    tags, payloads = leaf_symbols(n, ell)
+    for e in range((2 * n + 1) ** ell * n):
+        leaf = e // n
+        for root in range(1, n + 1):
+            support = pb.leaf_source_support(tags[leaf], payloads[leaf], root)
+            multiset = assoc(n, ell, e, root, endpoint=0)
+            assert [dst in support for dst in range(1, n + 1)] == [dst in multiset for dst in range(1, n + 1)]
+            assert support == set(multiset)
