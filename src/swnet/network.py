@@ -26,8 +26,10 @@ depth come from mixed-radix block indices, glued vertices are resolved by
 min-label propagation, and each leaf's orientation and label source are
 read off one decoded (leaves x ell) symbol table.
 
-``boundary_laplacian`` follows the same recursion to reduce the on-subgraph
-onto the source and the sinks without building the network.
+``source_resistances`` follows the same recursion without building the
+network: it Kron-reduces the on-subgraph onto each block's boundary, one
+(n+1) x (n+1) Laplacian and one vector of on-classes per root type and
+depth, and solves the top level over the source's component alone.
 """
 
 from __future__ import annotations
@@ -48,12 +50,13 @@ SRC = 0  # local source slot of a leaf block; slots 1..n are its sinks
 #: spectral-dense routes build the structure, the mask and (exact) the
 #: component labels, 0.08-0.1 s and 33-36 MB of max RSS; the spectral route
 #: builds none of them.  `swnet decide` (spectral) at L = 4 on G(67, p),
-#: seed 1, takes 1.0-1.1 s and ru_maxrss 409-410 MB at p in {0.3, 0.6, 1},
-#: and 0.13 s and 117 MB at p = 0.05 (2-core x86, one BLAS thread, one run
-#: each; 1.1 s / 444-446 MB and 0.21 s / 150 MB while it built them).  On
-#: the denser graphs that is mostly boundary_laplacian's top-level dense
-#: solve over up to 67 * 68 internal vertices.  The budget was set when a
-#: sparse LU found R, at 2.4 KB per edge under a 3 GiB RLIMIT_AS
+#: seed 1, takes 1.1 s, ru_maxrss 393-394 MB and VmPeak 483 MiB at p in
+#: {0.3, 0.6, 1}, and 0.22 s and 112 MB at p = 0.05 (2-core x86, one BLAS
+#: thread, one run each, wall time of the whole command).  On the denser
+#: graphs that is mostly the top level's LU solve over the source's
+#: component, up to 67 * 69 vertices.
+#: The budget was set when a sparse LU found R, at 2.4 KB per edge under a
+#: 3 GiB RLIMIT_AS
 MAX_NETWORK_EDGES = 1_250_000
 
 
@@ -72,19 +75,21 @@ def check_edge_budget(n: int, ell: int) -> int:
     return edges
 
 
-def leaf_symbols(n: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """(tags, payloads) of every leaf of Sigma^ell, outermost symbol first.
+def leaf_symbols(n: int, ell: int, leaves: np.ndarray | list[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(tags, payloads) of the given leaves of Sigma^ell (default every leaf), outermost symbol first.
 
     A symbol is coded as one integer in [0, R), R = 2n+1: (0, 0) is 0,
     (1, i) is 1+i and (2, j) is 1+n+j.  A leaf is the number whose base-R
     digits, most significant first, are the codes of its symbols, and edge
     (leaf, i) of Sigma^ell x [n] has id leaf * n + i.  Both arrays are
-    (R^ell, ell): entry [leaf, pos] is the tag and the payload of the
+    (leaves, ell): entry [k, pos] is the tag and the payload of the k-th
     leaf's pos-th symbol (payload 0 under tag 0).
     """
     R = 2 * n + 1
+    if leaves is None:
+        leaves = np.arange(R**ell, dtype=np.int64)
     place = R ** np.arange(ell - 1, -1, -1, dtype=np.int64)
-    codes = np.arange(R**ell, dtype=np.int64)[:, None] // place % R
+    codes = np.asarray(leaves, dtype=np.int64)[:, None] // place % R
     tags = (codes > 0).astype(np.int8) + (codes > n)
     return tags, np.where(tags == 0, 0, (codes - 1) % n)
 
@@ -128,12 +133,12 @@ def component_labels(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     lab = np.arange(size)
     while True:
         la, lb = lab[a], lab[b]
-        if np.array_equal(la, lb):
+        if (la == lb).all():
             return lab
         np.minimum.at(lab, np.concatenate([la, lb]), np.concatenate([lb, la]))
         while True:
             jumped = lab[lab]
-            if np.array_equal(jumped, lab):
+            if (jumped == lab).all():
                 break
             lab = jumped
 
@@ -323,94 +328,143 @@ def accepts_all(net: SwitchingNet, oracle: GraphOracle) -> np.ndarray:
     return on_component(net, on_edge_mask(net, oracle))[2][net.struct.sink_vids]
 
 
-# -- the on-subgraph reduced onto the boundary ----------------------------------
+# -- effective resistance by a reduction along the recursion ---------------------
 
-def boundary_laplacian(adj: np.ndarray, root: int, ell: int) -> np.ndarray:
-    """Laplacian of the on-subgraph Kron-reduced onto [source, sink_0..sink_{n-1}].
+def source_resistances(adj: np.ndarray, root: int, ell: int) -> np.ndarray:
+    """Effective resistance of the on-subgraph from the source to each sink.
 
     ``adj`` is the n x n adjacency the depth-ell network rooted at ``root``
-    (1-indexed) is queried against.  Entry [k, l] of the (n+1) x (n+1)
-    result couples boundary vertex k (0 the source, 1+j sink j) to l once
-    every internal vertex is eliminated by a Schur complement, so the
-    source-sink effective resistances of the on-subgraph are those of this
-    small Laplacian.  A block's on-edges depend only on the root its labels
-    inherit (its type), and reversal leaves a Laplacian alone, so each
-    depth needs just n reduced Laplacians, one per type: block 0 and the
-    blocks (2, j) have the parent's type, block (1, i) has type i.  Depth 1
-    has a closed form; each deeper depth is one batched dense solve over
-    every type, the top one over the root's type only.  No oracle is asked,
-    and the cost is O(ell * n^7) flops whatever the edge count.
+    (1-indexed) is queried against; entry j is the resistance to sink j, nan
+    when the on-edges do not join it to the source.  No oracle is asked and
+    the network is not built: its on-subgraph is Kron-reduced onto each
+    block's boundary (its source and n sinks) along the recursion.  A
+    block's on-edges depend only on the root its labels inherit (its type),
+    and reversal leaves a Laplacian alone, so each depth needs one reduced
+    Laplacian per type: block 0 and the blocks (2, j) have the parent's
+    type, block (1, i) has type i.  Beside each goes the block's on-classes:
+    boundary slot k's class is the smallest slot the block's on-edges join
+    it to, so no matrix's pattern is ever labelled.
+
+    Depth 0 is a star, R = 1 on every on-sink.  Depth 1 has a closed form
+    (:func:`_depth_one`); each depth between it and the top reduces every
+    type at once (:func:`_reduce_level`).  The top glues the root's type
+    alone and keeps only the source's component, grounded at the source:
+    R is the diagonal of the inverse of that grounded Laplacian at the
+    reached sinks, one LU solve with a right-hand side per reached sink.
+    At ell = 1 the top is the root's depth-1 block, grounded the same way.
+    The cost is O(ell * n^7) flops whatever the network's edge count.
     """
     n = adj.shape[0]
-    on = (adj | np.eye(n, dtype=bool)).astype(float)  # on[r, i]: label (r+1, i+1) is on
+    on = adj | np.eye(n, dtype=bool)  # on[r, i]: label (r+1, i+1) is on
+    R = np.full(n, np.nan)
     if ell == 0:
-        K = np.diag(np.concatenate([[on[root - 1].sum()], on[root - 1]]))
-        K[0, 1:] = K[1:, 0] = -on[root - 1]
-        return K
-    # depth 1: midpoint i, behind conductance on(r, i) from the source, meets
-    # sink j through two edges in series, conductance on(i, j)/2 (row i of
-    # W); eliminating every midpoint is a sum of star-mesh transforms
-    W = np.column_stack([np.ones(n), on / 2])
-    types = on if ell > 1 else on[root - 1 : root]
-    K = (types @ W)[:, :, None] * np.eye(n + 1)
-    K -= ((types / W.sum(axis=1))[:, :, None] * W).transpose(0, 2, 1) @ W
-    for depth in range(2, ell + 1):
-        K = _reduce_level(K if depth < ell else K[root - 1 : root], K)
-    return K[0]
+        R[on[root - 1]] = 1.0
+        return R
+    types = np.arange(n) if ell > 1 else np.array([root - 1])
+    K, cls = _depth_one(on.astype(float), types)
+    for _ in range(2, ell):
+        K, cls = _reduce_level(K, cls)
+    if ell == 1:
+        order = np.flatnonzero(cls[0] == 0)[1:]
+        G = K[0][np.ix_(order, order)]
+        k = order.size
+    else:
+        _, rows, cols, _ = _glue_plan(n)
+        vals, lab = _glue(K, cls, np.array([root - 1]))
+        comp = lab[0] == 0
+        comp[0] = False  # grounded
+        k = np.count_nonzero(comp[: n + 1])
+        order = np.flatnonzero(comp)  # the reached sinks first, as 1+j < n+1
+        m = order.size
+        pos = np.full(comp.size, m)  # the source and the vertices outside its component land on row m, dropped
+        pos[order] = np.arange(m)
+        G = np.bincount(pos[rows] * (m + 1) + pos[cols], vals[0], minlength=(m + 1) ** 2)
+        G = G.reshape(m + 1, m + 1)[:m, :m]
+    R[order[:k] - 1] = np.linalg.solve(G, np.eye(len(G), k))[:k].diagonal()
+    return R
 
 
-def _reduce_level(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Reduced Laplacians of depth-d blocks from those of depth d-1.
+def _depth_one(on: np.ndarray, types: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced Laplacians and on-classes of the depth-1 blocks of the listed types.
 
-    P[t] is the child Laplacian of the t-th type asked for, shared by its
-    block 0 and its n blocks (2, j); Q[i] is that of type i, for block
-    (1, i).  The glued graph has N = (n+1)^2 vertices: the boundary, 0 (the
-    source) and 1+j (sink j), then a_i = n+1+i (block 0's sink i and block
-    (1, i)'s source) and b_ij = 2n+1+i*n+j (block (1, i)'s sink j and block
-    (2, j)'s sink i).  Internal vertices that no type joins to the boundary
-    are dropped.  A type grounds the kept vertices it does not join: they
-    touch none of its joined vertices, so its reduction is unchanged.
+    Midpoint i, behind conductance on(r, i) from the source, meets sink j
+    through two edges in series, conductance on(i, j)/2: a star with
+    conductances W_i.  Eliminating midpoint i is its star-mesh transform
+    diag(W_i) - W_i W_i^T / sum(W_i), present when on(r, i) is, so K is one
+    product.  A boundary slot's diagonal entry is positive iff some present
+    star joins it, so sink j is joined to the source iff its entry is, and
+    every other sink is a class of its own.
     """
-    T, n = P.shape[0], Q.shape[0]
-    N = (n + 1) ** 2
-    # each block's vertices: block 0, the blocks (2, j), then the blocks
-    # (1, i); rows and cols place every entry of their (n+1) x (n+1) child
-    a, b = n + 1 + np.arange(n), 2 * n + 1 + np.arange(n * n).reshape(n, n)
-    idx = np.vstack([np.concatenate([[0], a]), np.column_stack([1 + np.arange(n), b.T]), np.column_stack([a, b])])
-    rows, cols = (x.ravel() for x in np.broadcast_arrays(idx[:, :, None], idx[:, None, :]))
-    vals = np.concatenate([np.broadcast_to(P[:, None], (T, n + 1, n + 1, n + 1)).reshape(T, -1),
-                           np.broadcast_to(Q.ravel(), (T, Q.size))], axis=1)
+    n = on.shape[0]
+    W = np.concatenate([np.ones((n, 1)), on / 2], axis=1)
+    mesh = W[:, :, None] * (np.eye(n + 1) - W[:, None, :] / W.sum(axis=1)[:, None, None])
+    K = on[types] @ mesh.reshape(n, -1)
+    return K.reshape(-1, n + 1, n + 1), np.where(K[:, :: n + 2] > 0, 0, np.arange(n + 1))
 
-    # label every type's glued graph at once, vertices offset by N per type;
-    # a tie from the source to each sink gives the joined vertices its label
-    t, e = np.nonzero(vals != 0)
-    ties = N * np.arange(T).repeat(n)
-    lab = component_labels(T * N, np.concatenate([N * t + rows[e], ties]),
-                           np.concatenate([N * t + cols[e], ties + np.tile(1 + np.arange(n), T)]))
-    joined = lab.reshape(T, N) == lab[::N, None]
+
+# bounded by key count, like ``structure``
+@lru_cache(maxsize=32)
+def _glue_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where one level places its 2n+1 child blocks, the same for every type.
+
+    The glued graph has N = (n+1)^2 vertices: the boundary, 0 (the source)
+    and 1+j (sink j), then a_i = n+1+i (block 0's sink i and block (1, i)'s
+    source) and b_ij = 2n+1+i*n+j (block (1, i)'s sink j and block (2, j)'s
+    sink i).  Row c of ``idx`` lists child c's vertices by slot, for block
+    0, the blocks (2, j), then the blocks (1, i); ``rows`` and ``cols``
+    place every entry of every child's (n+1) x (n+1) Laplacian; ``child``
+    is child c's type, -1 for the parent's.
+    """
+    b = 2 * n + 1 + np.arange(n * n).reshape(n, n)
+    idx = np.empty((2 * n + 1, n + 1), dtype=np.int64)
+    idx[:, 0] = np.arange(2 * n + 1)  # slot 0: the source, sink j of block (2, j), a_i of block (1, i)
+    idx[0, 1:] = n + 1 + np.arange(n)
+    idx[1 : n + 1, 1:] = b.T
+    idx[n + 1 :, 1:] = b
+    rows, cols = np.repeat(idx, n + 1, axis=1).ravel(), np.tile(idx, n + 1).ravel()
+    return idx, rows, cols, np.concatenate([np.full(n + 1, -1), np.arange(n)])
+
+
+def _glue(K: np.ndarray, cls: np.ndarray, types: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Glue one level for each listed type: its child entries and its component labels.
+
+    K[t] and cls[t] are the child Laplacian and on-classes of type t.
+    Returns (vals, lab): vals[t] is every child entry in the order of the
+    plan's ``rows`` and ``cols``, and lab[t] labels the glued vertices by
+    the smallest of their component, joined by an edge from every child
+    slot to its class's slot (:func:`component_labels`, once for all types).
+    """
+    n, T = K.shape[0], types.size
+    N = (n + 1) ** 2
+    idx, _, _, child = _glue_plan(n)
+    reads = np.where(child < 0, types[:, None], child)  # [t, c]: the type child c reads
+    offset = N * np.arange(T)[:, None, None]
+    lab = component_labels(T * N, (idx + offset).ravel(),
+                           (idx[np.arange(len(idx))[:, None], cls[reads]] + offset).ravel())
+    return K[reads].reshape(T, -1), lab.reshape(T, N) - offset[:, 0]
+
+
+def _reduce_level(K: np.ndarray, cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced Laplacians and on-classes of every type's depth-d block from depth d-1's.
+
+    A glued vertex is joined when its label is at most n: its component then
+    holds a boundary vertex, whose slot labels the boundary's new classes.
+    Internal vertices that no type joins are dropped.  A type grounds the
+    kept vertices it does not join: they touch none of its joined vertices,
+    so its reduction is unchanged.
+    """
+    n = K.shape[0]
+    _, rows, cols, _ = _glue_plan(n)
+    vals, lab = _glue(K, cls, np.arange(n))
+    joined = lab <= n
     keep = joined.any(axis=0)
     pos = np.cumsum(keep) - 1
     M = int(keep.sum())
 
     inside = keep[rows] & keep[cols]
-    flat = pos[rows[inside]] * M + pos[cols[inside]] + M * M * np.arange(T)[:, None]
-    A = np.bincount(flat.ravel(), vals[:, inside].ravel(), minlength=T * M * M).reshape(T, M, M)
+    flat = pos[rows[inside]] * M + pos[cols[inside]] + M * M * np.arange(n)[:, None]
+    A = np.bincount(flat.ravel(), vals[:, inside].ravel(), minlength=n * M * M).reshape(n, M, M)
     A[:, np.arange(M), np.arange(M)] += ~joined[:, keep]
     B, I = slice(0, n + 1), slice(n + 1, M)
     K = A[:, B, B] - A[:, B, I] @ np.linalg.solve(A[:, I, I], A[:, I, B])
-    return (K + K.transpose(0, 2, 1)) / 2
-
-
-def source_resistances(K: np.ndarray) -> np.ndarray:
-    """Effective resistance from vertex 0 of the Laplacian K to each other vertex.
-
-    Entry j is (K_0^-1)_jj for vertex 1+j, with K_0 the block of the
-    vertices K's pattern joins to vertex 0, grounded there; nan for the
-    vertices it does not join.
-    """
-    lab = component_labels(K.shape[0], *np.nonzero(K))
-    reached = 1 + np.flatnonzero(lab[1:] == lab[0])
-    out = np.full(K.shape[0] - 1, np.nan)
-    out[reached - 1] = np.diag(np.linalg.inv(K[np.ix_(reached, reached)]))
-    return out
-
+    return (K + K.transpose(0, 2, 1)) / 2, lab[:, : n + 1]

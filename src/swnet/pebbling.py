@@ -175,16 +175,18 @@ def path_to_moves(net, witness_edges, start: int):
     if start != net.root:
         raise InvalidParams(f"start {start} is not the network's root {net.root}")
     st = net.struct
-    tags, payloads = leaf_symbols(net.n, net.ell)
-    label_src, _ = st.label_arrays(net.root)
+    leaves = [e // net.n for e in witness_edges]
+    tags, payloads = leaf_symbols(net.n, net.ell, leaves)  # only the witness's leaves are decoded
     moves = []
     cur_vid = net.source
-    for e in witness_edges:
+    for k, e in enumerate(witness_edges):
         leaf, i = divmod(e, net.n)
         vsrc, vsink = int(st._leaf_src_vid[leaf]), int(st._leaf_sink_vid[leaf, i])
         if cur_vid not in (vsrc, vsink):
             raise InvalidParams("witness edges do not form a path from the source")
-        if i + 1 not in leaf_source_support(tags[leaf], payloads[leaf], net.root):
-            moves.append(PebbleMove(PLACE if cur_vid == vsrc else REMOVE, int(label_src[e]), i + 1))
+        if i + 1 not in leaf_source_support(tags[k], payloads[k], net.root):
+            label_src = int(st._leaf_label_src[leaf])  # the query source, as label_arrays reads it
+            src = net.root if label_src < 0 else label_src + 1
+            moves.append(PebbleMove(PLACE if cur_vid == vsrc else REMOVE, src, i + 1))
         cur_vid = vsink if cur_vid == vsrc else vsrc
     return moves

@@ -5,7 +5,9 @@ input-dependent space A(x), one around the input-independent space B.  The
 reflection around B is implemented by generating a basis of its orthogonal
 complement and flipping that span, so the operator actually applied is
 
-    U_alg = (2 P_A - I)(I - 2 P_Bperp) = -(2 P_A - I)(2 P_B - I).
+    U_alg = (2 P_A - I)(2 P_Bperp - I) = -(2 P_A - I)(2 P_B - I),
+
+the negative of U = (2 P_A - I)(2 P_B - I), since 2 P_Bperp - I = I - 2 P_B.
 
 Connectivity shows up in the fixed space of U_alg: the intersection of
 A(x) with the complement of B is exactly the set of boundary-locked flows
@@ -28,12 +30,14 @@ of one source and one length bound grafts the input once and finds reach
 once, by a BFS of the grafted graph bounded at the rounded length, which
 the network theorem (swnet.network) makes the source's on-component; every
 route's verdict is held to it, and it settles every rejection.  On the
-first sink that needs R it Kron-reduces the on-subgraph onto the source
-and the n sinks (``network.boundary_laplacian``, built from the input
-graph along the network's recursion, never from its |E| edges); R for every sink is then
-a diagonal entry of the inverse of that small Laplacian, grounded at the
-source, so one evaluation answers every sink.  Every route's witness is
-that R and the path length 3^ell, which the Evaluation docstring proves.
+first sink that needs R it finds R for every sink at once
+(``network.source_resistances``, from the input graph along the
+network's recursion, never from its |E| edges): it Kron-reduces each
+block's on-subgraph onto its boundary, carries which boundary vertices
+the on-edges join, and solves the top level over the source's component
+alone, grounded at the source, so one evaluation answers every sink.
+Every route's witness is that R and the path length 3^ell, which the
+Evaluation docstring proves.
 Two routes read the mass off the spectrum instead and serve as
 cross-checks: ``phase_mass`` diagonalizes the small symmetric matrix
 M = Q^T P_A Q on the generated complement basis Q (psi0 lies in that
@@ -53,9 +57,7 @@ import numpy as np
 from . import flows as fl
 from .errors import BasisMismatch, InvalidParams, ReachMismatch
 from .graphs import Digraph, GraphOracle, attach_source_path, bfs_distances, pad_to_power_of_two
-from .network import (
-    SwitchingNet, accepts_all, boundary_laplacian, build, check_edge_budget, on_edge_mask, source_resistances,
-)
+from .network import SwitchingNet, accepts_all, build, check_edge_budget, on_edge_mask, source_resistances
 from .network import accepts  # noqa: F401  (bound here for perfbench's tracer, which wraps spaneval.accepts)
 
 #: calibration of the simulated decider: a single global rule, not tuned
@@ -277,10 +279,12 @@ class Evaluation:
       and masked network put sink v in the source's on-component;
     - ``resistance`` (mode "spectral", every size): the fixed-space mass
       2 / (2 R + 4), or 0 when sink v is not reached; builds no network.
-      R is the effective resistance, read for every sink at once off the
-      (n'+1) x (n'+1) boundary Laplacian (network.boundary_laplacian) on
-      the first reached sink, whose pattern must join the reached sinks to
-      the source and no others;
+      R is the effective resistance, found for every sink at once on the
+      first reached sink by network.source_resistances: the network's
+      recursion, Kron-reduced onto each block's (n'+1)-vertex boundary
+      with the on-classes of that boundary beside it, and the top level
+      solved over the source's component alone; the sinks those classes
+      join to the source must be the reached sinks and no others;
     - ``dense`` (mode "spectral-dense"): the dense reflections for sink v
       and their eigendecomposition, one per sink, on the built network;
       refused with InvalidParams above SPECTRAL_DIM_CAP, before it is
@@ -296,10 +300,10 @@ class Evaluation:
     no queries and no evaluation, and builds nothing.
 
     With ``witness`` an accepted report also gets its witness, the same on
-    every route: the optimal on-flow energy R from the boundary Laplacian,
-    which asks no oracle, and the path length 3^ell, the on-edge distance
-    from the source to sink v.  A trivial report's witness is energy 0 and
-    length 0.
+    every route: the optimal on-flow energy R from
+    network.source_resistances, which asks no oracle, and the path length
+    3^ell, the on-edge distance from the source to sink v.  A trivial
+    report's witness is energy 0 and length 0.
 
     Proof that the path length is 3^ell.  Write N_k(a) for the depth-k
     network rooted at a, with source s and sinks t_b.
@@ -375,11 +379,11 @@ class Evaluation:
     def _resistances(self) -> np.ndarray:
         """Effective resistance from the source to every sink, nan outside its component.
 
-        Read off the boundary Laplacian on the first sink that needs R, so a
-        rejecting sink costs none.  The sinks its pattern joins to the
-        source must be those the bounded BFS reaches, else ReachMismatch.
+        Found by network.source_resistances on the first sink that needs R,
+        so a rejecting sink costs none.  The sinks its on-classes join to
+        the source must be those the bounded BFS reaches, else ReachMismatch.
         """
-        R = source_resistances(boundary_laplacian(self.graph.adj, self._root, self.ell))
+        R = source_resistances(self.graph.adj, self._root, self.ell)
         mismatch = np.flatnonzero(np.isnan(R) == self._reach)
         if mismatch.size:
             raise ReachMismatch(

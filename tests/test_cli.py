@@ -166,7 +166,7 @@ def test_decide_refuses_a_network_past_the_edge_budget(tmp_path, L):
 @pytest.mark.parametrize("n, code", [(67, 0), (68, 2)])
 def test_decide_at_the_edge_budget(tmp_path, n, code):
     # (67, 2) is the largest network MAX_NETWORK_EDGES admits, and its
-    # decision fits in a 1 GiB address space (VmPeak 497 MiB measured);
+    # decision fits in a 1 GiB address space (VmPeak 483 MiB measured);
     # (68, 2) is refused before anything is built
     graph = tmp_path / "g.txt"
     sw.write_graph_file(graph, sw.random_digraph(n, 0.3, 1))
@@ -285,17 +285,17 @@ def test_import_and_decider_construction_load_no_scipy(tmp_path):
 
 
 def test_reach_mismatch_exits_3(path_graph, capsys, monkeypatch):
-    # cut the root's own sink, which the component labels always reach, out
-    # of the boundary Laplacian
-    real = se.boundary_laplacian
+    # cut the root's own sink, which the bounded BFS always reaches, out of
+    # the source's component
+    real = se.source_resistances
 
     def severed(adj, root, ell):
-        K = real(adj, root, ell)
-        K[root, :] = K[:, root] = 0.0
-        return K
+        R = real(adj, root, ell)
+        R[root - 1] = float("nan")
+        return R
 
-    monkeypatch.setattr(se, "boundary_laplacian", severed)
-    # a rejection reads only the bounded BFS, never the Laplacian, so it still answers
+    monkeypatch.setattr(se, "source_resistances", severed)
+    # a rejection reads only the bounded BFS, never the resistances, so it still answers
     assert main(["decide", "--graph", path_graph, "--u", "1", "--v", "4", "--L", "2"]) == 0
     assert capsys.readouterr().out.strip() == "False"
     assert main(["decide", "--graph", path_graph, "--u", "1", "--v", "3", "--L", "2"]) == 3

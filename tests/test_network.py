@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swnet as sw
 from swnet import spaneval as se
@@ -10,7 +12,7 @@ from oracles import (
     symbol_of, union_find_structure,
 )
 from swnet.errors import InvalidParams
-from swnet.network import boundary_laplacian, leaf_symbols, source_resistances
+from swnet.network import leaf_symbols, source_resistances
 
 #: every power-of-two (n, ell) the test suite builds a network at, and
 #: grafted sizes its decisions build at any n
@@ -212,7 +214,7 @@ def test_edge_budget_admits_every_size_built_and_refuses_past_it():
         sw.network.NetStructure(17, 5)
 
 
-# -- the boundary Laplacian against the sparse LU of the whole on-subgraph -------
+# -- the reduction along the recursion against the sparse LU of the whole on-subgraph
 
 #: every (n', ell) the resistance route builds in tier-1, grafted n' included
 RESISTANCE_SIZES = [(n, ell) for ell, ns in ((0, range(2, 17)), (1, range(2, 17)), (2, range(3, 18)),
@@ -222,7 +224,7 @@ RESISTANCE_SIZES = [(n, ell) for ell, ns in ((0, range(2, 17)), (1, range(2, 17)
 def assert_resistances_match(g, root, ell):
     net = sw.build(g.n, ell, root)
     want = splu_resistances(net, sw.on_edge_mask(net, sw.GraphOracle(g)))
-    got = source_resistances(boundary_laplacian(g.adj, root, ell))
+    got = source_resistances(g.adj, root, ell)
     assert np.array_equal(np.isnan(got), np.isnan(want)), (g.n, ell, root)
     reached = ~np.isnan(want)
     assert np.all(np.abs(got[reached] - want[reached]) <= 1e-12 * want[reached]), (g.n, ell, root)
@@ -279,7 +281,24 @@ def test_boundary_laplacian_edge_cases(ell):
 
 
 def test_source_resistances_of_a_lone_source():
-    # a component that is only vertex 0: every resistance is nan
-    K = np.zeros((4, 4))
-    K[1:3, 1:3] = [[1, -1], [-1, 1]]
-    assert np.isnan(source_resistances(K)).all()
+    # a root without out-edges reaches only its own sink, through one path
+    # of 3^ell constant-true edges, whatever the rest of the graph joins
+    g = sw.from_edges(4, [(2, 3), (3, 2), (3, 4)])
+    for ell in range(4):
+        R = source_resistances(g.adj, 1, ell)
+        assert np.isnan(R[1:]).all()
+        assert R[0] == pytest.approx(3**ell, rel=1e-12)
+
+
+@st.composite
+def digraphs(draw, max_n=7):
+    n = draw(st.integers(2, max_n))
+    slots = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+    return sw.from_edges(n, draw(st.lists(st.sampled_from(slots), unique=True, max_size=len(slots))))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(digraphs(), st.integers(0, 3))
+def test_source_resistances_equal_sparse_lu_property(g, ell):
+    for root in range(1, g.n + 1):
+        assert_resistances_match(g, root, ell)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -121,6 +122,23 @@ def test_path_to_moves_refuses_a_start_other_than_the_root():
     assert ok and pb.path_to_moves(net, path, 1)
     with pytest.raises(InvalidParams, match="root"):
         pb.path_to_moves(net, path, 2)
+
+
+def test_path_to_moves_decodes_only_the_witness_leaves():
+    # the (16, 3) witness has 27 of 575k edges; decoding every leaf and
+    # building every edge's label took about 19 MB there
+    g = sw.layered_path(16)
+    net = sw.build(16, 3, 1)
+    ok, path = sw.accepts(net, sw.GraphOracle(g), 7)
+    assert ok and len(path) == 27
+    tracemalloc.start()
+    try:
+        moves = pb.path_to_moves(net, path, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert pb.replay(g, 1, moves)[0] == frozenset({1, 8})
 
 
 @pytest.mark.parametrize("n,ell", [(2, 1), (2, 2), (2, 3), (3, 2), (4, 2), (5, 2)])

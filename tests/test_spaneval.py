@@ -33,6 +33,20 @@ def test_reflection_invariants():
     assert round(np.trace(pair.P_B)) == net.vertex_count + net.edge_count
 
 
+@pytest.mark.parametrize("n, ell", [(2, 2), (4, 1), (4, 2), (2, 3)])
+def test_walk_operator_reflects_around_the_generated_complement(n, ell):
+    # the module docstring's U_alg = (2 P_A - I)(2 P_Bperp - I) = -(2 P_A - I)(2 P_B - I);
+    # (2 P_A - I)(I - 2 P_Bperp) is U, not U_alg
+    g = sw.random_digraph(n, 0.5, 3)
+    net = sw.build(n, ell, 1)
+    for j in range(n):
+        pair = se.build_reflections(net, sw.GraphOracle(g), j)
+        eye = np.eye(pair.U.shape[0])
+        reflect_A = 2 * pair.P_A - eye
+        assert np.abs(pair.U_alg - reflect_A @ (2 * (eye - pair.P_B) - eye)).max() < 1e-11
+        assert np.abs(pair.U_alg + reflect_A @ (2 * pair.P_B - eye)).max() < 1e-11
+
+
 def test_eigenphases_sign_symmetric_and_fixed_dims():
     g = sw.random_digraph(2, 0.7, 3)
     net = sw.build(2, 1, 1)
