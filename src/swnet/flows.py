@@ -22,6 +22,11 @@ The recursively defined basis flows have rational entries with denominator
 n^ell.  ``unit_flow`` and friends return integer vectors scaled by n^ell
 (or n^(ell-1) for the circulations), so divergence and norm
 identities can be checked exactly; closed forms are ``Fraction`` values.
+The unit flows and their sums are int32: a unit flow carries at most n^ell
+on any edge, so every entry of a signed sum of at most n of them is at most
+n^(ell+1) <= (2n+1)^ell * n = |E| in absolute value, and |E| is at most
+``MAX_NETWORK_EDGES`` < 2^31, which ``unit_flow`` checks before it
+allocates.  The circulations are int64.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import Disconnected, InvalidParams, RankDeficient, ZeroZ
-from .network import SwitchingNet, on_component
+from .network import SwitchingNet, check_edge_budget, on_component
 
 # -- reduced-representation layout -------------------------------------------
 
@@ -65,28 +70,39 @@ def require_power_of_two(n: int) -> None:
         raise InvalidParams(f"n = {n} is not a power of two, which the bitwise signs z.i and x.j need")
 
 
+def _signs(x: int, n: int) -> np.ndarray:
+    """(-1)^(x.j) for j = 0..n-1, as integers."""
+    return np.array([1 - 2 * _bitdot(x, j) for j in range(n)])
+
+
+def _frozen(v: np.ndarray) -> np.ndarray:
+    """``v`` made read-only: the cached vectors are shared by every caller."""
+    v.flags.writeable = False
+    return v
+
+
 # The flow caches are bounded by key count.  verify-dense, the only workload
 # that reads flows, holds 109 unit flows (every sink at (16, 0..3), (8, 0..4)
-# and its dense cases) and fewer than 10 keys in each norm cache.
+# and its dense cases), 58 MiB as int32 (116 MiB as int64), and fewer than 10
+# keys in each norm cache.
 @lru_cache(maxsize=64)
-def _sum_unit_flows(n: int, ell: int) -> tuple:
-    """sum_j of the optimal unit flows, scaled by n^ell; integer tuple.
+def _sum_unit_flows(n: int, ell: int) -> np.ndarray:
+    """sum_j of the optimal unit flows, scaled by n^ell; read-only int32.
 
     Layer-uniform: the entry on an edge whose block path has z zero tags is
     n^(ell+1) / |E_tau| = n^z.
     """
+    check_edge_budget(n, ell)
     if ell == 0:
-        return tuple([1] * n)
+        return _frozen(np.ones(n, dtype=np.int32))
     prev = _sum_unit_flows(n, ell - 1)
-    out = [n * c for c in prev]  # block 0 carries n * sum(ell-1)
-    for _ in range(2 * n):  # blocks (1,i) and (2,j) each carry sum(ell-1)
-        out.extend(prev)
-    return tuple(out)
+    # block 0 carries n * sum(ell-1), blocks (1,i) and (2,j) each sum(ell-1)
+    return _frozen(np.concatenate([n * prev, np.tile(prev, 2 * n)]))
 
 
 @lru_cache(maxsize=128)
 def unit_flow(n: int, ell: int, j: int) -> np.ndarray:
-    """Optimal unit flow from the source to sink j, scaled by n^ell.
+    """Optimal unit flow from the source to sink j, scaled by n^ell; read-only int32.
 
     Depth 0 sends one unit down edge j.  At depth ell the flow spreads
     uniformly over the n midpoints i: block 0 carries the flow to midpoint
@@ -96,19 +112,18 @@ def unit_flow(n: int, ell: int, j: int) -> np.ndarray:
     """
     if not 0 <= j < n:
         raise InvalidParams(f"sink index {j} out of range")
+    check_edge_budget(n, ell)
     if ell == 0:
-        v = np.zeros(n, dtype=np.int64)
+        v = np.zeros(n, dtype=np.int32)
         v[j] = 1
-        return v
-    prev_sum = np.array(_sum_unit_flows(n, ell - 1), dtype=np.int64)  # n^ell scale
+        return _frozen(v)
+    prev_sum = _sum_unit_flows(n, ell - 1)  # n^ell scale
     prev_j = unit_flow(n, ell - 1, j)  # n^(ell-1) scale
-    block = prev_j.shape[0]
-    out = np.zeros((2 * n + 1) * block, dtype=np.int64)
-    out[:block] = prev_sum
-    for i in range(n):
-        out[(1 + i) * block : (2 + i) * block] = prev_j
-    out[(1 + n + j) * block : (2 + n + j) * block] = prev_sum
-    return out
+    out = np.zeros((2 * n + 1, prev_j.shape[0]), dtype=np.int32)
+    out[0] = prev_sum
+    out[1 : n + 1] = prev_j
+    out[1 + n + j] = prev_sum
+    return _frozen(out.reshape(-1))
 
 
 def fourier_circulation(n: int, ell: int, z: int, x: int) -> np.ndarray:
@@ -137,8 +152,9 @@ def _circulations(n: int, ell: int, zs: np.ndarray, xs: np.ndarray) -> np.ndarra
     """
     if ell < 1:
         raise InvalidParams("circulations appear at depth >= 1")
+    check_edge_budget(n, ell)
     sz, sx = (np.stack([_signed_unit_flow_sum(n, ell - 1, b) for b in bits]) for bits in (zs, xs))
-    sign_z, sign_x = (np.array([[(-1) ** _bitdot(b, i) for i in range(n)] for b in bits]) for bits in (zs, xs))
+    sign_z, sign_x = (np.stack([_signs(b, n) for b in bits]) for bits in (zs, xs))
     out = np.zeros((zs.size, xs.size, 2 * n + 1, sz.shape[1]), dtype=np.int64)
     out[:, xs == 0, 0] = n * sz[:, None]
     np.multiply(sign_z[:, None, :, None], sx[None, :, None, :], out=out[:, :, 1 : n + 1])
@@ -147,8 +163,8 @@ def _circulations(n: int, ell: int, zs: np.ndarray, xs: np.ndarray) -> np.ndarra
 
 
 def _signed_unit_flow_sum(n: int, ell: int, x: int) -> np.ndarray:
-    """sum_j (-1)^(x.j) unit_flow(n, ell, j), accumulated in place."""
-    out = np.zeros(unit_flow(n, ell, 0).shape[0], dtype=np.int64)
+    """sum_j (-1)^(x.j) unit_flow(n, ell, j), accumulated in place in int32."""
+    out = np.zeros(unit_flow(n, ell, 0).shape[0], dtype=np.int32)
     for j in range(n):
         if _bitdot(x, j):
             out -= unit_flow(n, ell, j)

@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BadPath, CapExceeded, IllegalMove, InvalidParams
 from .graphs import Digraph
 from .network import leaf_symbols
@@ -149,44 +151,48 @@ def format_trace(L: int, path: list[int], moves) -> str:
     return "\n".join(lines) + "\n"
 
 
-def leaf_source_support(tags, payloads, root: int) -> set[int]:
-    """The graph vertices of the multiset carried by a leaf's source.
+def in_source_support(tags, payloads, root: int, dst) -> np.ndarray:
+    """Whether graph vertex dst[k] is in the support of leaf k's source multiset.
 
-    ``tags`` and ``payloads`` are the leaf's row of
-    :func:`~swnet.network.leaf_symbols`.  The network's source carries
-    {root}; block (1, i) re-roots at v_i and keeps its parent's root, block
-    (2, j) adds v_j, and block 0 adds nothing, so the support is the root
-    and v_{payload+1} of every symbol with a nonzero tag.  A leaf's sinks
-    carry the source's multiset plus the query target.
+    ``tags`` and ``payloads`` are rows of :func:`~swnet.network.leaf_symbols`,
+    one per leaf, and ``dst`` holds 1-indexed graph vertices.  The network's
+    source carries {root}; block (1, i) re-roots at v_i and keeps its
+    parent's root, block (2, j) adds v_j, and block 0 adds nothing, so the
+    support is the root and v_{payload+1} of every symbol with a nonzero
+    tag.  A leaf's sinks carry the source's multiset plus the query target.
     """
-    return {root, *(payloads[tags > 0] + 1).tolist()}
+    dst = np.asarray(dst)
+    return (dst == root) | ((tags > 0) & (payloads + 1 == dst[:, None])).any(axis=1)
 
 
 def path_to_moves(net, witness_edges, start: int):
     """Convert an on-path of the network into a legal pebbling trace from ``start``.
 
     Network vertices carry multisets of graph vertices, and the pebbled set
-    tracks the support of the current one (:func:`leaf_source_support`).
+    tracks the support of the current one (:func:`in_source_support`).
     Crossing an edge toward its leaf sink places the query target (supported
     by the query source), crossing back removes it; when the target is
     already in the support the step is skipped.  ``start`` must be the
-    network's root, where the trace begins.
+    network's root, where the trace begins.  The witness's leaves are
+    decoded and its per-leaf rows read as arrays, once.
     """
     if start != net.root:
         raise InvalidParams(f"start {start} is not the network's root {net.root}")
     st = net.struct
-    leaves = [e // net.n for e in witness_edges]
+    leaves, targets = np.divmod(np.asarray(witness_edges, dtype=np.int64), net.n)
     tags, payloads = leaf_symbols(net.n, net.ell, leaves)  # only the witness's leaves are decoded
+    dst = targets + 1
+    skip = in_source_support(tags, payloads, net.root, dst).tolist()
+    label_src = st._leaf_label_src[leaves]  # the query source, as label_arrays reads it
+    query_src = np.where(label_src < 0, net.root, label_src + 1).tolist()
+    vsrcs = st._leaf_src_vid[leaves].tolist()
+    vsinks = st._leaf_sink_vid[leaves, targets].tolist()
     moves = []
     cur_vid = net.source
-    for k, e in enumerate(witness_edges):
-        leaf, i = divmod(e, net.n)
-        vsrc, vsink = int(st._leaf_src_vid[leaf]), int(st._leaf_sink_vid[leaf, i])
+    for vsrc, vsink, src, dst, skipped in zip(vsrcs, vsinks, query_src, dst.tolist(), skip):
         if cur_vid not in (vsrc, vsink):
             raise InvalidParams("witness edges do not form a path from the source")
-        if i + 1 not in leaf_source_support(tags[k], payloads[k], net.root):
-            label_src = int(st._leaf_label_src[leaf])  # the query source, as label_arrays reads it
-            src = net.root if label_src < 0 else label_src + 1
-            moves.append(PebbleMove(PLACE if cur_vid == vsrc else REMOVE, src, i + 1))
+        if not skipped:
+            moves.append(PebbleMove(PLACE if cur_vid == vsrc else REMOVE, src, dst))
         cur_vid = vsink if cur_vid == vsrc else vsrc
     return moves

@@ -22,7 +22,13 @@ The four preparers output, up to positive scale,
     one optimal flow  theta_j, optionally with boundary slots
 
 where theta_j / p_ij are the recursive optimal-flow states from
-:mod:`swnet.flows`; each is verified against that module's vectors.  Every
+:mod:`swnet.flows`; each is verified against that module's vectors.  The
+sum of flows is the base of the others: after the layer names are loaded,
+its step 2 gathers each layer's amplitude to the leaves through the
+symbol-code -> tag map, one axis at a time, with no leaf decoded.  The
+recursive preparers write their n like-shaped blocks with one broadcast
+multiply each, and every preparer checks the edge budget
+(:func:`swnet.network.check_edge_budget`) before it allocates.  Every
 preparer needs n to be a power of two (its Hadamard layers act on log2 n
 qubits) and raises InvalidParams otherwise.
 """
@@ -38,7 +44,7 @@ import numpy as np
 
 from . import flows as fl
 from .errors import InvalidParams, NegativePrefix, ZeroZ
-from .network import leaf_symbols
+from .network import check_edge_budget
 
 
 @dataclass
@@ -130,19 +136,29 @@ def prepare_sum_of_flows(n: int, ell: int) -> tuple[np.ndarray, PrepCircuit]:
 
     Step 1 loads the layer-name superposition with amplitudes
     sqrt(n^z / (n+2)^ell) from the exact prefix sums; step 2 expands each
-    layer name into the uniform superposition over its edges.
+    layer name into the uniform superposition over its edges.  Step 2
+    divides each of the 3^ell layer amplitudes by sqrt(|E_tau|), spreads
+    them to the (2n+1)^ell leaves by one gather per symbol axis through the
+    tag map (code 0 has tag 0, codes 1..n tag 1, codes n+1..2n tag 2) and
+    repeats each leaf's amplitude over its n edges; no leaf is decoded.
     """
     fl.require_power_of_two(n)
+    check_edge_budget(n, ell)
     if ell == 0:
         out = np.full(n, 1 / math.sqrt(n))
         return out, PrepCircuit(ell=0, ops=("load",), gate_count=_logn(n))
     spec = AmplitudeSpec(m=ell, d=3, prefix_sum=lambda p: prefix_sum_S(n, ell, p))
     layer_amp, step1 = grover_rudolph(spec)
-    # each leaf's layer: its tag pattern tau in base 3, and |E_tau| = n^(1 + ell - zeros)
-    tags, _ = leaf_symbols(n, ell)
-    t_index = tags @ 3 ** np.arange(ell - 1, -1, -1)
-    layer_size = (n ** (1 + ell - (tags == 0).sum(axis=1))).astype(float)
-    out = np.repeat(layer_amp[t_index] / np.sqrt(layer_size), n)
+    # zero tags of every tag pattern tau in base 3, and |E_tau| = n^(1 + ell - zeros)
+    zeros = np.zeros(1, dtype=np.int64)
+    for _ in range(ell):
+        zeros = (zeros[:, None] + [1, 0, 0]).ravel()
+    layer_size = (n ** (1 + ell - zeros)).astype(float)
+    leaf_amp = (layer_amp / np.sqrt(layer_size)).reshape((3,) * ell)
+    tag_of = np.repeat([0, 1, 2], [1, n, n])  # a symbol code's tag
+    for axis in range(ell):
+        leaf_amp = np.take(leaf_amp, tag_of, axis=axis)
+    out = np.repeat(leaf_amp.ravel(), n)
     gates = step1.gate_count + (ell + 1) * _logn(n)
     ops = step1.ops + ("expand-layers", "hadamard")
     return out, PrepCircuit(ell=ell, ops=ops, gate_count=gates)
@@ -159,10 +175,11 @@ def fourier_flows_C(n: int, ell: int, x: int) -> tuple[np.ndarray, PrepCircuit]:
     fl.require_power_of_two(n)
     if not 0 <= x < n:
         raise InvalidParams(f"x = {x} out of range")
+    check_edge_budget(n, ell)
     if x == 0:
         return prepare_sum_of_flows(n, ell)
     if ell == 0:
-        out = np.array([(-1) ** fl._bitdot(x, j) for j in range(n)]) / math.sqrt(n)
+        out = fl._signs(x, n) / math.sqrt(n)
         return out, PrepCircuit(ell=0, ops=("hadamard",), gate_count=_logn(n))
     v_x, c_x = fourier_flows_C(n, ell - 1, x)
     v_0, c_0 = fourier_flows_C(n, ell - 1, 0)
@@ -171,16 +188,13 @@ def fourier_flows_C(n: int, ell: int, x: int) -> tuple[np.ndarray, PrepCircuit]:
     )
     w1 = math.sqrt(float(alpha) / n)
     w2 = math.sqrt(float(1 - alpha) / n)
-    block = v_x.shape[0]
-    out = np.zeros((2 * n + 1) * block)
-    for i in range(n):
-        np.multiply(v_x, w1, out=out[(1 + i) * block : (2 + i) * block])
-    for j in range(n):
-        sgn = (-1) ** fl._bitdot(x, j)
-        np.multiply(v_0, w2 * sgn, out=out[(1 + n + j) * block : (2 + n + j) * block])
+    out = np.empty((2 * n + 1, v_x.shape[0]))
+    out[0] = 0.0
+    np.multiply(v_x, w1, out=out[1 : n + 1])
+    np.multiply((w2 * fl._signs(x, n))[:, None], v_0, out=out[n + 1 :])
     gates = 1 + 2 * _logn(n) + max(c_x.gate_count, c_0.gate_count)
     ops = ("rotate", "cswap", "hadamard", ("call", ell - 1))
-    return out, PrepCircuit(ell=ell, ops=ops, gate_count=gates)
+    return out.reshape(-1), PrepCircuit(ell=ell, ops=ops, gate_count=gates)
 
 
 def prepare_psi(n: int, ell: int, z: int, x: int) -> tuple[np.ndarray, PrepCircuit]:
@@ -196,6 +210,7 @@ def prepare_psi(n: int, ell: int, z: int, x: int) -> tuple[np.ndarray, PrepCircu
         raise ZeroZ("z must be nonzero")
     if ell < 1:
         raise InvalidParams("circulations appear at depth >= 1")
+    check_edge_budget(n, ell)
     v_z, c_z = fourier_flows_C(n, ell - 1, z)
     v_x, c_x = fourier_flows_C(n, ell - 1, x)
     N = fl.signed_flow_sum_norm_sq(n, ell - 1)
@@ -205,18 +220,13 @@ def prepare_psi(n: int, ell: int, z: int, x: int) -> tuple[np.ndarray, PrepCircu
     else:
         w = np.sqrt(np.array([0.0, float(n * N), float(n * N)]))
     w /= np.linalg.norm(w)
-    block = v_z.shape[0]
-    out = np.zeros((2 * n + 1) * block)
-    np.multiply(v_z, w[0], out=out[:block])
-    for i in range(n):
-        sgn = (-1) ** fl._bitdot(z, i)
-        np.multiply(v_x, w[1] / math.sqrt(n) * sgn, out=out[(1 + i) * block : (2 + i) * block])
-    for j in range(n):
-        sgn = (-1) ** fl._bitdot(x, j)
-        np.multiply(v_z, w[2] / math.sqrt(n) * sgn, out=out[(1 + n + j) * block : (2 + n + j) * block])
+    out = np.empty((2 * n + 1, v_z.shape[0]))
+    np.multiply(v_z, w[0], out=out[0])
+    np.multiply((w[1] / math.sqrt(n) * fl._signs(z, n))[:, None], v_x, out=out[1 : n + 1])
+    np.multiply((w[2] / math.sqrt(n) * fl._signs(x, n))[:, None], v_z, out=out[n + 1 :])
     gates = 1 + 2 * _logn(n) + max(c_z.gate_count, c_x.gate_count)
     ops = ("rotate", "cswap", "hadamard", ("call", ell - 1))
-    return out, PrepCircuit(ell=ell, ops=ops, gate_count=gates)
+    return out.reshape(-1), PrepCircuit(ell=ell, ops=ops, gate_count=gates)
 
 
 def prepare_theta(
@@ -233,9 +243,10 @@ def prepare_theta(
     fl.require_power_of_two(n)
     if not 0 <= j < n:
         raise InvalidParams(f"sink index {j} out of range")
+    E = check_edge_budget(n, ell)
+    full = np.zeros(E + 4 if with_boundary else E)
     if ell == 0:
-        out = np.zeros(n)
-        out[j] = 1.0
+        full[j] = 1.0
         circ = PrepCircuit(ell=0, ops=("load",), gate_count=_logn(n))
     else:
         v_rec, c_rec = prepare_theta(n, ell - 1, j, with_boundary=False)
@@ -244,23 +255,19 @@ def prepare_theta(
         Fj = fl.flow_norm_sq(n, ell - 1)
         w = np.sqrt(np.array([float(N0), float(n * Fj), float(N0)]))
         w /= np.linalg.norm(w)
-        block = v_rec.shape[0]
-        out = np.zeros((2 * n + 1) * block)
-        np.multiply(v_sum, w[0], out=out[:block])
-        for i in range(n):
-            np.multiply(v_rec, w[1] / math.sqrt(n), out=out[(1 + i) * block : (2 + i) * block])
-        np.multiply(v_sum, w[2], out=out[(1 + n + j) * block : (2 + n + j) * block])
+        out = full[:E].reshape(2 * n + 1, -1)
+        np.multiply(v_sum, w[0], out=out[0])
+        np.multiply(v_rec, w[1] / math.sqrt(n), out=out[1 : n + 1])
+        np.multiply(v_sum, w[2], out=out[1 + n + j])
         gates = 1 + 2 * _logn(n) + max(c_rec.gate_count, c_sum.gate_count)
         circ = PrepCircuit(ell=ell, ops=("rotate", "cswap", "hadamard", ("call", ell - 1)), gate_count=gates)
     if not with_boundary:
-        return out, circ
+        return full, circ
     Fj = fl.flow_norm_sq(n, ell)
-    edge_w = math.sqrt(float(2 * Fj / (2 * Fj + 2)))
+    full[:E] *= math.sqrt(float(2 * Fj / (2 * Fj + 2)))
     bdry_w = math.sqrt(float(1 / (2 * Fj + 2)))
-    full = np.zeros(out.shape[0] + 4)
-    np.multiply(out, edge_w, out=full[: out.shape[0]])
-    full[out.shape[0] + fl.LS_SLOT] = -bdry_w
-    full[out.shape[0] + fl.RT_SLOT] = +bdry_w
+    full[E + fl.LS_SLOT] = -bdry_w
+    full[E + fl.RT_SLOT] = +bdry_w
     return full, PrepCircuit(
         ell=circ.ell, ops=circ.ops + ("rotate-boundary",), gate_count=circ.gate_count + 2
     )

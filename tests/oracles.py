@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from swnet import flows as fl
+from swnet import prep
 from swnet.errors import InvalidParams, RankDeficient
-from swnet.network import SRC, SwitchingNet, on_component, on_edge_mask
+from swnet.network import SRC, SwitchingNet, leaf_symbols, on_component, on_edge_mask
 
 
 # -- the edge codec, one scalar at a time -----------------------------------------
@@ -257,6 +260,47 @@ def routed_flow(n: int, ell: int, i: int, j: int) -> np.ndarray:
     out[:block] = ti
     out[(1 + i) * block : (2 + i) * block] = tj
     out[(1 + n + j) * block : (2 + n + j) * block] = ti
+    return out
+
+
+# -- flow vectors and the sum-of-flows state, leaf by leaf ------------------------
+
+def leaf_decode_sum_of_flows(n: int, ell: int) -> np.ndarray:
+    """prep.prepare_sum_of_flows with step 2 read off every decoded leaf.
+
+    Loads the layer amplitudes as the preparer does, then decodes each leaf's
+    tag pattern (network.leaf_symbols), takes its base-3 layer index and its
+    layer size n^(1 + ell - zeros), and repeats amplitude / sqrt(size) over
+    the leaf's n edges.
+    """
+    if ell == 0:
+        return np.full(n, 1 / math.sqrt(n))
+    spec = prep.AmplitudeSpec(m=ell, d=3, prefix_sum=lambda p: prep.prefix_sum_S(n, ell, p))
+    layer_amp, _ = prep.grover_rudolph(spec)
+    tags, _ = leaf_symbols(n, ell)
+    t_index = tags @ 3 ** np.arange(ell - 1, -1, -1)
+    layer_size = (n ** (1 + ell - (tags == 0).sum(axis=1))).astype(float)
+    return np.repeat(layer_amp[t_index] / np.sqrt(layer_size), n)
+
+
+def unit_flow_int64(n: int, ell: int, j: int) -> np.ndarray:
+    """flows.unit_flow rebuilt uncached in int64.
+
+    The depth-(ell-1) sum of flows comes from its closed form, n^z on an
+    edge whose leaf has z zero tags, read off the decoded leaves.
+    """
+    out = np.zeros(n, dtype=np.int64)
+    out[j] = 1
+    for depth in range(1, ell + 1):
+        tags, _ = leaf_symbols(n, depth - 1)
+        prev_sum = np.repeat(n ** (tags == 0).sum(axis=1), n).astype(np.int64)
+        block = out.shape[0]
+        grown = np.zeros((2 * n + 1) * block, dtype=np.int64)
+        grown[:block] = prev_sum
+        for i in range(n):
+            grown[(1 + i) * block : (2 + i) * block] = out
+        grown[(1 + n + j) * block : (2 + n + j) * block] = prev_sum
+        out = grown
     return out
 
 

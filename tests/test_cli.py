@@ -163,6 +163,21 @@ def test_decide_refuses_a_network_past_the_edge_budget(tmp_path, L):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "MAX_NETWORK_EDGES" in lines[0]
 
 
+def test_prep_verify_refuses_a_network_past_the_edge_budget():
+    # --n 16 --L 16 asks for 33^4 * 16 = 19.0M edges; refused before any
+    # preparer or reference flow allocates
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(sw.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "swnet.cli", "prep", "verify", "--n", "16", "--L", "16"],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "MAX_NETWORK_EDGES" in lines[0]
+
+
 @pytest.mark.parametrize("n, code", [(67, 0), (68, 2)])
 def test_decide_at_the_edge_budget(tmp_path, n, code):
     # (67, 2) is the largest network MAX_NETWORK_EDGES admits, and its

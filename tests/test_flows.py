@@ -10,7 +10,7 @@ from swnet.errors import Disconnected, InvalidParams, RankDeficient, ZeroZ
 from swnet.network import _component_and_parents
 from oracles import (
     loop_A_basis, loop_B_spanning, loop_divergence, loop_fourier_circulation, mgs_orthonormalize, mgs_projector,
-    on_distances, routed_flow,
+    on_distances, routed_flow, unit_flow_int64,
 )
 
 TOL = 1e-9
@@ -203,6 +203,33 @@ def test_flow_caches_are_bounded():
             cached(*key)
         assert cached.cache_info().misses > bound
         assert cached.cache_info().currsize <= bound
+
+
+@pytest.mark.parametrize("cached", [lambda: fl.unit_flow(4, 2, 1), lambda: fl._sum_unit_flows(4, 2)])
+def test_cached_flow_vectors_are_read_only(cached):
+    # every caller shares the cached array
+    v = cached()
+    with pytest.raises(ValueError):
+        v[0] = 7
+    with pytest.raises(ValueError):
+        v += 1
+    assert cached()[0] != 7
+
+
+@pytest.mark.parametrize("n, ell", [(16, 3), (8, 4)])
+def test_unit_flows_are_int32_and_equal_an_int64_rebuild(n, ell):
+    for j in range(n):
+        v = fl.unit_flow(n, ell, j)
+        assert v.dtype == np.int32
+        assert np.array_equal(v, unit_flow_int64(n, ell, j)), j
+    total = fl._sum_unit_flows(n, ell)
+    assert total.dtype == np.int32
+    assert np.array_equal(total, sum(unit_flow_int64(n, ell, j) for j in range(n)))
+    # a unit flow carries at most one unit, n^ell scaled, on any edge, so a
+    # signed sum of at most n of them stays within n^(ell+1) <= |E|; the
+    # plain sum reaches n^ell on the all-zero-tag layer
+    assert total.max() == n**ell
+    assert n ** (ell + 1) <= (2 * n + 1) ** ell * n
 
 
 def test_complement_basis_needs_power_of_two():

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import swnet as sw
@@ -143,12 +144,13 @@ def test_path_to_moves_decodes_only_the_witness_leaves():
 
 @pytest.mark.parametrize("n,ell", [(2, 1), (2, 2), (2, 3), (3, 2), (4, 2), (5, 2)])
 def test_leaf_source_support_is_the_support_of_assoc(n, ell):
-    # path_to_moves places or removes dst exactly when dst is outside it
+    # path_to_moves places or removes dst exactly when dst is outside the
+    # support of the leaf source's multiset; every vertex of that multiset is
+    # some dst in 1..n, so the support equals the multiset's set
     tags, payloads = leaf_symbols(n, ell)
-    for e in range((2 * n + 1) ** ell * n):
-        leaf = e // n
-        for root in range(1, n + 1):
-            support = pb.leaf_source_support(tags[leaf], payloads[leaf], root)
-            multiset = assoc(n, ell, e, root, endpoint=0)
-            assert [dst in support for dst in range(1, n + 1)] == [dst in multiset for dst in range(1, n + 1)]
-            assert support == set(multiset)
+    leaves = len(tags)
+    for root in range(1, n + 1):
+        for dst in range(1, n + 1):
+            got = pb.in_source_support(tags, payloads, root, np.full(leaves, dst))
+            want = [dst in assoc(n, ell, leaf * n, root, endpoint=0) for leaf in range(leaves)]
+            assert got.tolist() == want, (root, dst)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import swnet as sw
+from oracles import leaf_decode_sum_of_flows
 from swnet import flows as fl
 from swnet import prep
 from swnet.errors import InvalidParams, NegativePrefix, ZeroZ
+from swnet.network import MAX_NETWORK_EDGES
 
 TOL = 1e-9
 
@@ -216,4 +218,65 @@ def test_gate_budget_per_level():
 def test_preparers_need_power_of_two(make):
     # log2 n qubits per register: n = 3 must not floor to one qubit
     with pytest.raises(InvalidParams, match="power of two"):
+        make()
+
+
+# every power-of-two n <= 16 at every depth inside the edge budget; (8, 4) is one
+BUDGET_SIZES = [
+    (n, ell) for n in (2, 4, 8, 16) for ell in range(9) if (2 * n + 1) ** ell * n <= MAX_NETWORK_EDGES
+]
+
+
+@pytest.mark.parametrize("n, ell", BUDGET_SIZES)
+def test_sum_of_flows_equals_the_leaf_decode_oracle(n, ell):
+    # the gather over the tag map reads the same amplitudes as decoding every leaf
+    assert np.array_equal(prep.prepare_sum_of_flows(n, ell)[0], leaf_decode_sum_of_flows(n, ell))
+
+
+# gate counts of sum-of-flows, C (x = 1), theta (j = 0), theta with boundary,
+# then psi (z = 1, x = 0) and psi (z = 1, x = 1)
+GATES = {
+    (2, 0): [1, 1, 1, 3],
+    (2, 1): [3, 4, 4, 6, 4, 4],
+    (2, 3): [7, 10, 10, 12, 10, 10],
+    (4, 2): [8, 12, 12, 14, 12, 12],
+    (16, 2): [14, 22, 22, 24, 22, 22],
+    (16, 3): [19, 31, 31, 33, 31, 31],
+    (8, 4): [19, 31, 31, 33, 31, 31],
+}
+
+
+@pytest.mark.parametrize("n, ell", list(GATES))
+def test_preparer_gate_counts_and_ops(n, ell):
+    circuits = [
+        prep.prepare_sum_of_flows(n, ell)[1],
+        prep.fourier_flows_C(n, ell, 1)[1],
+        prep.prepare_theta(n, ell, 0)[1],
+        prep.prepare_theta(n, ell, 0, with_boundary=True)[1],
+    ]
+    if ell:
+        circuits += [prep.prepare_psi(n, ell, 1, 0)[1], prep.prepare_psi(n, ell, 1, 1)[1]]
+    assert [c.gate_count for c in circuits] == GATES[n, ell]
+    assert all(c.ell == ell for c in circuits)
+    if ell == 0:
+        want = [("load",), ("hadamard",), ("load",), ("load", "rotate-boundary")]
+    else:
+        step = ("rotate", "cswap", "hadamard", ("call", ell - 1))
+        want = [("rotate",) * ell + ("expand-layers", "hadamard"), step, step, step + ("rotate-boundary",), step, step]
+    assert [c.ops for c in circuits] == want
+
+
+@pytest.mark.parametrize("make", [
+    lambda: prep.prepare_sum_of_flows(16, 4),
+    lambda: prep.fourier_flows_C(16, 4, 1),
+    lambda: prep.fourier_flows_C(16, 4, 0),
+    lambda: prep.prepare_psi(16, 4, 1, 1),
+    lambda: prep.prepare_theta(16, 4, 0, with_boundary=True),
+    lambda: prep.prepare_theta(8, 5, 0),
+    lambda: fl.unit_flow(16, 4, 0),
+    lambda: fl.fourier_circulation(16, 4, 1, 0),
+])
+def test_preparers_and_flows_refuse_a_network_past_the_edge_budget(make):
+    # 33^4 * 16 = 19.0M edges: refused before anything is allocated
+    with pytest.raises(InvalidParams, match="MAX_NETWORK_EDGES"):
         make()
