@@ -11,11 +11,13 @@ check of the first offset that completes.
 Deciders answer "is there a directed u -> v path of length at most L" and
 return, with each answer, the ResourceLedger of that one call: its model
 time, oracle queries and register cells.  The switching-network decider
-answers every sink of one (source, length) from one network evaluation
-(spaneval.Evaluation), kept for the graph it is asking about, and still
-returns each call the full ledger of its decision, charged at the grafted
-size its network is built on; only the call that ran the evaluation counts
-it in ``network_evaluations``.  The exact decider charges n time
+answers every sink of one (source, length) from one verdict array, read
+from one network evaluation (spaneval.Evaluation.verdicts) kept for the
+graph it is asking about.  It charges each call one fresh ledger: the full
+decision, at the grafted size its network is built on, or the trivial
+v == u charge; only the call that ran the evaluation counts it in
+``network_evaluations``.  The evaluation's reach is a BFS bounded at the
+rounded length.  The exact decider charges n time
 steps and the oracle queries of its BFS; a noisy decider passes its inner
 charge through, and a majority vote sums its repetitions' charges as one
 call.  dstcon folds every charge into its ledger (ResourceLedger.fold), so
@@ -26,13 +28,13 @@ answered internally without consulting (or paying for) the decider.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, InvalidParams
 from .graphs import Digraph, GraphOracle
-from .spaneval import DecisionReport, Evaluation, ResourceLedger
+from .spaneval import Evaluation, ResourceLedger
 from .spaneval import decide_distance  # noqa: F401  (perfbench's tracer wraps driver.decide_distance)
 
 CONNECTED = "Connected"
@@ -81,13 +83,15 @@ def exact_bfs_decider() -> DistDecider:
 def swnet_decider(mode: str = "spectral") -> DistDecider:
     """Decide through the switching network (exact or spectral evaluation).
 
-    One Evaluation per (u, length) answers every sink of the graph: its
-    per-sink answers and ledgers are kept, keyed by (u, length), for the
-    graph last seen (compared by identity) and dropped when another graph
-    comes.  Every call is still charged a full decision ledger; only the
-    call that ran the evaluation counts it in ``network_evaluations``.
+    One Evaluation per (u, length) answers every sink of the graph from one
+    verdict array (Evaluation.verdicts).  The array is kept, keyed by
+    (u, length), with the decision's charge and the trivial v == u charge,
+    for the graph last seen (compared by identity) and dropped when another
+    graph comes.  Every call is charged one fresh ledger, of a full
+    decision or of the trivial v == u one; only the call that ran the
+    evaluation counts it in ``network_evaluations``.
     """
-    memo: dict[tuple[int, int], dict[int, DecisionReport]] = {}
+    memo: dict[tuple[int, int], tuple[list[bool], dict, dict]] = {}  # verdicts and the two charges' fields
     seen: Digraph | None = None
 
     def answer(g: Digraph, u: int, v: int, L: int) -> tuple[bool, ResourceLedger]:
@@ -95,12 +99,18 @@ def swnet_decider(mode: str = "spectral") -> DistDecider:
         if g is not seen:
             memo.clear()
             seen = g
-        ran = (u, L) not in memo
+        if not 1 <= v <= g.n:
+            raise InvalidParams(f"sink v = {v} out of range 1..{g.n}")
+        entry = memo.get((u, L))
+        ran = entry is None
         if ran:
             evaluation = Evaluation(g, u, L, mode)
-            memo[u, L] = {w: evaluation.report(w) for w in range(1, g.n + 1)}
-        report = memo[u, L][v]
-        return report.accepted, replace(report.ledger, network_evaluations=int(ran))
+            verdicts = evaluation.verdicts().tolist()
+            entry = memo[u, L] = (verdicts, vars(evaluation.charge), vars(evaluation.trivial_charge))
+        verdicts, charge, trivial = entry
+        ledger = ResourceLedger(**(trivial if v == u else charge))  # fresh: callers keep and fold it
+        ledger.network_evaluations = int(ran)
+        return verdicts[v - 1], ledger
 
     return DistDecider(name=f"swnet-{mode}", answer=answer)
 

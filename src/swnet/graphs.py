@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -101,6 +102,30 @@ def bfs_distances(g: Digraph, u: int) -> np.ndarray:
                 dist[b] = d
                 queue.append(b)
     return dist
+
+
+def _reach_within(g: Digraph, root: int, L: int) -> np.ndarray:
+    """Whether each vertex lies within distance L of root: bfs_distances(g, root) <= L.
+
+    A BFS bounded at L: it expands no vertex at distance L and stops early
+    when a level adds nothing.  Each expanded row is read once as a Python
+    list, so the cost is the rows it expands, not n rows of numpy calls.
+    """
+    reached = [False] * g.n
+    reached[root - 1] = True
+    frontier = [root - 1]
+    vertices = range(g.n)
+    for _ in range(L):
+        nxt = []
+        for a in frontier:
+            for b in compress(vertices, g.adj[a].tolist()):
+                if not reached[b]:
+                    reached[b] = True
+                    nxt.append(b)
+        if not nxt:
+            break
+        frontier = nxt
+    return np.array(reached)
 
 
 def bfs_distance(g: Digraph, u: int, v: int):

@@ -129,38 +129,50 @@ def prefix_sum_S_brute(n: int, ell: int, p: tuple) -> Fraction:
     return total
 
 
+def _layer_amplitudes(n: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sum of flows' step-1 amplitudes over the 3^ell tag patterns, and their zero counts.
+
+    Patterns run in base-3 order.  A pattern with z zero tags gets
+    sqrt(n^z / (n+2)^ell), its prefix sum over the total, taken as an
+    exact Fraction and rounded once, so the vector equals grover_rudolph
+    over prefix_sum_S bit for bit without walking the 3^ell prefixes.
+    """
+    zeros = np.zeros(1, dtype=np.int64)
+    for _ in range(ell):
+        zeros = (zeros[:, None] + [1, 0, 0]).ravel()
+    amp_of = np.array([math.sqrt(float(Fraction(n**z, (n + 2) ** ell))) for z in range(ell + 1)])
+    return amp_of[zeros], zeros
+
+
 # -- the four preparers ----------------------------------------------------------
 
 def prepare_sum_of_flows(n: int, ell: int) -> tuple[np.ndarray, PrepCircuit]:
     """|0> -> state proportional to sum_j theta_j, over the edge basis.
 
     Step 1 loads the layer-name superposition with amplitudes
-    sqrt(n^z / (n+2)^ell) from the exact prefix sums; step 2 expands each
-    layer name into the uniform superposition over its edges.  Step 2
-    divides each of the 3^ell layer amplitudes by sqrt(|E_tau|), spreads
-    them to the (2n+1)^ell leaves by one gather per symbol axis through the
-    tag map (code 0 has tag 0, codes 1..n tag 1, codes n+1..2n tag 2) and
-    repeats each leaf's amplitude over its n edges; no leaf is decoded.
+    sqrt(n^z / (n+2)^ell), z the pattern's zero count, one rotation per
+    position: grover_rudolph over the prefix sums prefix_sum_S, read in
+    closed form (:func:`_layer_amplitudes`).  Step 2 expands each layer
+    name into the uniform superposition over its edges.  It divides each
+    of the 3^ell layer amplitudes by sqrt(|E_tau|), spreads them to the
+    (2n+1)^ell leaves by one gather per symbol axis through the tag map
+    (code 0 has tag 0, codes 1..n tag 1, codes n+1..2n tag 2) and repeats
+    each leaf's amplitude over its n edges; no leaf is decoded.
     """
     fl.require_power_of_two(n)
     check_edge_budget(n, ell)
     if ell == 0:
         out = np.full(n, 1 / math.sqrt(n))
         return out, PrepCircuit(ell=0, ops=("load",), gate_count=_logn(n))
-    spec = AmplitudeSpec(m=ell, d=3, prefix_sum=lambda p: prefix_sum_S(n, ell, p))
-    layer_amp, step1 = grover_rudolph(spec)
-    # zero tags of every tag pattern tau in base 3, and |E_tau| = n^(1 + ell - zeros)
-    zeros = np.zeros(1, dtype=np.int64)
-    for _ in range(ell):
-        zeros = (zeros[:, None] + [1, 0, 0]).ravel()
-    layer_size = (n ** (1 + ell - zeros)).astype(float)
+    layer_amp, zeros = _layer_amplitudes(n, ell)
+    layer_size = (n ** (1 + ell - zeros)).astype(float)  # |E_tau|
     leaf_amp = (layer_amp / np.sqrt(layer_size)).reshape((3,) * ell)
     tag_of = np.repeat([0, 1, 2], [1, n, n])  # a symbol code's tag
     for axis in range(ell):
         leaf_amp = np.take(leaf_amp, tag_of, axis=axis)
     out = np.repeat(leaf_amp.ravel(), n)
-    gates = step1.gate_count + (ell + 1) * _logn(n)
-    ops = step1.ops + ("expand-layers", "hadamard")
+    gates = ell + (ell + 1) * _logn(n)
+    ops = ("rotate",) * ell + ("expand-layers", "hadamard")
     return out, PrepCircuit(ell=ell, ops=ops, gate_count=gates)
 
 

@@ -56,7 +56,7 @@ import numpy as np
 
 from . import flows as fl
 from .errors import BasisMismatch, InvalidParams, ReachMismatch
-from .graphs import Digraph, GraphOracle, attach_source_path, bfs_distances, pad_to_power_of_two
+from .graphs import Digraph, GraphOracle, _reach_within, attach_source_path, pad_to_power_of_two
 from .network import SwitchingNet, accepts_all, build, check_edge_budget, on_edge_mask, source_resistances
 from .network import accepts  # noqa: F401  (bound here for perfbench's tracer, which wraps spaneval.accepts)
 
@@ -267,12 +267,15 @@ class Evaluation:
     may have at most MAX_NETWORK_EDGES edges (network.check_edge_budget), in
     every mode, built or not; past either the first sink v != u raises
     InvalidParams, before anything is grafted or allocated.  Reach is found
-    once: a vertex is reached when the BFS of the grafted graph puts it
-    within distance 2^ell of the root, which the network theorem
-    (swnet.network) makes the sinks of the source's on-component.  Every
-    route's verdict is held to it, and ReachMismatch is raised if they
-    differ.  ``report(v)`` then answers "is there a directed u -> v path of
-    length at most L" along one route, recorded in ``report.route``:
+    once, by a BFS of the grafted graph bounded at the rounded L
+    (graphs._reach_within): a vertex is reached when it lies within
+    distance 2^ell of the root, which the network theorem (swnet.network)
+    makes the sinks of the source's on-component.  Every route's verdict is
+    held to it, and ReachMismatch, naming every sink index where they
+    differ, is raised if they do.  ``verdicts()`` answers every sink at
+    once, as one array, and ``report(v)`` answers "is there a directed
+    u -> v path of length at most L" from the same cached arrays, along one
+    route, recorded in ``report.route``:
 
     - ``trivial``: v == u, answered without the network;
     - ``exact`` (mode "exact"): whether the component labels of the built
@@ -284,20 +287,24 @@ class Evaluation:
       recursion, Kron-reduced onto each block's (n'+1)-vertex boundary
       with the on-classes of that boundary beside it, and the top level
       solved over the source's component alone; the sinks those classes
-      join to the source must be the reached sinks and no others;
+      join to the source must be the reached sinks and no others.  The
+      verdicts are where(reach, 2 / (2 R + 4), 0) >= threshold, element by
+      element; an unreached sink's report reads no R, so a rejection never
+      finds it;
     - ``dense`` (mode "spectral-dense"): the dense reflections for sink v
       and their eigendecomposition, one per sink, on the built network;
       refused with InvalidParams above SPECTRAL_DIM_CAP, before it is
-      built.
+      built.  Its verdicts are decided sink by sink.
 
     Only the exact and dense routes build the network (``net``, on first
     use).  Every report carries the full ledger of one decision: the
     accounted quantum time and register cells at the vertex count the
     network is built on (n + 2^ell - L; padded only in spectral-dense), one
     decider call, the |E| oracle queries of masking the network and one
-    network evaluation, charged whether or not the route builds it.  The
-    trivial report is charged one decider call at the graph's own n, with
-    no queries and no evaluation, and builds nothing.
+    network evaluation, charged whether or not the route builds it
+    (``charge``).  The trivial report is charged one decider call at the
+    graph's own n, with no queries and no evaluation, and builds nothing
+    (``trivial_charge``).
 
     With ``witness`` an accepted report also gets its witness, the same on
     every route: the optimal on-flow energy R from
@@ -341,7 +348,7 @@ class Evaluation:
         self.ell = self.L.bit_length() - 1
         self.threshold = acceptance_threshold(self.ell)
         self._feed = self.L - L
-        self.graph = None  # grafted on the first sink v != u
+        self.graph = self.charge = None  # grafted and charged on the first sink v != u or verdicts()
 
     def _build(self) -> None:
         """Graft and charge; see the class docstring."""
@@ -355,9 +362,17 @@ class Evaluation:
         queries = check_edge_budget(n, self.ell)
         grafted, self._root = attach_source_path(self.g, self.u, self._feed)
         self.graph = pad_to_power_of_two(grafted) if self.mode == "spectral-dense" else grafted
-        self._charge = ResourceLedger(
+        self.charge = ResourceLedger(
             time_steps=time_formula(n, self.L), quantum_space_cells=quantum_space_cells(n, self.L),
             oracle_queries=queries, decider_calls=1, network_evaluations=1,
+        )
+
+    @cached_property
+    def trivial_charge(self) -> ResourceLedger:
+        """The ledger of the trivial v == u decision: one decider call at the graph's own n."""
+        n = self.g.n
+        return ResourceLedger(
+            time_steps=time_formula(n, self.L), quantum_space_cells=quantum_space_cells(n, self.L), decider_calls=1,
         )
 
     @cached_property
@@ -368,7 +383,18 @@ class Evaluation:
     @cached_property
     def _reach(self) -> np.ndarray:
         """Whether each vertex lies within distance L of the root: the bounded BFS every route is held to."""
-        return bfs_distances(self.graph, self._root) <= self.L
+        return _reach_within(self.graph, self._root, self.L)
+
+    def _hold_to_reach(self, joined: np.ndarray, what: str, sink: int | None = None) -> None:
+        """Raise ReachMismatch unless ``joined`` (one flag per vertex) is the bounded BFS's reach.
+
+        The message names every sink index where they differ, led by the
+        asked ``sink`` when it is one of them.
+        """
+        mismatch = np.flatnonzero(joined != self._reach).tolist()
+        if mismatch:
+            head = f"sink index {sink}" if sink in mismatch else f"sink indices {mismatch}"
+            raise ReachMismatch(f"{head}: {what} and the bounded BFS disagree at sink indices {mismatch}")
 
     @cached_property
     def _labels(self) -> np.ndarray:
@@ -384,13 +410,48 @@ class Evaluation:
         the source must be those the bounded BFS reaches, else ReachMismatch.
         """
         R = source_resistances(self.graph.adj, self._root, self.ell)
-        mismatch = np.flatnonzero(np.isnan(R) == self._reach)
-        if mismatch.size:
-            raise ReachMismatch(
-                f"sink indices {mismatch.tolist()}: the boundary Laplacian and the bounded BFS "
-                "disagree on whether the source reaches them"
-            )
+        self._hold_to_reach(~np.isnan(R), "the boundary Laplacian")
         return R
+
+    @cached_property
+    def _masses(self) -> np.ndarray:
+        """The resistance route's fixed-space mass of every vertex: 2 / (2 R + 4) where reached, else 0."""
+        return np.where(self._reach, 2 / (2 * self._resistances + 4), 0.0)
+
+    def _dense(self, sink: int) -> tuple[bool, float]:
+        """The dense route's verdict and overlap0 for one sink, held to the bounded BFS."""
+        dim = 2 * self.charge.oracle_queries + 4  # refused before the network is built
+        if dim > SPECTRAL_DIM_CAP:
+            raise InvalidParams(
+                f"spectral-dense needs {dim}x{dim} dense projectors, above SPECTRAL_DIM_CAP={SPECTRAL_DIM_CAP}"
+            )
+        # uncharged: _build charged the |E| queries
+        pair = build_reflections(self.net, GraphOracle(self.graph), sink)
+        dense = decide_phase_estimation(pair, default_psi0(self.net))
+        if dense.accepted != self._reach[sink]:
+            raise ReachMismatch(f"sink index {sink}: the dense spectrum and the bounded BFS disagree")
+        return dense.accepted, dense.overlap0
+
+    def verdicts(self) -> np.ndarray:
+        """Every sink's verdict at once: entry v - 1 is ``report(v).accepted``, for v = 1..n.
+
+        The resistance route compares every mass with the threshold, and
+        the exact route holds its labels to the bounded BFS in one
+        comparison; report(v) reads the same arrays.  Spectral-dense decides
+        sink by sink.  Sink u's verdict is True, as its trivial report's, so
+        when u is the only sink reached no R is found.
+        """
+        if self.graph is None:
+            self._build()
+        n = self.g.n
+        if self.mode == "exact":
+            self._hold_to_reach(self._labels, "the component labels")
+            return self._labels[:n]
+        if self.mode == "spectral":
+            if np.count_nonzero(self._reach[:n]) == 1:  # u alone, accepted without R
+                return self._reach[:n]
+            return self._masses[:n] >= self.threshold
+        return np.array([v == self.u or self._dense(v - 1)[0] for v in range(1, n + 1)])
 
     def report(self, v: int, witness: bool = False) -> DecisionReport:
         """The decision for sink v; see the class docstring."""
@@ -401,41 +462,28 @@ class Evaluation:
         if not 1 <= v <= self.g.n:
             raise InvalidParams(f"sink v = {v} out of range 1..{self.g.n}")
         if v == self.u:
-            n = self.g.n
-            report.ledger = ResourceLedger(
-                time_steps=time_formula(n, self.L), quantum_space_cells=quantum_space_cells(n, self.L),
-                decider_calls=1,
-            )
+            report.ledger = replace(self.trivial_charge)
             if witness:
                 report.witness_energy, report.path_len = 0.0, 0
             return report
         if self.graph is None:
             self._build()
         sink = v - 1
-        reached = bool(self._reach[sink])
         if self.mode == "spectral-dense":
-            dim = 2 * self._charge.oracle_queries + 4  # refused before the network is built
-            if dim > SPECTRAL_DIM_CAP:
-                raise InvalidParams(
-                    f"spectral-dense needs {dim}x{dim} dense projectors, above SPECTRAL_DIM_CAP={SPECTRAL_DIM_CAP}"
-                )
-            # uncharged: _build charged the |E| queries
-            pair = build_reflections(self.net, GraphOracle(self.graph), sink)
-            dense = decide_phase_estimation(pair, default_psi0(self.net))
-            if dense.accepted != reached:
-                raise ReachMismatch(f"sink index {sink}: the dense spectrum and the bounded BFS disagree")
-            report.accepted, report.overlap0, report.route = dense.accepted, dense.overlap0, "dense"
+            report.route = "dense"
+            report.accepted, report.overlap0 = self._dense(sink)
         elif self.mode == "spectral":
             report.route = "resistance"
-            report.overlap0 = 2 / (2 * float(self._resistances[sink]) + 4) if reached else 0.0
+            # an unreached sink reads no R
+            report.overlap0 = float(self._masses[sink]) if self._reach[sink] else 0.0
             report.accepted = report.overlap0 >= report.threshold
         else:
-            if self._labels[sink] != reached:
-                raise ReachMismatch(f"sink index {sink}: the component labels and the bounded BFS disagree")
-            report.route, report.accepted, report.overlap0 = "exact", reached, float(reached)
+            self._hold_to_reach(self._labels, "the component labels", sink)
+            report.route, report.accepted = "exact", bool(self._labels[sink])
+            report.overlap0 = float(report.accepted)
         if witness and report.accepted:
             report.witness_energy, report.path_len = float(self._resistances[sink]), 3**self.ell
-        report.ledger = replace(self._charge)
+        report.ledger = replace(self.charge)
         return report
 
 

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 import swnet as sw
 from swnet import driver as dr
-from swnet.errors import InvalidParams
-from swnet.spaneval import decide_distance
+from swnet import spaneval as se
+from swnet.errors import InvalidParams, ReachMismatch
+from swnet.spaneval import decide_distance, decide_distance_report
 
 
 def all_digraphs(n):
@@ -226,6 +227,57 @@ def test_swnet_decider_charges_every_call_and_counts_evaluations():
     assert all(replace(c, network_evaluations=1) == full for c in charges)
     _, ledger = dr.dstcon(g, 1, 8, 3, decider=dr.exact_bfs_decider())
     assert ledger.network_evaluations == 0
+
+
+# G(6, 0.3) in the exact and spectral modes; spectral-dense runs G(4, 0.3)
+# and leaves out L = 3, whose grafted and padded (8, 2) network needs
+# 4628-dimensional dense decompositions
+PARITY_CASES = [("exact", 6, (1, 2, 3, 4)), ("spectral", 6, (1, 2, 3, 4)), ("spectral-dense", 4, (1, 2, 4))]
+
+
+@pytest.mark.parametrize("mode, n, lengths", PARITY_CASES)
+def test_swnet_decider_answers_every_call_as_its_report(mode, n, lengths):
+    # every u, every v (v == u included, first for odd u, last for even u)
+    # and every L: the answer and ledger of a fresh decision, with the
+    # evaluation counted only on the first call for each (u, L)
+    g = sw.random_digraph(n, 0.3, 1)
+    decider = dr.swnet_decider(mode)
+    answers = set()
+    for L in lengths:
+        for u in range(1, n + 1):
+            others = [v for v in range(1, n + 1) if v != u]
+            for i, v in enumerate([u] + others if u % 2 else others + [u]):
+                report = decide_distance_report(g, u, v, L, mode)
+                want = (report.accepted, replace(report.ledger, network_evaluations=int(i == 0)))
+                assert decider.answer(g, u, v, L) == want, (u, v, L)
+                answers.add(report.accepted)
+    assert answers == {True, False}
+    with pytest.raises(InvalidParams, match="out of range"):
+        decider.answer(g, 1, n + 1, 2)
+
+
+def test_swnet_decider_finds_resistances_once_a_sink_beyond_u_is_reached(monkeypatch):
+    # the verdict array needs R only when u reaches another sink; then it is
+    # found once for the (u, L), unreached sinks included
+    calls = []
+    real = se.source_resistances
+    monkeypatch.setattr(se, "source_resistances", lambda *args: calls.append(args[1:]) or real(*args))
+    g = sw.from_edges(5, [(1, 2), (2, 3)])
+    decider = dr.swnet_decider("spectral")
+    assert [decider.answer(g, 4, v, 2)[0] for v in (4, 1, 5)] == [True, False, False]
+    assert calls == []
+    assert [decider.answer(g, 1, v, 2)[0] for v in (5, 3, 2, 1)] == [False, True, True, True]
+    assert [decider.answer(g, 2, v, 2)[0] for v in (1, 3)] == [False, True]
+    assert calls == [(1, 1), (2, 1)]
+
+
+def test_swnet_decider_holds_the_exact_labels_to_reach(monkeypatch):
+    # inverted component labels trip the verdict array, which names every
+    # mismatching sink index
+    real = se.accepts_all
+    monkeypatch.setattr(se, "accepts_all", lambda net, oracle: ~real(net, oracle))
+    with pytest.raises(ReachMismatch, match=r"^sink indices \[0, 1, 2, 3\]: the component labels"):
+        dr.swnet_decider("exact").answer(sw.layered_path(4), 1, 4, 2)
 
 
 def test_time_accounting_shape():

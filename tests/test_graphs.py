@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 import swnet as sw
 from swnet.errors import InvalidParams
+from swnet.graphs import _reach_within
 
 
 def test_no_self_loops_rejected():
@@ -94,3 +96,39 @@ def test_graph_file_rejects_bad_header(tmp_path):
     path.write_text("3 5\n1 2\n")
     with pytest.raises(InvalidParams):
         sw.read_graph_file(path)
+
+
+def assert_reach_is_bounded_bfs(g, root, L):
+    got = _reach_within(g, root, L)
+    assert got.dtype == bool
+    assert got.tolist() == (sw.bfs_distances(g, root) <= L).tolist(), (g.n, root, L)
+
+
+def test_bounded_reach_equals_bfs_within_L():
+    for n in (2, 3, 5, 8):
+        isolated = sw.from_edges(n + 2, [(i, i + 1) for i in range(1, n)])  # n + 1, n + 2 isolated
+        for g in (sw.from_edges(n, []), sw.complete(n), sw.layered_path(n), isolated):
+            for root in range(1, g.n + 1):
+                for L in range(1, g.n + 3):  # L >= n included
+                    assert_reach_is_bounded_bfs(g, root, L)
+    for seed in range(3):
+        g = sw.random_digraph(6, 0.3, seed)
+        for a in (1, 2, 5):
+            grafted, head = sw.attach_source_path(g, 1 + seed, a)
+            for L in range(1, 10):
+                assert_reach_is_bounded_bfs(grafted, head, L)
+    for n in range(2, 13):
+        for p in (0.1, 0.25, 0.5):
+            g = sw.random_digraph(n, p, 100 * n + int(10 * p))
+            for root in (1, n):
+                for L in range(1, n + 1):
+                    assert_reach_is_bounded_bfs(g, root, L)
+
+
+def test_bounded_reach_at_4096_vertices():
+    # about 1% of the slots, drawn without a dense float matrix
+    rng = np.random.default_rng(4096)
+    adj = np.zeros((4096, 4096), dtype=bool)
+    adj[tuple(rng.integers(0, 4096, size=(2, 168_000)))] = True
+    np.fill_diagonal(adj, False)
+    assert_reach_is_bounded_bfs(sw.Digraph(4096, adj), 7, 1)

@@ -52,6 +52,16 @@ def test_grover_rudolph_layer_weighted_step1():
     assert np.abs(v - want).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_closed_form_layer_amplitudes_equal_grover_rudolph_bit_for_bit(n, ell):
+    spec = prep.AmplitudeSpec(m=ell, d=3, prefix_sum=lambda p: prep.prefix_sum_S(n, ell, p))
+    want, _ = prep.grover_rudolph(spec)
+    got, zeros = prep._layer_amplitudes(n, ell)
+    assert np.array_equal(got, want)
+    assert zeros.tolist() == [sum(t == 0 for t in tau) for tau in product((0, 1, 2), repeat=ell)]
+
+
 def test_grover_rudolph_negative_prefix():
     spec = prep.AmplitudeSpec(m=1, d=2, prefix_sum=lambda p: Fraction(-1) if p else Fraction(0))
     with pytest.raises((NegativePrefix, InvalidParams)):

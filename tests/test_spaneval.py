@@ -364,6 +364,28 @@ def test_spectral_decisions_build_no_network(monkeypatch):
             assert driver.dstcon(g, s, t, L, decider=decider)[0] == want, (s, t, L)
 
 
+def test_a_rejection_reads_no_resistance(monkeypatch):
+    # from 1, vertices 2 and 3 are reached within every L >= 2 and 4, 5 never
+    # are: their rejections answer from the bounded BFS alone, at a plain
+    # and at a grafted length, while the reached sinks still need R
+    class ResistanceRead(Exception):
+        pass
+
+    def refuse(*args):
+        raise ResistanceRead
+
+    monkeypatch.setattr(se, "source_resistances", refuse)
+    g = sw.from_edges(5, [(1, 2), (2, 3), (4, 5)])
+    for L in (2, 3):
+        for v in (4, 5):
+            report = se.decide_distance_report(g, 1, v, L, mode="spectral")
+            assert (report.accepted, report.overlap0, report.route) == (False, 0.0, "resistance")
+            assert report.witness_energy is None and report.path_len is None
+        for v in (2, 3):
+            with pytest.raises(ResistanceRead):
+                se.decide_distance_report(g, 1, v, L, mode="spectral")
+
+
 def test_dense_route_equals_exact_through_pipeline():
     # the dense route runs on the same grafted, padded network as the others.
     # Every (u, v) pair of a 3-vertex graph at L = 3 and 4 and of a 4-vertex
