@@ -18,7 +18,7 @@ from . import flows as fl
 from . import pebbling as pb
 from . import prep
 from .driver import decider_from_name, dstcon
-from .errors import BasisMismatch, IllegalMove, InvalidParams, RankDeficient, ReachMismatch, SwnetError
+from .errors import BasisMismatch, IllegalMove, InvalidParams, RankDeficient, ReachMismatch, SwnetError, WitnessBound
 from .graphs import layered_path, read_graph_file
 from .network import build, leaf_symbols
 from .spaneval import decide_distance_report
@@ -68,13 +68,13 @@ def cmd_prep_verify(args) -> int:
         return float(np.abs(g - t).max())
 
     v, c = prep.prepare_sum_of_flows(n, ell)
-    targ = sum(fl.unit_flow(n, ell, j) for j in range(n)).astype(float)
+    targ = fl._sum_unit_flows(n, ell).astype(float)
     rows.append(("sum-of-flows", residual(v, targ), c.gate_count))
     worst, gates = 0.0, 0
     for x in range(n):
         v, c = prep.fourier_flows_C(n, ell, x)
-        targ = sum((-1) ** fl._bitdot(x, j) * fl.unit_flow(n, ell, j) for j in range(n))
-        worst, gates = max(worst, residual(v, targ.astype(float))), max(gates, c.gate_count)
+        targ = fl._signed_unit_flow_sum(n, ell, x).astype(float)
+        worst, gates = max(worst, residual(v, targ)), max(gates, c.gate_count)
     rows.append(("signed-sums", worst, gates))
     if ell >= 1:
         worst, gates = 0.0, 0
@@ -204,7 +204,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BasisMismatch, ReachMismatch, RankDeficient, IllegalMove) as exc:
+    except (BasisMismatch, ReachMismatch, WitnessBound, RankDeficient, IllegalMove) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
     except (SwnetError, OSError, json.JSONDecodeError, ValueError) as exc:

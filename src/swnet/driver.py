@@ -13,11 +13,12 @@ return, with each answer, the ResourceLedger of that one call: its model
 time, oracle queries and register cells.  The switching-network decider
 answers every sink of one (source, length) from one verdict array, read
 from one network evaluation (spaneval.Evaluation.verdicts) kept for the
-graph it is asking about.  It charges each call one fresh ledger: the full
-decision, at the grafted size its network is built on, or the trivial
-v == u charge; only the call that ran the evaluation counts it in
-``network_evaluations``.  The evaluation's reach is a BFS bounded at the
-rounded length.  The exact decider charges n time
+graph it is asking about; in spectral mode that array is the bounded
+reach and no effective resistance is found.  It charges each call one
+fresh ledger: the full decision, at the grafted size its network is built
+on, or the trivial v == u charge; only the call that ran the evaluation
+counts it in ``network_evaluations``.  The evaluation's reach is a BFS
+bounded at the rounded length.  The exact decider charges n time
 steps and the oracle queries of its BFS; a noisy decider passes its inner
 charge through, and a majority vote sums its repetitions' charges as one
 call.  dstcon folds every charge into its ledger (ResourceLedger.fold), so
@@ -84,7 +85,10 @@ def swnet_decider(mode: str = "spectral") -> DistDecider:
     """Decide through the switching network (exact or spectral evaluation).
 
     One Evaluation per (u, length) answers every sink of the graph from one
-    verdict array (Evaluation.verdicts).  The array is kept, keyed by
+    verdict array (Evaluation.verdicts).  In spectral mode that array is the
+    bounded BFS's reach, by the witness bound R <= 3^ell, so the decider
+    finds no effective resistance R: each (u, length) costs one graft, one
+    charge and one bounded BFS.  The array is kept, keyed by
     (u, length), with the decision's charge and the trivial v == u charge,
     for the graph last seen (compared by identity) and dropped when another
     graph comes.  Every call is charged one fresh ledger, of a full

@@ -59,3 +59,7 @@ class BasisMismatch(SwnetError):
 
 class ReachMismatch(SwnetError):
     """Two independent computations of which sinks the source reaches disagree."""
+
+
+class WitnessBound(SwnetError):
+    """A reached sink's effective resistance exceeds the witness bound 3^ell."""

@@ -29,8 +29,11 @@ identity, at every network size, and builds no network.  An ``Evaluation``
 of one source and one length bound grafts the input once and finds reach
 once, by a BFS of the grafted graph bounded at the rounded length, which
 the network theorem (swnet.network) makes the source's on-component; every
-route's verdict is held to it, and it settles every rejection.  On the
-first sink that needs R it finds R for every sink at once
+route's verdict is held to it, and it settles every rejection.  It settles
+every acceptance too: a reached sink has R <= 3^ell = W+ (the witness
+bound, proved in the Evaluation docstring), so its mass is at least twice
+the threshold, and the spectral verdicts are the reach itself.  Only a
+report that reads the mass or the witness finds R, for every sink at once
 (``network.source_resistances``, from the input graph along the
 network's recursion, never from its |E| edges): it Kron-reduces each
 block's on-subgraph onto its boundary, carries which boundary vertices
@@ -55,7 +58,7 @@ from functools import cached_property
 import numpy as np
 
 from . import flows as fl
-from .errors import BasisMismatch, InvalidParams, ReachMismatch
+from .errors import BasisMismatch, InvalidParams, ReachMismatch, WitnessBound
 from .graphs import Digraph, GraphOracle, _reach_within, attach_source_path, pad_to_power_of_two
 from .network import SwitchingNet, accepts_all, build, check_edge_budget, on_edge_mask, source_resistances
 from .network import accepts  # noqa: F401  (bound here for perfbench's tracer, which wraps spaneval.accepts)
@@ -283,14 +286,16 @@ class Evaluation:
     - ``resistance`` (mode "spectral", every size): the fixed-space mass
       2 / (2 R + 4), or 0 when sink v is not reached; builds no network.
       R is the effective resistance, found for every sink at once on the
-      first reached sink by network.source_resistances: the network's
-      recursion, Kron-reduced onto each block's (n'+1)-vertex boundary
-      with the on-classes of that boundary beside it, and the top level
-      solved over the source's component alone; the sinks those classes
-      join to the source must be the reached sinks and no others.  The
-      verdicts are where(reach, 2 / (2 R + 4), 0) >= threshold, element by
-      element; an unreached sink's report reads no R, so a rejection never
-      finds it;
+      first report of a reached sink by network.source_resistances: the
+      network's recursion, Kron-reduced onto each block's (n'+1)-vertex
+      boundary with the on-classes of that boundary beside it, and the top
+      level solved over the source's component alone; the sinks those
+      classes join to the source must be the reached sinks and no others,
+      and each must have R <= 3^ell, else WitnessBound.  The verdicts are
+      the reach, which by the witness bound below equals
+      where(reach, 2 / (2 R + 4), 0) >= threshold element by element, so
+      verdicts() finds no R; an unreached sink's report reads no R either,
+      so a rejection never finds it;
     - ``dense`` (mode "spectral-dense"): the dense reflections for sink v
       and their eigendecomposition, one per sink, on the built network;
       refused with InvalidParams above SPECTRAL_DIM_CAP, before it is
@@ -334,6 +339,15 @@ class Evaluation:
       least 3^ell edges: it crosses block 0 from its source to a sink, some
       block (1,i) from its source to a sink and some block (2,j) from a sink
       to its source, each from one multiple of 3^(ell-1) to the next.
+
+    The witness bound: a reached sink has R <= 3^ell.  The upper bound
+    above joins it to the source by an on-path of 3^ell edges, each a unit
+    resistor, so the path alone has resistance 3^ell; the other on-edges
+    only add conductance, which by Rayleigh monotonicity cannot raise R.
+    So a reached sink's mass 2 / (2 R + 4) is at least 2 / (2 * 3^ell + 4),
+    twice acceptance_threshold(ell), and an unreached sink's is 0: the
+    resistance route's verdicts are exactly the reach.  At ell = 0 every
+    on-sink has R = 1 and attains the bound.
     """
 
     def __init__(self, g: Digraph, u: int, L: int, mode: str = "exact"):
@@ -405,12 +419,21 @@ class Evaluation:
     def _resistances(self) -> np.ndarray:
         """Effective resistance from the source to every sink, nan outside its component.
 
-        Found by network.source_resistances on the first sink that needs R,
-        so a rejecting sink costs none.  The sinks its on-classes join to
-        the source must be those the bounded BFS reaches, else ReachMismatch.
+        Found by network.source_resistances on the first report that reads
+        R, so a rejecting sink and verdicts() cost none.  The sinks its
+        on-classes join to the source must be those the bounded BFS reaches,
+        else ReachMismatch, and each must have R <= 3^ell (within 1e-9
+        relative; ell = 0 attains it), the witness bound, else WitnessBound.
         """
         R = source_resistances(self.graph.adj, self._root, self.ell)
         self._hold_to_reach(~np.isnan(R), "the boundary Laplacian")
+        w_plus = 3**self.ell
+        over = np.flatnonzero(R > w_plus * (1 + 1e-9)).tolist()  # nan, unreached, compares False
+        if over:
+            raise WitnessBound(
+                f"sink indices {over}: effective resistance up to {float(np.nanmax(R))} above the witness "
+                f"bound 3^ell = {w_plus}"
+            )
         return R
 
     @cached_property
@@ -435,11 +458,11 @@ class Evaluation:
     def verdicts(self) -> np.ndarray:
         """Every sink's verdict at once: entry v - 1 is ``report(v).accepted``, for v = 1..n.
 
-        The resistance route compares every mass with the threshold, and
-        the exact route holds its labels to the bounded BFS in one
-        comparison; report(v) reads the same arrays.  Spectral-dense decides
-        sink by sink.  Sink u's verdict is True, as its trivial report's, so
-        when u is the only sink reached no R is found.
+        The resistance route's verdicts are the bounded BFS's reach, by the
+        witness bound (see the class docstring), so it finds no R; the exact
+        route holds its labels to the bounded BFS in one comparison.
+        Spectral-dense decides sink by sink.  Sink u's verdict is True, as
+        its trivial report's.
         """
         if self.graph is None:
             self._build()
@@ -448,9 +471,7 @@ class Evaluation:
             self._hold_to_reach(self._labels, "the component labels")
             return self._labels[:n]
         if self.mode == "spectral":
-            if np.count_nonzero(self._reach[:n]) == 1:  # u alone, accepted without R
-                return self._reach[:n]
-            return self._masses[:n] >= self.threshold
+            return self._reach[:n]
         return np.array([v == self.u or self._dense(v - 1)[0] for v in range(1, n + 1)])
 
     def report(self, v: int, witness: bool = False) -> DecisionReport:

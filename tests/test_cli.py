@@ -85,6 +85,18 @@ def test_prep_verify_table(capsys):
     assert max(residuals) < 1e-9
 
 
+def test_prep_verify_table_at_4_2_is_pinned(capsys):
+    # the references are the cached flow sum and the in-place signed sums
+    assert main(["prep", "verify", "--n", "4", "--L", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "family         max residual   gates\n"
+        "sum-of-flows   0.000e+00      5\n"
+        "signed-sums    2.776e-17      7\n"
+        "circulations   2.776e-17      7\n"
+        "optimal-flow   1.110e-16      9\n"
+    )
+
+
 def test_decide_json(path_graph, capsys):
     rc = main(["decide", "--graph", path_graph, "--u", "1", "--v", "4", "--L", "3", "--json"])
     assert rc == 0
@@ -315,6 +327,28 @@ def test_reach_mismatch_exits_3(path_graph, capsys, monkeypatch):
     assert capsys.readouterr().out.strip() == "False"
     assert main(["decide", "--graph", path_graph, "--u", "1", "--v", "3", "--L", "2"]) == 3
     assert capsys.readouterr().err.startswith("invariant violation: sink indices [0]: the boundary Laplacian")
+
+
+def test_resistance_above_the_witness_bound_exits_3(path_graph, capsys, monkeypatch):
+    # doubled, R exceeds 3^ell at the asked sink 3 (index 2) and at the root's
+    # own sink; sink 2's doubled R = 3 attains the bound and passes
+    real, scale = se.source_resistances, [2.0]
+    monkeypatch.setattr(se, "source_resistances", lambda adj, root, ell: scale[0] * real(adj, root, ell))
+    assert main(["decide", "--graph", path_graph, "--u", "1", "--v", "3", "--L", "2", "--json"]) == 3
+    assert capsys.readouterr().err == (
+        "invariant violation: sink indices [0, 2]: effective resistance up to 5.666666666666666 above the witness "
+        "bound 3^ell = 3\n"
+    )
+    # a rejection and dstcon's verdicts read no R, so they still answer
+    assert main(["decide", "--graph", path_graph, "--u", "1", "--v", "4", "--L", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "False"
+    assert main(["dstcon", "--graph", path_graph, "--s", "1", "--t", "4", "--L", "2", "--decider", "swnet"]) == 0
+    assert capsys.readouterr().out.strip() == "Connected"
+    # at L = 1 every reached sink has R = 3^0 = 1, so the tolerance is relative
+    for factor, code in ((1 + 1e-10, 0), (1 + 1e-8, 3)):
+        scale[0] = factor
+        assert main(["decide", "--graph", path_graph, "--u", "1", "--v", "2", "--L", "1", "--json"]) == code
+    assert "sink indices [0, 1]" in capsys.readouterr().err
 
 
 def test_exact_label_mismatch_exits_3(path_graph, capsys, monkeypatch):

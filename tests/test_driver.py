@@ -174,17 +174,37 @@ SWNET_CORPUS_SEEDS = {4: 62, 5: 3, 6: 39, 7: 7, 8: 52, 9: 3, 10: 21, 11: 68, 12:
 def test_dstcon_with_swnet_decider_matches_bfs_corpus():
     # the outer algorithm end to end with the spectral decider inside, at
     # every L <= min(n, 8); L >= 5 runs depth-3 networks, up to (19, 3) at
-    # n = 16.  L >= 9 would run depth-4 networks of tens of millions of edges
+    # n = 16.  L >= 9 would run depth-4 networks of tens of millions of edges.
+    # The outer loop asks the exact decider's questions in the same order
+    # exactly when every answer is the same, so the call count, frontier
+    # trace and guard flag must equal the exact decider's
     decider = dr.swnet_decider("spectral")
     for n, seed in SWNET_CORPUS_SEEDS.items():
         g = sw.random_digraph(n, 0.25, seed)
         pairs = [(1, n), (n, 1), (2, n - 1)]
         for L in range(2, min(n, 8) + 1):
             s, t = pairs[L % 3]
-            result, ledger = dr.dstcon(g, s, t, L, decider=decider)
-            assert result == ground_truth(g, s, t), (n, L, s, t)
-            assert ledger.peak_frontier <= math.ceil(n / L) + 1
-            assert 0 < ledger.network_evaluations <= ledger.decider_calls
+            runs, ledgers = [], []
+            for each in (decider, dr.exact_bfs_decider()):
+                trace = []
+                result, ledger = dr.dstcon(g, s, t, L, decider=each, frontier_trace=trace)
+                runs.append((result, ledger.decider_calls, ledger.peak_frontier, ledger.guard_exhausted, trace))
+                ledgers.append(ledger)
+            assert runs[0] == runs[1], (n, L, s, t)
+            assert runs[0][0] == ground_truth(g, s, t), (n, L, s, t)
+            assert ledgers[0].peak_frontier <= math.ceil(n / L) + 1
+            assert 0 < ledgers[0].network_evaluations <= ledgers[0].decider_calls
+
+
+def test_reach_widened_by_one_hop_fails_the_swnet_and_exact_corpus_comparison(monkeypatch):
+    # the spectral verdicts are the bounded reach alone, so the corpus must
+    # see a BFS that runs one hop past the rounded length; the widened reach
+    # leaves every dstcon result right and shows only in the questions asked,
+    # so it is the comparison of the two runs' tuples that fails
+    real = se._reach_within
+    monkeypatch.setattr(se, "_reach_within", lambda g, root, L: real(g, root, L + 1))
+    with pytest.raises(AssertionError, match=r"assert \("):
+        test_dstcon_with_swnet_decider_matches_bfs_corpus()
 
 
 @st.composite
@@ -256,18 +276,23 @@ def test_swnet_decider_answers_every_call_as_its_report(mode, n, lengths):
         decider.answer(g, 1, n + 1, 2)
 
 
-def test_swnet_decider_finds_resistances_once_a_sink_beyond_u_is_reached(monkeypatch):
-    # the verdict array needs R only when u reaches another sink; then it is
-    # found once for the (u, L), unreached sinks included
+def test_swnet_decider_finds_no_resistances_and_a_report_finds_them_once(monkeypatch):
+    # the spectral verdict array is the bounded reach (R <= 3^ell on every
+    # reached sink), so the decider never runs the reduction, while a
+    # report of a reached sink still finds R, once per (u, L)
     calls = []
     real = se.source_resistances
     monkeypatch.setattr(se, "source_resistances", lambda *args: calls.append(args[1:]) or real(*args))
     g = sw.from_edges(5, [(1, 2), (2, 3)])
     decider = dr.swnet_decider("spectral")
     assert [decider.answer(g, 4, v, 2)[0] for v in (4, 1, 5)] == [True, False, False]
-    assert calls == []
     assert [decider.answer(g, 1, v, 2)[0] for v in (5, 3, 2, 1)] == [False, True, True, True]
     assert [decider.answer(g, 2, v, 2)[0] for v in (1, 3)] == [False, True]
+    assert calls == []
+    report = decide_distance_report(g, 1, 3, 2, mode="spectral")
+    assert (report.accepted, report.path_len) == (True, 3) and calls == [(1, 1)]
+    evaluation = se.Evaluation(g, 2, 2, "spectral")
+    assert [evaluation.report(v, witness=True).accepted for v in (3, 2, 1, 3)] == [True, True, False, True]
     assert calls == [(1, 1), (2, 1)]
 
 

@@ -11,6 +11,7 @@ from swnet import driver
 from swnet import flows as fl
 from swnet import spaneval as se
 from swnet.errors import Disconnected, InvalidParams
+from swnet.network import source_resistances
 from oracles import on_distances
 
 
@@ -266,6 +267,26 @@ def test_exact_and_spectral_modes_equal_bfs_property(g):
                     net = evaluation.net
                     mask = sw.on_edge_mask(net, sw.GraphOracle(evaluation.graph))
                     assert report.path_len == 3**net.ell == on_distances(net, mask)[net.sink(v - 1)]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(small_digraphs(max_n=8))
+def test_spectral_verdicts_equal_the_thresholded_masses_property(g):
+    # the witness bound R <= 3^ell on every reached sink makes the masses
+    # thresholded at acceptance_threshold(ell) equal the bounded reach, at
+    # every root and every admitted L <= 8 (up to a grafted (11, 3) network)
+    for u in range(1, g.n + 1):
+        for L in range(1, 9):
+            rounded = 1 << (L - 1).bit_length()
+            if rounded > 1 << (g.n + rounded - L - 1).bit_length():
+                continue  # refused: past the power of two at or above the grafted vertex count
+            evaluation = se.Evaluation(g, u, L, "spectral")
+            verdicts = evaluation.verdicts()
+            ell, reach = evaluation.ell, evaluation._reach
+            R = source_resistances(evaluation.graph.adj, evaluation._root, ell)
+            old = np.where(reach, 2 / (2 * R + 4), 0.0) >= se.acceptance_threshold(ell)
+            assert np.array_equal(verdicts, old[: g.n]), (u, L)
+            assert np.max(R[reach] / 3**ell) <= 1 + 1e-9, (u, L)
 
 
 def test_evaluation_answers_every_sink_as_decide_distance():
