@@ -14,22 +14,24 @@ time, oracle queries and register cells.  The switching-network decider
 answers every sink of one (source, length) from one verdict array, read
 from one network evaluation (spaneval.Evaluation.verdicts) kept for the
 graph it is asking about; in spectral mode that array is the bounded
-reach and no effective resistance is found.  It charges each call one
-fresh ledger: the full decision, at the grafted size its network is built
-on, or the trivial v == u charge; only the call that ran the evaluation
-counts it in ``network_evaluations``.  The evaluation's reach is a BFS
-bounded at the rounded length.  The exact decider charges n time
-steps and the oracle queries of its BFS; a noisy decider passes its inner
-charge through, and a majority vote sums its repetitions' charges as one
-call.  dstcon folds every charge into its ledger (ResourceLedger.fold), so
-each call is charged once.  Length-0 questions are equality tests and are
-answered internally without consulting (or paying for) the decider.
+reach and no effective resistance is found.  It builds one charge per
+(source, length), the full decision at the grafted size its network is
+built on, and returns it, shared and read-only, from every call of that
+(source, length); only the first call, the one that ran the evaluation,
+counts it in ``network_evaluations``.  A v == u call is charged the
+trivial decision instead, built when first asked for.  The evaluation's
+reach is a BFS bounded at the rounded length.  The exact decider charges n
+time steps and the oracle queries of its BFS; a noisy decider passes its
+inner charge through, and a majority vote sums its repetitions' charges as
+one call.  dstcon folds every charge into its ledger (ResourceLedger.fold),
+so each call is charged once.  Length-0 questions are equality tests and
+are answered internally without consulting (or paying for) the decider.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,7 +51,10 @@ class DistDecider:
     """A bounded-length reachability decider.
 
     ``answer(g, u, v, L)`` decides dist(u, v) <= L for L >= 1 and returns
-    (bool, charge), the charge being that call's ResourceLedger.
+    (bool, charge), the charge being that call's ResourceLedger.  The
+    charge is read-only: a decider may return the same ledger from many
+    calls, so callers fold it (ResourceLedger.fold) or pass it on, and
+    never change it.
     ``randomized`` marks bounded-error flavors that benefit from boosting.
     """
 
@@ -88,14 +93,15 @@ def swnet_decider(mode: str = "spectral") -> DistDecider:
     verdict array (Evaluation.verdicts).  In spectral mode that array is the
     bounded BFS's reach, by the witness bound R <= 3^ell, so the decider
     finds no effective resistance R: each (u, length) costs one graft, one
-    charge and one bounded BFS.  The array is kept, keyed by
-    (u, length), with the decision's charge and the trivial v == u charge,
+    charge and one bounded BFS.  The array is kept, keyed by (u, length),
     for the graph last seen (compared by identity) and dropped when another
-    graph comes.  Every call is charged one fresh ledger, of a full
-    decision or of the trivial v == u one; only the call that ran the
-    evaluation counts it in ``network_evaluations``.
+    graph comes, with one charge per (u, length), shared and read-only: the
+    first call returns the evaluation's own charge, which counts it in
+    ``network_evaluations``, and every later call one repeat charge that
+    counts 0 there.  A v == u call is charged the trivial decision instead,
+    built only when a call asks for it.
     """
-    memo: dict[tuple[int, int], tuple[list[bool], dict, dict]] = {}  # verdicts and the two charges' fields
+    memo: dict[tuple[int, int], list] = {}  # verdicts, the repeat charge, the repeat v == u charge or None
     seen: Digraph | None = None
 
     def answer(g: Digraph, u: int, v: int, L: int) -> tuple[bool, ResourceLedger]:
@@ -106,15 +112,19 @@ def swnet_decider(mode: str = "spectral") -> DistDecider:
         if not 1 <= v <= g.n:
             raise InvalidParams(f"sink v = {v} out of range 1..{g.n}")
         entry = memo.get((u, L))
-        ran = entry is None
-        if ran:
+        if entry is None:
             evaluation = Evaluation(g, u, L, mode)
             verdicts = evaluation.verdicts().tolist()
-            entry = memo[u, L] = (verdicts, vars(evaluation.charge), vars(evaluation.trivial_charge))
+            memo[u, L] = [verdicts, replace(evaluation.charge, network_evaluations=0), None]
+            if v == u:
+                return verdicts[v - 1], replace(evaluation.trivial_charge, network_evaluations=1)
+            return verdicts[v - 1], evaluation.charge
         verdicts, charge, trivial = entry
-        ledger = ResourceLedger(**(trivial if v == u else charge))  # fresh: callers keep and fold it
-        ledger.network_evaluations = int(ran)
-        return verdicts[v - 1], ledger
+        if v == u:
+            if trivial is None:
+                trivial = entry[2] = Evaluation(g, u, L, mode).trivial_charge
+            charge = trivial
+        return verdicts[v - 1], charge
 
     return DistDecider(name=f"swnet-{mode}", answer=answer)
 
@@ -200,14 +210,19 @@ def dstcon(
     n = g.n
     cell_bits = 1 + max(math.ceil(math.log2(max(L, 2))), 1)
 
-    def dist_le(u: int, v: int, length: int) -> bool:
-        if u == v:
-            return True
-        if length <= 0:  # an equality test; no decider call, no charge
-            return False
-        answer, charge = decider.answer(g, u, v, length)
-        ledger.fold(charge)
-        return answer
+    ask, fold = decider.answer, ledger.fold
+
+    def within(S, v: int, length: int) -> bool:
+        """Whether dist(u, v) <= length for some u in S, asked in S's order up to the first yes."""
+        for u in S:
+            if u == v:
+                return True
+            if length > 0:  # else an equality test; no decider call, no charge
+                answer, charge = ask(g, u, v, length)
+                fold(charge)
+                if answer:
+                    return True
+        return False
 
     def note_frontier(size: int):
         ledger.peak_frontier = max(ledger.peak_frontier, size)
@@ -220,7 +235,7 @@ def dstcon(
         tripped = False
         if j >= 1:
             for v in range(1, n + 1):
-                if dist_le(s, v, j) and not dist_le(s, v, j - 1):
+                if within((s,), v, j) and not within((s,), v, j - 1):
                     if len(S) > guard:
                         tripped = True
                         break
@@ -233,9 +248,7 @@ def dstcon(
         for i in range(1, n // L + 1):
             S_new = set()
             for v in range(1, n + 1):
-                if any(dist_le(u, v, L) for u in S) and not any(
-                    dist_le(u, v, L - 1) for u in S
-                ):
+                if within(S, v, L) and not within(S, v, L - 1):
                     if len(S) + len(S_new) > guard:
                         tripped = True
                         break
@@ -248,7 +261,7 @@ def dstcon(
                 frontier_trace.append((j, i, frozenset(S_new)))
         if tripped:
             continue
-        hit = any(dist_le(u, t, L) for u in S)
+        hit = within(S, t, L)
         return (CONNECTED if hit else NOT_CONNECTED), ledger
     ledger.guard_exhausted = True
     return NOT_CONNECTED, ledger

@@ -119,10 +119,15 @@ class ResourceLedger:
         self.oracle_queries += other.oracle_queries
         self.decider_calls += other.decider_calls
         self.network_evaluations += other.network_evaluations
-        self.space_cells = max(self.space_cells, other.space_cells)
-        self.quantum_space_cells = max(self.quantum_space_cells, other.quantum_space_cells)
-        self.peak_frontier = max(self.peak_frontier, other.peak_frontier)
-        self.guard_exhausted = self.guard_exhausted or other.guard_exhausted
+        # comparisons, not max() and or: fold runs once per decider call
+        if other.space_cells > self.space_cells:
+            self.space_cells = other.space_cells
+        if other.quantum_space_cells > self.quantum_space_cells:
+            self.quantum_space_cells = other.quantum_space_cells
+        if other.peak_frontier > self.peak_frontier:
+            self.peak_frontier = other.peak_frontier
+        if other.guard_exhausted:
+            self.guard_exhausted = True
 
 
 # -- reflections (dense, small instances) --------------------------------------

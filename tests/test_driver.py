@@ -171,40 +171,55 @@ def test_dstcon_ledger_folds_swnet_charges():
 SWNET_CORPUS_SEEDS = {4: 62, 5: 3, 6: 39, 7: 7, 8: 52, 9: 3, 10: 21, 11: 68, 12: 18, 13: 43, 14: 5, 15: 111, 16: 86}
 
 
+def swnet_and_exact_runs(g, s, t, L, decider):
+    """dstcon through ``decider`` and through the exact decider, each as
+    (result, decider calls, peak frontier, space cells, guard flag, frontier
+    trace), and the first run's ledger.
+
+    The outer loop asks the exact decider's questions in the same order
+    exactly when every answer is the same, so a decider that answers as BFS
+    does must give the same tuple; one that over-reaches can still give the
+    right result but asks different questions.
+    """
+    runs, ledgers = [], []
+    for each in (decider, dr.exact_bfs_decider()):
+        trace = []
+        result, ledger = dr.dstcon(g, s, t, L, decider=each, frontier_trace=trace)
+        runs.append((result, ledger.decider_calls, ledger.peak_frontier, ledger.space_cells,
+                     ledger.guard_exhausted, trace))
+        ledgers.append(ledger)
+    return runs, ledgers[0]
+
+
 def test_dstcon_with_swnet_decider_matches_bfs_corpus():
     # the outer algorithm end to end with the spectral decider inside, at
     # every L <= min(n, 8); L >= 5 runs depth-3 networks, up to (19, 3) at
-    # n = 16.  L >= 9 would run depth-4 networks of tens of millions of edges.
-    # The outer loop asks the exact decider's questions in the same order
-    # exactly when every answer is the same, so the call count, frontier
-    # trace and guard flag must equal the exact decider's
+    # n = 16.  L >= 9 would run depth-4 networks of tens of millions of edges
     decider = dr.swnet_decider("spectral")
     for n, seed in SWNET_CORPUS_SEEDS.items():
         g = sw.random_digraph(n, 0.25, seed)
         pairs = [(1, n), (n, 1), (2, n - 1)]
         for L in range(2, min(n, 8) + 1):
             s, t = pairs[L % 3]
-            runs, ledgers = [], []
-            for each in (decider, dr.exact_bfs_decider()):
-                trace = []
-                result, ledger = dr.dstcon(g, s, t, L, decider=each, frontier_trace=trace)
-                runs.append((result, ledger.decider_calls, ledger.peak_frontier, ledger.guard_exhausted, trace))
-                ledgers.append(ledger)
+            runs, ledger = swnet_and_exact_runs(g, s, t, L, decider)
             assert runs[0] == runs[1], (n, L, s, t)
             assert runs[0][0] == ground_truth(g, s, t), (n, L, s, t)
-            assert ledgers[0].peak_frontier <= math.ceil(n / L) + 1
-            assert 0 < ledgers[0].network_evaluations <= ledgers[0].decider_calls
+            assert ledger.peak_frontier <= math.ceil(n / L) + 1
+            assert 0 < ledger.network_evaluations <= ledger.decider_calls
 
 
 def test_reach_widened_by_one_hop_fails_the_swnet_and_exact_corpus_comparison(monkeypatch):
-    # the spectral verdicts are the bounded reach alone, so the corpus must
-    # see a BFS that runs one hop past the rounded length; the widened reach
-    # leaves every dstcon result right and shows only in the questions asked,
-    # so it is the comparison of the two runs' tuples that fails
+    # the spectral verdicts are the bounded reach alone, so the corpus and
+    # the property test must see a BFS that runs one hop past the rounded
+    # length; the widened reach leaves every corpus result right and shows
+    # only in the questions asked, so it is the comparison of the two runs'
+    # tuples that fails
     real = se._reach_within
     monkeypatch.setattr(se, "_reach_within", lambda g, root, L: real(g, root, L + 1))
     with pytest.raises(AssertionError, match=r"assert \("):
         test_dstcon_with_swnet_decider_matches_bfs_corpus()
+    with pytest.raises(AssertionError, match=r"assert \("):
+        test_dstcon_with_swnet_decider_equals_bfs_property()
 
 
 @st.composite
@@ -219,9 +234,11 @@ def dstcon_instances(draw, max_n=7):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(dstcon_instances())
 def test_dstcon_with_swnet_decider_equals_bfs_property(instance):
+    # the same questions as the exact decider, not only the same result
     g, s, t, L = instance
-    result, ledger = dr.dstcon(g, s, t, L, decider=dr.swnet_decider("spectral"))
-    assert result == ground_truth(g, s, t)
+    runs, ledger = swnet_and_exact_runs(g, s, t, L, dr.swnet_decider("spectral"))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == ground_truth(g, s, t)
     assert ledger.network_evaluations <= ledger.decider_calls
 
 
@@ -247,6 +264,26 @@ def test_swnet_decider_charges_every_call_and_counts_evaluations():
     assert all(replace(c, network_evaluations=1) == full for c in charges)
     _, ledger = dr.dstcon(g, 1, 8, 3, decider=dr.exact_bfs_decider())
     assert ledger.network_evaluations == 0
+
+
+def test_swnet_decider_shares_one_read_only_charge_per_source_and_length():
+    # every later call of one (u, L) returns the same ledger object; folding
+    # it into dstcon's ledger, directly or through a majority vote of a
+    # pass-through noisy decider, must leave it as it was
+    g = sw.random_digraph(8, 0.2, 1)
+    decider = dr.swnet_decider("spectral")
+    keys = [(u, v, L) for L in (1, 2, 3) for u in range(1, 9) for v in range(1, 9)]
+    for u, v, L in keys:
+        decider.answer(g, u, v, L)
+    assert decider.answer(g, 1, 2, 3)[1] is decider.answer(g, 1, 5, 3)[1]
+    assert decider.answer(g, 1, 1, 3)[1] is decider.answer(g, 1, 1, 3)[1]
+    assert dr.dstcon(g, 1, 8, 3, decider=decider)[0] == ground_truth(g, 1, 8)
+    voted = dr.boosted(dr.noisy_decider(1.0, 0, inner=decider), 3)
+    result, ledger = dr.dstcon(g, 1, 8, 3, decider=voted)
+    assert result == ground_truth(g, 1, 8) and ledger.network_evaluations == 0
+    for u, v, L in keys:
+        report = decide_distance_report(g, u, v, L, mode="spectral")
+        assert decider.answer(g, u, v, L) == (report.accepted, replace(report.ledger, network_evaluations=0))
 
 
 # G(6, 0.3) in the exact and spectral modes; spectral-dense runs G(4, 0.3)

@@ -452,6 +452,19 @@ def test_ledger_fold_adds_counts_and_maxes_space():
                                  decider_calls=2, peak_frontier=1))
     assert total == se.ResourceLedger(time_steps=3.5, space_cells=4, oracle_queries=8, quantum_space_cells=12,
                                       decider_calls=3, peak_frontier=2)
+    # each maximum from either side (a tie keeps the value), the guard flag
+    # set from either side, and the folded ledger left as it was
+    for name in ("space_cells", "quantum_space_cells", "peak_frontier"):
+        for mine, theirs in [(7, 3), (3, 7), (5, 5), (0, 0)]:
+            total, other = se.ResourceLedger(**{name: mine}), se.ResourceLedger(**{name: theirs})
+            total.fold(other)
+            assert total == se.ResourceLedger(**{name: max(mine, theirs)}), (name, mine, theirs)
+            assert other == se.ResourceLedger(**{name: theirs})
+    for mine, theirs in itertools.product([False, True], repeat=2):
+        total = se.ResourceLedger(guard_exhausted=mine)
+        total.fold(se.ResourceLedger(guard_exhausted=theirs, network_evaluations=1))
+        assert total == se.ResourceLedger(guard_exhausted=mine or theirs, network_evaluations=1)
+        assert type(total.guard_exhausted) is bool
 
 
 def test_report_routes_and_witness_switch():
