@@ -18,7 +18,7 @@ from . import flows as fl
 from . import pebbling as pb
 from . import prep
 from .driver import decider_from_name, dstcon
-from .errors import BasisMismatch, IllegalMove, InvalidParams, RankDeficient, ReachMismatch, SwnetError, WitnessBound
+from .errors import InvalidParams, InvariantViolation, SwnetError
 from .graphs import layered_path, read_graph_file
 from .network import build, leaf_symbols
 from .spaneval import decide_distance_report
@@ -58,7 +58,6 @@ def cmd_basis_dump(args) -> int:
 def cmd_prep_verify(args) -> int:
     n = args.n
     ell = _depth(args.L)
-    rows = []
 
     def residual(got, targ):
         g = got / np.linalg.norm(got)
@@ -67,29 +66,26 @@ def cmd_prep_verify(args) -> int:
             return 2.0
         return float(np.abs(g - t).max())
 
-    v, c = prep.prepare_sum_of_flows(n, ell)
-    targ = fl._sum_unit_flows(n, ell).astype(float)
-    rows.append(("sum-of-flows", residual(v, targ), c.gate_count))
-    worst, gates = 0.0, 0
-    for x in range(n):
-        v, c = prep.fourier_flows_C(n, ell, x)
-        targ = fl._signed_unit_flow_sum(n, ell, x).astype(float)
-        worst, gates = max(worst, residual(v, targ)), max(gates, c.gate_count)
-    rows.append(("signed-sums", worst, gates))
-    if ell >= 1:
+    def families():
+        """Each family's name and its ((state, circuit), reference) pairs, built one pair at a time."""
+        yield "sum-of-flows", [(prep.prepare_sum_of_flows(n, ell), fl._sum_unit_flows(n, ell))]
+        yield "signed-sums", ((prep.fourier_flows_C(n, ell, x), fl._signed_unit_flow_sum(n, ell, x)) for x in range(n))
+        if ell >= 1:
+            yield "circulations", (
+                (prep.prepare_psi(n, ell, z, x), fl.fourier_circulation(n, ell, z, x))
+                for z in range(1, n) for x in range(n)
+            )
+        net = build(n, ell, 1)  # flow_state reads no query label, so it is the same at every root
+        yield "optimal-flow", (
+            (prep.prepare_theta(n, ell, j, with_boundary=True), fl.flow_state(net, j)) for j in range(n)
+        )
+
+    rows = []
+    for name, pairs in families():
         worst, gates = 0.0, 0
-        for z in range(1, n):
-            for x in range(n):
-                v, c = prep.prepare_psi(n, ell, z, x)
-                worst = max(worst, residual(v, fl.fourier_circulation(n, ell, z, x).astype(float)))
-                gates = max(gates, c.gate_count)
-        rows.append(("circulations", worst, gates))
-    worst, gates = 0.0, 0
-    net = build(n, ell, 1)  # flow_state reads no query label, so it is the same at every root
-    for j in range(n):
-        v, c = prep.prepare_theta(n, ell, j, with_boundary=True)
-        worst, gates = max(worst, residual(v, fl.flow_state(net, j))), max(gates, c.gate_count)
-    rows.append(("optimal-flow", worst, gates))
+        for (v, c), targ in pairs:
+            worst, gates = max(worst, residual(v, targ)), max(gates, c.gate_count)
+        rows.append((name, worst, gates))
     print(f"{'family':<14} {'max residual':<14} gates")
     for name, res, g in rows:
         print(f"{name:<14} {res:<14.3e} {g}")
@@ -204,7 +200,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BasisMismatch, ReachMismatch, WitnessBound, RankDeficient, IllegalMove) as exc:
+    except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
     except (SwnetError, OSError, json.JSONDecodeError, ValueError) as exc:

@@ -1,12 +1,14 @@
 """Space-bounded outer BFS with a pluggable bounded-length decider.
 
-The driver sweeps an offset j, seeds the frontier with vertices at exact
-distance j from the source, then repeatedly extends it by exact-distance-L
-hops, never storing more than about n/L vertices.  A size guard abandons
-the offset when the frontier would overflow; some offset always fits
-because the distance classes partition the reachable vertices.  The
-connectivity verdict is the final "is t within distance L of the frontier"
-check of the first offset that completes.
+The driver sweeps an offset j.  One layer step admits, in vertex order,
+the vertices at exact distance k from a set S, and gives up when one more
+would take the frontier past the size guard n/L.  Its step at k = j from
+the source seeds the frontier and its step at k = L extends it, round by
+round, so the frontier never holds more than about n/L vertices.  An
+offset whose step gives up is abandoned; some offset always fits because
+the distance classes partition the reachable vertices.  The connectivity
+verdict is the final "is t within distance L of the frontier" check of
+the first offset that completes.
 
 Deciders answer "is there a directed u -> v path of length at most L" and
 return, with each answer, the ResourceLedger of that one call: its model
@@ -19,13 +21,14 @@ reach and no effective resistance is found.  It builds one charge per
 built on, and returns it, shared and read-only, from every call of that
 (source, length); only the first call, the one that ran the evaluation,
 counts it in ``network_evaluations``.  A v == u call is charged the
-trivial decision instead, built when first asked for.  The evaluation's
-reach is a BFS bounded at the rounded length.  The exact decider charges n
-time steps and the oracle queries of its BFS; a noisy decider passes its
-inner charge through, and a majority vote sums its repetitions' charges as
-one call.  dstcon folds every charge into its ledger (ResourceLedger.fold),
-so each call is charged once.  Length-0 questions are equality tests and
-are answered internally without consulting (or paying for) the decider.
+trivial decision (spaneval.trivial_charge) instead, built when first asked
+for.  The evaluation's reach is a BFS bounded at the rounded length.  The
+exact decider charges n time steps and the oracle queries of its BFS; a
+noisy decider passes its inner charge through, and a majority vote sums
+its repetitions' charges as one call.  dstcon folds every charge into its
+ledger (ResourceLedger.fold), so each call is charged once.  Length-0
+questions are equality tests and are answered internally without
+consulting (or paying for) the decider.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidParams
 from .graphs import Digraph, GraphOracle
-from .spaneval import Evaluation, ResourceLedger
+from .spaneval import Evaluation, ResourceLedger, trivial_charge
 from .spaneval import decide_distance  # noqa: F401  (perfbench's tracer wraps driver.decide_distance)
 
 CONNECTED = "Connected"
@@ -117,12 +120,12 @@ def swnet_decider(mode: str = "spectral") -> DistDecider:
             verdicts = evaluation.verdicts().tolist()
             memo[u, L] = [verdicts, replace(evaluation.charge, network_evaluations=0), None]
             if v == u:
-                return verdicts[v - 1], replace(evaluation.trivial_charge, network_evaluations=1)
+                return verdicts[v - 1], replace(trivial_charge(g.n, L), network_evaluations=1)
             return verdicts[v - 1], evaluation.charge
         verdicts, charge, trivial = entry
         if v == u:
             if trivial is None:
-                trivial = entry[2] = Evaluation(g, u, L, mode).trivial_charge
+                trivial = entry[2] = trivial_charge(g.n, L)
             charge = trivial
         return verdicts[v - 1], charge
 
@@ -229,39 +232,36 @@ def dstcon(
         ledger.space_cells = max(ledger.space_cells, size * cell_bits)
 
     guard = n / L
+
+    def layer(S, k: int) -> list | None:
+        """The vertices at exact distance k from S in vertex order, or None once one more would pass the guard."""
+        new = []
+        for v in range(1, n + 1):
+            if within(S, v, k) and not within(S, v, k - 1):
+                if len(S) + len(new) > guard:
+                    return None
+                new.append(v)
+                note_frontier(len(S) + len(new))
+        return new
+
+    # within() asks S in its set order, which depends on how S was filled:
+    # the seed in vertex order, each round through a set of its vertices
     for j in range(L):
-        S = {s}
         note_frontier(1)
-        tripped = False
-        if j >= 1:
-            for v in range(1, n + 1):
-                if within((s,), v, j) and not within((s,), v, j - 1):
-                    if len(S) > guard:
-                        tripped = True
-                        break
-                    S.add(v)
-                    note_frontier(len(S))
-        if tripped:
+        seed = layer({s}, j) if j else []  # S = {s} is everything at distance 0
+        if seed is None:
             continue
+        S = {s, *seed}
         if frontier_trace is not None:
             frontier_trace.append((j, 0, frozenset(S)))
         for i in range(1, n // L + 1):
-            S_new = set()
-            for v in range(1, n + 1):
-                if within(S, v, L) and not within(S, v, L - 1):
-                    if len(S) + len(S_new) > guard:
-                        tripped = True
-                        break
-                    S_new.add(v)
-                    note_frontier(len(S) + len(S_new))
-            if tripped:
+            new = layer(S, L)
+            if new is None:
                 break
-            S |= S_new
+            S |= set(new)
             if frontier_trace is not None:
-                frontier_trace.append((j, i, frozenset(S_new)))
-        if tripped:
-            continue
-        hit = within(S, t, L)
-        return (CONNECTED if hit else NOT_CONNECTED), ledger
+                frontier_trace.append((j, i, frozenset(new)))
+        else:
+            return (CONNECTED if within(S, t, L) else NOT_CONNECTED), ledger
     ledger.guard_exhausted = True
     return NOT_CONNECTED, ledger

@@ -45,21 +45,25 @@ class CapExceeded(SwnetError):
 
 # -- invariant violations --------------------------------------------------
 
-class IllegalMove(SwnetError):
+class InvariantViolation(SwnetError):
+    """An internal invariant check tripped; the CLI exits 3 on any subclass."""
+
+
+class IllegalMove(InvariantViolation):
     """A pebbling move violated the game rules (broken strategy)."""
 
 
-class RankDeficient(SwnetError):
+class RankDeficient(InvariantViolation):
     """A vector family expected to be independent was not."""
 
 
-class BasisMismatch(SwnetError):
+class BasisMismatch(InvariantViolation):
     """Two independently built projectors for the same space disagree."""
 
 
-class ReachMismatch(SwnetError):
+class ReachMismatch(InvariantViolation):
     """Two independent computations of which sinks the source reaches disagree."""
 
 
-class WitnessBound(SwnetError):
+class WitnessBound(InvariantViolation):
     """A reached sink's effective resistance exceeds the witness bound 3^ell."""

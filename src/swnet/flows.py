@@ -44,14 +44,6 @@ from .network import SwitchingNet, check_edge_budget, on_component
 S_SLOT, T_SLOT, LS_SLOT, RT_SLOT = 0, 1, 2, 3  # offsets after the |E| edge coords
 
 
-def reduced_dim(edge_count: int) -> int:
-    return edge_count + 4
-
-
-def boundary_index(edge_count: int, slot: int) -> int:
-    return edge_count + slot
-
-
 # -- integer-exact recursive flow states --------------------------------------
 
 def _bitdot(a: int, b: int) -> int:
@@ -179,14 +171,14 @@ def flow_state(net: SwitchingNet, j: int, with_boundary: bool = True) -> np.ndar
     Edge coordinates are sqrt(2) * theta(e); with_boundary adds -1 on ls
     and +1 on rt so that divergence is conserved at the boundary too.
     """
-    n, ell = net.n, net.ell
-    out = np.zeros(reduced_dim(net.edge_count))
-    theta = out[: net.edge_count]
+    n, ell, E = net.n, net.ell, net.edge_count
+    out = np.zeros(E + 4)
+    theta = out[:E]
     np.divide(unit_flow(n, ell, j), float(n) ** ell, out=theta)
     theta *= np.sqrt(2.0)
     if with_boundary:
-        out[boundary_index(net.edge_count, LS_SLOT)] = -1.0
-        out[boundary_index(net.edge_count, RT_SLOT)] = +1.0
+        out[E + LS_SLOT] = -1.0
+        out[E + RT_SLOT] = +1.0
     return out
 
 
@@ -414,7 +406,7 @@ def build_Bperp_basis(net: SwitchingNet, sink_j: int) -> np.ndarray:
     members = 3 + sum((2 * n + 1) ** (ell - lp) * (n - 1) * n for lp in range(1, ell + 1))
     if members != expect:
         raise RankDeficient(f"complement basis has {members} members, expected {expect}")
-    rows = np.zeros((expect, reduced_dim(E)))
+    rows = np.zeros((expect, E + 4))
     row = 0
     for lp in range(1, ell + 1):
         sub_E = (2 * n + 1) ** lp * n
@@ -427,8 +419,8 @@ def build_Bperp_basis(net: SwitchingNet, sink_j: int) -> np.ndarray:
         blocks[diag, :, diag, :] = np.sqrt(2.0) * circs
         row += n_blocks * k
     rows[row] = flow_state(net, sink_j, with_boundary=True)
-    rows[row + 1, boundary_index(E, S_SLOT)] = 1.0
-    rows[row + 2, boundary_index(E, T_SLOT)] = 1.0
+    rows[row + 1, E + S_SLOT] = 1.0
+    rows[row + 2, E + T_SLOT] = 1.0
     rows /= np.sqrt([r @ r for r in rows])[:, None]
     return np.ascontiguousarray(rows.T)
 

@@ -78,7 +78,7 @@ def acceptance_threshold(ell: int) -> float:
 
 def time_formula(n: int, L: int) -> float:
     """Accounted quantum time for one length-L decision on n vertices."""
-    return math.sqrt(L ** math.log2(3) * (2 * n + 1) ** math.log2(L) * n) if L > 1 else math.sqrt(n)
+    return math.sqrt(L ** math.log2(3) * (2 * n + 1) ** math.log2(L) * n)
 
 
 def quantum_space_cells(n: int, L: int) -> int:
@@ -128,6 +128,16 @@ class ResourceLedger:
             self.peak_frontier = other.peak_frontier
         if other.guard_exhausted:
             self.guard_exhausted = True
+
+
+def trivial_charge(n: int, L: int) -> ResourceLedger:
+    """The ledger of a trivial v == u decision: one decider call at the graph's own n.
+
+    Charged at L rounded up to a power of two, as Evaluation rounds it, with
+    no queries and no network evaluation.
+    """
+    L = 1 << (L - 1).bit_length()
+    return ResourceLedger(time_steps=time_formula(n, L), quantum_space_cells=quantum_space_cells(n, L), decider_calls=1)
 
 
 # -- reflections (dense, small instances) --------------------------------------
@@ -203,9 +213,8 @@ def decide_phase_estimation(pair: ReflectionPair, psi0: np.ndarray) -> DecisionR
     overlap0 is the squared overlap of psi0 with the phase-0 eigenspace of
     U_alg, read off as the kernel of U_alg - I (eigenphases grouped at
     tolerance PHASE_TOL); accepted means overlap0 >= acceptance_threshold.
-    The witness fields stay None: Evaluation fills them for every route.
-    The report's ledger stays empty: decide_length_bounded charges the
-    decision.
+    The witness fields stay None, and the report's ledger stays empty:
+    Evaluation fills the witness and charges the decision, on every route.
     """
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise InvalidParams("psi0 must be normalized")
@@ -296,11 +305,11 @@ class Evaluation:
       boundary with the on-classes of that boundary beside it, and the top
       level solved over the source's component alone; the sinks those
       classes join to the source must be the reached sinks and no others,
-      and each must have R <= 3^ell, else WitnessBound.  The verdicts are
-      the reach, which by the witness bound below equals
-      where(reach, 2 / (2 R + 4), 0) >= threshold element by element, so
-      verdicts() finds no R; an unreached sink's report reads no R either,
-      so a rejection never finds it;
+      and each must have R <= 3^ell, else WitnessBound.  The verdict, in
+      verdicts() and report(v) alike, is the reach, which by the witness
+      bound below equals mass >= threshold, so verdicts() finds no R; an
+      unreached sink's report reads no R either, so a rejection never
+      finds it;
     - ``dense`` (mode "spectral-dense"): the dense reflections for sink v
       and their eigendecomposition, one per sink, on the built network;
       refused with InvalidParams above SPECTRAL_DIM_CAP, before it is
@@ -314,7 +323,7 @@ class Evaluation:
     network evaluation, charged whether or not the route builds it
     (``charge``).  The trivial report is charged one decider call at the
     graph's own n, with no queries and no evaluation, and builds nothing
-    (``trivial_charge``).
+    (``trivial_charge(n, L)``, which the swnet decider charges too).
 
     With ``witness`` an accepted report also gets its witness, the same on
     every route: the optimal on-flow energy R from
@@ -387,14 +396,6 @@ class Evaluation:
         )
 
     @cached_property
-    def trivial_charge(self) -> ResourceLedger:
-        """The ledger of the trivial v == u decision: one decider call at the graph's own n."""
-        n = self.g.n
-        return ResourceLedger(
-            time_steps=time_formula(n, self.L), quantum_space_cells=quantum_space_cells(n, self.L), decider_calls=1,
-        )
-
-    @cached_property
     def net(self) -> SwitchingNet:
         """The network on the grafted graph, built only by the routes that read it."""
         return build(self.graph.n, self.ell, self._root)
@@ -441,11 +442,6 @@ class Evaluation:
             )
         return R
 
-    @cached_property
-    def _masses(self) -> np.ndarray:
-        """The resistance route's fixed-space mass of every vertex: 2 / (2 R + 4) where reached, else 0."""
-        return np.where(self._reach, 2 / (2 * self._resistances + 4), 0.0)
-
     def _dense(self, sink: int) -> tuple[bool, float]:
         """The dense route's verdict and overlap0 for one sink, held to the bounded BFS."""
         dim = 2 * self.charge.oracle_queries + 4  # refused before the network is built
@@ -488,7 +484,7 @@ class Evaluation:
         if not 1 <= v <= self.g.n:
             raise InvalidParams(f"sink v = {v} out of range 1..{self.g.n}")
         if v == self.u:
-            report.ledger = replace(self.trivial_charge)
+            report.ledger = trivial_charge(self.g.n, self.L)
             if witness:
                 report.witness_energy, report.path_len = 0.0, 0
             return report
@@ -499,10 +495,9 @@ class Evaluation:
             report.route = "dense"
             report.accepted, report.overlap0 = self._dense(sink)
         elif self.mode == "spectral":
-            report.route = "resistance"
-            # an unreached sink reads no R
-            report.overlap0 = float(self._masses[sink]) if self._reach[sink] else 0.0
-            report.accepted = report.overlap0 >= report.threshold
+            # the verdict is the reach (the witness bound); an unreached sink reads no R
+            report.route, report.accepted = "resistance", bool(self._reach[sink])
+            report.overlap0 = float(2 / (2 * self._resistances[sink] + 4)) if report.accepted else 0.0
         else:
             self._hold_to_reach(self._labels, "the component labels", sink)
             report.route, report.accepted = "exact", bool(self._labels[sink])

@@ -8,8 +8,10 @@ import pytest
 
 import swnet as sw
 from oracles import edge_symbols, symbol_of
+from swnet import cli
 from swnet import spaneval as se
 from swnet.cli import main
+from swnet.errors import CapExceeded, Disconnected, InvalidParams, InvariantViolation
 
 
 @pytest.fixture
@@ -406,6 +408,23 @@ def test_sweep_csv(tmp_path, capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0].startswith("n,S,L,")
     assert len(out) == 3
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    *(pytest.param(error, 3, "invariant violation", id=error.__name__)
+      for error in InvariantViolation.__subclasses__()),
+    *(pytest.param(error, 2, "error", id=error.__name__)
+      for error in (*InvalidParams.__subclasses__(), Disconnected, CapExceeded)),
+])
+def test_exit_code_follows_the_error_family(capsys, monkeypatch, error, code, prefix):
+    # every InvariantViolation subclass exits 3, whichever command raises
+    # it; bad inputs and the other package errors still exit 2
+    def raising(args):
+        raise error("tripped")
+
+    monkeypatch.setattr(cli, "cmd_pebble", raising)
+    assert main(["pebble"]) == code
+    assert capsys.readouterr().err == f"{prefix}: tripped\n"
 
 
 def test_exit_code_bad_input(tmp_path, capsys):

@@ -101,6 +101,57 @@ def test_frontier_members_sit_at_exact_class_distances():
     assert trace[2][2] == frozenset({5})
 
 
+@pytest.mark.parametrize("decider, charged", [
+    (dr.exact_bfs_decider, dict(time_steps=266.0, oracle_queries=568)),
+    (lambda: dr.swnet_decider("spectral"),
+     dict(time_steps=3686.9796766926797, oracle_queries=53508, quantum_space_cells=15, network_evaluations=5)),
+], ids=["exact", "swnet-spectral"])
+def test_dstcon_guard_trips_in_a_round_then_in_a_seed(decider, charged):
+    # guard 7/4 = 1.75 admits one vertex beside the source: offset 0 trips in
+    # its round at distance 4 ({6, 7}), offset 1 in its seed at distance 1
+    # ({2, 3}), and offset 2 seeds {4} and completes with an empty round
+    g = sw.from_edges(7, [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (5, 7)])
+    trace = []
+    result, ledger = dr.dstcon(g, 1, 7, 4, decider=decider(), frontier_trace=trace)
+    assert result == dr.CONNECTED
+    assert ledger == se.ResourceLedger(space_cells=6, decider_calls=38, peak_frontier=2, **charged)
+    assert trace == [(0, 0, frozenset({1})), (2, 0, frozenset({1, 4})), (2, 1, frozenset())]
+
+
+def test_dstcon_guard_trips_at_every_offset():
+    # a decider that answers yes exactly to length-2 questions puts every
+    # other vertex at exact distance 2 from the source; guard 6/2 = 3 admits
+    # three vertices of a round and trips on the fourth, at every offset
+    calls = []
+
+    def answer(g, u, v, L):
+        calls.append((u, v, L))
+        return L == 2, se.ResourceLedger(decider_calls=1)
+
+    trace = []
+    decider = dr.DistDecider(name="length-2", answer=answer)
+    result, ledger = dr.dstcon(sw.layered_path(6), 1, 6, 2, decider=decider, frontier_trace=trace)
+    assert result == dr.NOT_CONNECTED
+    assert ledger == se.ResourceLedger(space_cells=8, decider_calls=21, guard_exhausted=True, peak_frontier=4)
+    assert trace == [(0, 0, frozenset({1})), (1, 0, frozenset({1}))]
+    round_questions = [(1, v, k) for v in (2, 3, 4, 5) for k in (2, 1)]
+    assert calls == round_questions + [(1, v, 1) for v in range(2, 7)] + round_questions
+
+
+def test_dstcon_asks_each_frontier_in_the_order_it_was_filled():
+    # within() asks the frontier's members in set order, which depends on
+    # the order the members went in: offset 2 seeds {9, 1} (9 first, the
+    # source), and filling it as {1, 9} would ask 56 questions, not 59
+    g = sw.random_digraph(9, 0.15, 1)
+    trace = []
+    result, ledger = dr.dstcon(g, 9, 1, 5, frontier_trace=trace)
+    assert result == dr.CONNECTED
+    assert ledger == se.ResourceLedger(
+        time_steps=531.0, space_cells=8, oracle_queries=1356, decider_calls=59, peak_frontier=2
+    )
+    assert [list(S) for _, _, S in trace] == [[9], [8, 9], [9, 1], []]
+
+
 def test_noisy_perfect_probability_is_exact():
     g = sw.random_digraph(5, 0.5, 77)
     dec = dr.noisy_decider(1.0, seed=1)
