@@ -1,14 +1,21 @@
 """Space-bounded outer BFS with a pluggable bounded-length decider.
 
 The driver sweeps an offset j.  One layer step admits, in vertex order,
-the vertices at exact distance k from a set S, and gives up when one more
-would take the frontier past the size guard n/L.  Its step at k = j from
-the source seeds the frontier and its step at k = L extends it, round by
-round, so the frontier never holds more than about n/L vertices.  An
-offset whose step gives up is abandoned; some offset always fits because
-the distance classes partition the reachable vertices.  The connectivity
-verdict is the final "is t within distance L of the frontier" check of
-the first offset that completes.
+the vertices at exact distance k from a frontier S, and gives up when one
+more would take the frontier past the size guard n/L.  Its step at k = j
+from the source seeds the frontier and its step at k = L extends it,
+round by round, so the frontier never holds more than about n/L vertices.
+An offset whose step gives up is abandoned; some offset always fits
+because the distance classes partition the reachable vertices.  The
+connectivity verdict is the final "is t within distance L of the
+frontier" check of the first offset that completes.
+
+The frontier is classical, a list in admission order: the source, then
+each admitted layer in vertex order.  Its members are at distance 0 and
+cost no question.  So the decider is asked only whether a member u reaches
+a non-member v within a length k >= 1 (exact distance 1 is "within 1"
+alone), the members in admission order up to the first yes, and the
+questions follow from the graph, s, t and L alone.
 
 Deciders answer "is there a directed u -> v path of length at most L" and
 return, with each answer, the ResourceLedger of that one call: its model
@@ -20,15 +27,14 @@ reach and no effective resistance is found.  It builds one charge per
 (source, length), the full decision at the grafted size its network is
 built on, and returns it, shared and read-only, from every call of that
 (source, length); only the first call, the one that ran the evaluation,
-counts it in ``network_evaluations``.  A v == u call is charged the
-trivial decision (spaneval.trivial_charge) instead, built when first asked
-for.  The evaluation's reach is a BFS bounded at the rounded length.  The
-exact decider charges n time steps and the oracle queries of its BFS; a
-noisy decider passes its inner charge through, and a majority vote sums
-its repetitions' charges as one call.  dstcon folds every charge into its
-ledger (ResourceLedger.fold), so each call is charged once.  Length-0
-questions are equality tests and are answered internally without
-consulting (or paying for) the decider.
+counts it in ``network_evaluations``.  A v == u call, which dstcon never
+makes, is charged the trivial decision (spaneval.trivial_charge) instead,
+built when first asked for.  The evaluation's reach is a BFS bounded at
+the rounded length.  The exact decider charges n time steps and the
+oracle queries of its BFS; a noisy decider passes its inner charge
+through, and a majority vote sums its repetitions' charges as one call.
+dstcon folds every charge into its ledger (ResourceLedger.fold), so each
+call is charged once.
 """
 
 from __future__ import annotations
@@ -196,35 +202,36 @@ def dstcon(
     """Directed st-connectivity via distance-class BFS; see module docstring.
 
     Returns (CONNECTED or NOT_CONNECTED, ledger).  With an exact decider
-    the answer equals BFS ground truth.  ``boost_reps`` wraps randomized
-    deciders in a majority vote; exact deciders are never boosted.  When a
-    list is passed as ``frontier_trace`` it receives one (j, round,
-    admitted-set) triple per completed extension round, for invariant
-    checks.
+    the answer equals BFS ground truth.  The decider is asked only whether
+    a frontier member u reaches a vertex v outside the frontier within a
+    length k >= 1, the members in admission order up to the first yes.
+    ``boost_reps`` must be odd and >= 1 for every decider; it wraps
+    randomized deciders in a majority vote, and exact deciders are never
+    boosted.  When a list is passed as ``frontier_trace`` it receives one
+    (j, round, admitted-set) triple per completed extension round, for
+    invariant checks.
     """
     if not (1 <= L <= g.n):
         raise InvalidParams(f"need 1 <= L <= n, got L={L}, n={g.n}")
     if not (1 <= s <= g.n and 1 <= t <= g.n):
         raise InvalidParams("s, t out of range")
     decider = decider or exact_bfs_decider()
-    if decider.randomized and boost_reps > 1:
-        decider = boosted(decider, boost_reps)
+    voted = boosted(decider, boost_reps)  # checks boost_reps whatever the decider
+    if decider.randomized:
+        decider = voted
     ledger = ResourceLedger()
     n = g.n
     cell_bits = 1 + max(math.ceil(math.log2(max(L, 2))), 1)
 
     ask, fold = decider.answer, ledger.fold
 
-    def within(S, v: int, length: int) -> bool:
+    def within(S: list, v: int, length: int) -> bool:
         """Whether dist(u, v) <= length for some u in S, asked in S's order up to the first yes."""
         for u in S:
-            if u == v:
+            answer, charge = ask(g, u, v, length)
+            fold(charge)
+            if answer:
                 return True
-            if length > 0:  # else an equality test; no decider call, no charge
-                answer, charge = ask(g, u, v, length)
-                fold(charge)
-                if answer:
-                    return True
         return False
 
     def note_frontier(size: int):
@@ -233,35 +240,33 @@ def dstcon(
 
     guard = n / L
 
-    def layer(S, k: int) -> list | None:
-        """The vertices at exact distance k from S in vertex order, or None once one more would pass the guard."""
+    def layer(S: list, k: int) -> list | None:
+        """The vertices outside S at exact distance k >= 1 from S in vertex order, or None once one more would pass the guard."""
         new = []
         for v in range(1, n + 1):
-            if within(S, v, k) and not within(S, v, k - 1):
+            if v not in S and within(S, v, k) and (k == 1 or not within(S, v, k - 1)):
                 if len(S) + len(new) > guard:
                     return None
                 new.append(v)
                 note_frontier(len(S) + len(new))
         return new
 
-    # within() asks S in its set order, which depends on how S was filled:
-    # the seed in vertex order, each round through a set of its vertices
     for j in range(L):
         note_frontier(1)
-        seed = layer({s}, j) if j else []  # S = {s} is everything at distance 0
+        seed = layer([s], j) if j else []  # [s] is everything at distance 0
         if seed is None:
             continue
-        S = {s, *seed}
+        S = [s, *seed]
         if frontier_trace is not None:
             frontier_trace.append((j, 0, frozenset(S)))
         for i in range(1, n // L + 1):
             new = layer(S, L)
             if new is None:
                 break
-            S |= set(new)
+            S += new
             if frontier_trace is not None:
                 frontier_trace.append((j, i, frozenset(new)))
         else:
-            return (CONNECTED if within(S, t, L) else NOT_CONNECTED), ledger
+            return (CONNECTED if t in S or within(S, t, L) else NOT_CONNECTED), ledger
     ledger.guard_exhausted = True
     return NOT_CONNECTED, ledger

@@ -49,6 +49,8 @@ class Digraph:
         return int(self.adj.sum())
 
     def has_edge(self, u: int, v: int) -> bool:
+        if not (1 <= u <= self.n and 1 <= v <= self.n):
+            raise InvalidParams(f"vertex pair ({u}, {v}) out of range 1..{self.n}")
         return bool(self.adj[u - 1, v - 1])
 
     def edges(self):

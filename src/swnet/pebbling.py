@@ -46,7 +46,12 @@ def apply_move(config: frozenset, move: PebbleMove, g: Digraph) -> frozenset:
 
 
 def replay(g: Digraph, start: int, moves) -> tuple[frozenset, int]:
-    """Replay a trace from {start}; returns (final config, peak pebbles)."""
+    """Replay a trace from {start}; returns (final config, peak pebbles).
+
+    A start or move vertex outside 1..n raises InvalidParams.
+    """
+    if not 1 <= start <= g.n:
+        raise InvalidParams(f"start {start} out of range 1..{g.n}")
     config = frozenset({start})
     peak = 1
     for mv in moves:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .driver import decider_from_name, dstcon
 from .errors import ConfigError, DomainError
-from .graphs import random_digraph
+from .graphs import MAX_FILE_VERTICES, random_digraph
 from .spaneval import ResourceLedger
 
 CSV_HEADER = (
@@ -108,37 +108,59 @@ class TradeoffPoint:
         )
 
 
+def _integer(key: str, value) -> int:
+    """A config integer; anything else, bools and floats included, is a ConfigError."""
+    if type(value) is not int:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _number(key: str, value) -> float:
+    if type(value) not in (int, float):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integers(key: str, values) -> list[int]:
+    if not isinstance(values, list):
+        raise ConfigError(f"{key} must be a list of integers, got {values!r}")
+    return [_integer(key, x) for x in values]
+
+
 def sweep(config: dict) -> list[TradeoffPoint]:
     """Evaluate formula rows for an n x S grid, measuring where desk-scale.
 
     Config keys: "n" (list), "S" (list, or dict mapping str(n) to lists),
     optional "c" (default 1.0), "c_L", "decider" (exact | swnet | noisy:P),
-    "seeds" (list, default [0]), "edge_prob", "measure_max_n" (default 64),
-    "reps".  Duplicate (n, S) pairs are dropped; row order follows config
+    "seeds" (list, default [0]), "edge_prob", "measure_max_n" (default 64,
+    at most graphs.MAX_FILE_VERTICES), "reps".  n, S and seeds are lists of
+    integers; c, c_L and edge_prob are numbers.  Duplicate (n, S) pairs are dropped; row order follows config
     order.  A measured point's ledger folds the dstcon ledgers of its seeds;
     points with n above measure_max_n carry no ledger.
     """
     if not isinstance(config, dict) or "n" not in config or "S" not in config:
         raise ConfigError('config must provide "n" and "S"')
-    c = float(config.get("c", 1.0))
-    c_L = float(config.get("c_L", 1.0))
-    measure_max_n = int(config.get("measure_max_n", 64))
-    seeds = list(config.get("seeds", [0]))
-    edge_prob = float(config.get("edge_prob", 0.3))
-    reps = int(config.get("reps", 1))
+    c = _number("c", config.get("c", 1.0))
+    c_L = _number("c_L", config.get("c_L", 1.0))
+    measure_max_n = _integer("measure_max_n", config.get("measure_max_n", 64))
+    if measure_max_n > MAX_FILE_VERTICES:
+        raise ConfigError(f"measure_max_n = {measure_max_n} is above MAX_FILE_VERTICES={MAX_FILE_VERTICES}")
+    ns = _integers("n", config["n"])
+    S_cfg = config["S"]
+    if isinstance(S_cfg, dict):
+        grids = {key: _integers(f"S[{key!r}]", grid) for key, grid in S_cfg.items()}
+    else:
+        grids = dict.fromkeys(map(str, ns), _integers("S", S_cfg))
+    seeds = _integers("seeds", config.get("seeds", [0]))
+    edge_prob = _number("edge_prob", config.get("edge_prob", 0.3))
+    reps = _integer("reps", config.get("reps", 1))
     decider_name = config.get("decider", "exact")
-
-    def s_grid(n: int):
-        S_cfg = config["S"]
-        if isinstance(S_cfg, dict):
-            return S_cfg.get(str(n), [])
-        return S_cfg
+    if not isinstance(decider_name, str):
+        raise ConfigError(f"decider must be a name, got {decider_name!r}")
 
     points, seen = [], set()
-    for n in config["n"]:
-        n = int(n)
-        for S in s_grid(n):
-            S = int(S)
+    for n in ns:
+        for S in grids.get(str(n), []):
             if (n, S) in seen:
                 continue
             seen.add((n, S))
@@ -152,7 +174,7 @@ def sweep(config: dict) -> list[TradeoffPoint]:
             if n <= measure_max_n:
                 ledger = ResourceLedger()
                 for seed in seeds:
-                    g = random_digraph(n, edge_prob, int(seed))
+                    g = random_digraph(n, edge_prob, seed)
                     _, led = dstcon(g, 1, n, L, decider=decider_from_name(decider_name), boost_reps=reps)
                     ledger.fold(led)
                 point.ledger = ledger

@@ -9,6 +9,7 @@ import numpy as np
 from swnet import flows as fl
 from swnet import prep
 from swnet.errors import InvalidParams, RankDeficient
+from swnet.graphs import bfs_distances
 from swnet.network import SRC, SwitchingNet, leaf_symbols, on_component, on_edge_mask
 
 
@@ -466,3 +467,64 @@ def isomorphic(rebuilt: RebuiltNet, net: SwitchingNet) -> bool:
         if not (match(ta, tail[e]) and match(ha, head[e])):
             return False
     return True
+
+
+# -- the outer loop's questions, read from BFS distances ---------------------------
+
+def dstcon_questions(g, s: int, t: int, L: int, frontiers: list | None = None) -> list[tuple[int, int, int]]:
+    """The (u, v, k) questions driver.dstcon asks a decider that answers as BFS, in order.
+
+    The rule, from BFS distances alone: for each offset j the frontier is a
+    list, the source first and then each admitted layer in vertex order.
+    A layer at exact distance k (k = j for the seed, L for a round) looks
+    at every vertex v outside the frontier in vertex order: it asks
+    "dist(u, v) <= k" of the members u in order up to the first yes, and
+    when one says yes and k >= 2, "dist(u, v) <= k - 1" the same way.  v is
+    admitted when its distance from the frontier is exactly k, and an
+    admission past the guard n/L abandons the offset.  The first offset
+    that completes its n // L rounds asks "dist(u, t) <= L" of its members
+    unless t is one.  When ``frontiers`` is a list it receives, per
+    question, the frontier (a tuple) the question was asked of.
+    """
+    dist = {u: bfs_distances(g, u) for u in range(1, g.n + 1)}
+    questions = []
+
+    def ask_members(S, v, k) -> None:
+        for u in S:
+            questions.append((u, v, k))
+            if frontiers is not None:
+                frontiers.append(tuple(S))
+            if dist[u][v - 1] <= k:
+                return
+
+    def layer(S, k):
+        new = []
+        for v in range(1, g.n + 1):
+            if v in S:
+                continue
+            d = min(dist[u][v - 1] for u in S)
+            ask_members(S, v, k)
+            if d <= k and k >= 2:
+                ask_members(S, v, k - 1)
+            if d == k:
+                if len(S) + len(new) + 1 > g.n / L + 1:
+                    return None
+                new.append(v)
+        return new
+
+    for j in range(L):
+        S = [s]
+        seed = layer(S, j) if j else []
+        if seed is None:
+            continue
+        S += seed
+        for _ in range(g.n // L):
+            new = layer(S, L)
+            if new is None:
+                break
+            S += new
+        else:
+            if t not in S:
+                ask_members(S, t, L)
+            return questions
+    return questions

@@ -262,7 +262,7 @@ def test_dstcon_json(path_graph, capsys):
 
 
 def test_dstcon_json_counts_network_evaluations(tmp_path, capsys):
-    # one evaluation per (source, length) answers every sink: 27 charged
+    # one evaluation per (source, length) answers every sink: 25 charged
     # decider calls here, over 3 evaluations
     graph = tmp_path / "g.txt"
     sw.write_graph_file(graph, sw.random_digraph(8, 0.2, 1))
@@ -457,3 +457,53 @@ def test_exit_code_bad_pebble_path(tmp_path, capsys):
     sw.write_graph_file(graph, sw.layered_path(4))
     rc = main(["pebble", "--graph", str(graph), "--path", "1,3"])
     assert rc == 2
+
+
+@pytest.fixture
+def c4_graph(tmp_path):
+    p = tmp_path / "c4.txt"
+    sw.write_graph_file(p, sw.from_edges(4, [(1, 2), (2, 3), (3, 4), (4, 1)]))
+    return str(p)
+
+
+@pytest.mark.parametrize("path", ["0,1,2", "1,2,3,5,6"])
+def test_pebble_refuses_a_path_vertex_outside_the_graph(c4_graph, capsys, path):
+    # vertex 0 must not read the adjacency's last row (index -1), which holds
+    # the 4-cycle's edge 4 -> 1, and vertex 5 of 4 must not index past it
+    assert main(["pebble", "--graph", c4_graph, "--path", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "out of range 1..4" in err
+
+
+@pytest.mark.parametrize("config", [
+    {"n": 8, "S": [16]},
+    {"n": [8], "S": 16},
+    {"n": [8], "S": {"8": 16}},
+    {"n": [8], "S": [16], "seeds": 3},
+    {"n": [8], "S": [16], "decider": 3},
+    {"n": [8.0], "S": [16]},
+    {"n": [8], "S": [1.5]},
+    {"n": [8], "S": {"8": [16.5]}},
+    {"n": [8], "S": [16], "seeds": [1.5]},
+    {"n": [8], "S": [16], "seeds": [True]},
+    {"n": [8], "S": [16], "reps": 1.5},
+    {"n": [8], "S": [16], "measure_max_n": 4097},
+    {"n": [8], "S": [16], "edge_prob": [0.3]},
+    {"n": [8], "S": [16], "c": None},
+    {"n": [8], "S": [16], "c_L": "1"},
+], ids=repr)
+def test_sweep_malformed_config_exits_2(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("decider", ["exact", "swnet", "noisy:0.9"])
+@pytest.mark.parametrize("reps", [0, -1, 2])
+def test_dstcon_refuses_reps_that_are_not_odd_and_positive(path_graph, capsys, decider, reps):
+    argv = ["dstcon", "--graph", path_graph, "--s", "1", "--t", "4", "--L", "2", "--decider", decider]
+    assert main([*argv, "--reps", str(reps)]) == 2
+    assert "reps must be odd and >= 1" in capsys.readouterr().err
+    assert main([*argv, "--reps", "3"]) == 0

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import swnet as sw
+from oracles import dstcon_questions
 from swnet import driver as dr
 from swnet import spaneval as se
 from swnet.errors import InvalidParams, ReachMismatch
@@ -102,19 +103,21 @@ def test_frontier_members_sit_at_exact_class_distances():
 
 
 @pytest.mark.parametrize("decider, charged", [
-    (dr.exact_bfs_decider, dict(time_steps=266.0, oracle_queries=568)),
+    (dr.exact_bfs_decider, dict(time_steps=252.0, oracle_queries=534)),
     (lambda: dr.swnet_decider("spectral"),
-     dict(time_steps=3686.9796766926797, oracle_queries=53508, quantum_space_cells=15, network_evaluations=5)),
+     dict(time_steps=3423.671084332718, oracle_queries=49621, quantum_space_cells=15, network_evaluations=5)),
 ], ids=["exact", "swnet-spectral"])
 def test_dstcon_guard_trips_in_a_round_then_in_a_seed(decider, charged):
     # guard 7/4 = 1.75 admits one vertex beside the source: offset 0 trips in
     # its round at distance 4 ({6, 7}), offset 1 in its seed at distance 1
-    # ({2, 3}), and offset 2 seeds {4} and completes with an empty round
+    # ({2, 3}), and offset 2 seeds {4} and completes with an empty round;
+    # the 36 calls are the rule's questions (oracles.dstcon_questions)
     g = sw.from_edges(7, [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (5, 7)])
     trace = []
     result, ledger = dr.dstcon(g, 1, 7, 4, decider=decider(), frontier_trace=trace)
     assert result == dr.CONNECTED
-    assert ledger == se.ResourceLedger(space_cells=6, decider_calls=38, peak_frontier=2, **charged)
+    assert ledger == se.ResourceLedger(space_cells=6, decider_calls=36, peak_frontier=2, **charged)
+    assert len(dstcon_questions(g, 1, 7, 4)) == 36
     assert trace == [(0, 0, frozenset({1})), (2, 0, frozenset({1, 4})), (2, 1, frozenset())]
 
 
@@ -139,16 +142,18 @@ def test_dstcon_guard_trips_at_every_offset():
 
 
 def test_dstcon_asks_each_frontier_in_the_order_it_was_filled():
-    # within() asks the frontier's members in set order, which depends on
-    # the order the members went in: offset 2 seeds {9, 1} (9 first, the
-    # source), and filling it as {1, 9} would ask 56 questions, not 59
+    # within() asks the frontier's members in admission order: offset 2
+    # seeds [9, 1] (the source first), so a question about a vertex asks 9
+    # before 1, whatever order a set of {9, 1} would iterate in; the 57
+    # calls are the rule's questions (oracles.dstcon_questions)
     g = sw.random_digraph(9, 0.15, 1)
     trace = []
     result, ledger = dr.dstcon(g, 9, 1, 5, frontier_trace=trace)
     assert result == dr.CONNECTED
     assert ledger == se.ResourceLedger(
-        time_steps=531.0, space_cells=8, oracle_queries=1356, decider_calls=59, peak_frontier=2
+        time_steps=513.0, space_cells=8, oracle_queries=1297, decider_calls=57, peak_frontier=2
     )
+    assert len(dstcon_questions(g, 9, 1, 5)) == 57
     assert [list(S) for _, _, S in trace] == [[9], [8, 9], [9, 1], []]
 
 
@@ -291,6 +296,42 @@ def test_dstcon_with_swnet_decider_equals_bfs_property(instance):
     assert runs[0] == runs[1]
     assert runs[0][0] == ground_truth(g, s, t)
     assert ledger.network_evaluations <= ledger.decider_calls
+
+
+@st.composite
+def question_instances(draw):
+    n = draw(st.integers(2, 9))
+    slots = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+    g = sw.from_edges(n, draw(st.lists(st.sampled_from(slots), unique=True, max_size=len(slots))))
+    s, t = draw(st.integers(1, n)), draw(st.integers(1, n))
+    return g, s, t, draw(st.integers(1, n))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(question_instances())
+def test_dstcon_asks_the_rules_questions_and_is_charged_for_them(instance):
+    # the exact and the swnet decider (L <= 8; L = 9 needs a depth-4
+    # network past the edge budget) are asked exactly the questions read
+    # from BFS distances, never about a frontier member, never u == v and
+    # never at a length below 1, and dstcon's ledger is the fold of those
+    # questions' charges, asked one by one of a fresh decider
+    g, s, t, L = instance
+    frontiers = []
+    want = dstcon_questions(g, s, t, L, frontiers)
+    assert all(v not in S and u in S and u != v and k >= 1 for (u, v, k), S in zip(want, frontiers))
+    for make in (dr.exact_bfs_decider, lambda: dr.swnet_decider("spectral")):
+        if make is not dr.exact_bfs_decider and L > 8:
+            continue
+        asked, decider = [], make()
+        inner = decider.answer
+        decider.answer = lambda g, u, v, k: asked.append((u, v, k)) or inner(g, u, v, k)
+        result, ledger = dr.dstcon(g, s, t, L, decider=decider)
+        assert asked == want
+        assert result == ground_truth(g, s, t)
+        charged, fresh = se.ResourceLedger(), make()
+        for u, v, k in want:
+            charged.fold(fresh.answer(g, u, v, k)[1])
+        assert replace(ledger, space_cells=0, peak_frontier=0, guard_exhausted=False) == charged
 
 
 def test_swnet_decider_answers_for_the_graph_it_is_asked_about():

@@ -29,6 +29,18 @@ def test_apply_move_rules():
         pb.apply_move(frozenset({1}), pb.PebbleMove(pb.PLACE, 2, 3), g)  # no support
 
 
+def test_replay_refuses_vertices_outside_the_graph():
+    # vertex 0 must not read the adjacency's last row (index -1), where the
+    # 4-cycle's edge 4 -> 1 would make "P 0 1" a legal move from start 0
+    g = sw.from_edges(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
+    with pytest.raises(InvalidParams, match="start 0 out of range"):
+        pb.replay(g, 0, [pb.PebbleMove(pb.PLACE, 0, 1)])
+    with pytest.raises(InvalidParams, match=r"\(4, 5\) out of range"):
+        pb.replay(g, 4, [pb.PebbleMove(pb.PLACE, 4, 5)])
+    with pytest.raises(InvalidParams, match="out of range"):
+        pb.strategy_moves(g, [0, 1, 2])
+
+
 @pytest.mark.parametrize("L", [1, 2, 4, 8])
 def test_strategy_counts_and_bounds(L):
     g = sw.layered_path(L + 1)

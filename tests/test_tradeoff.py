@@ -4,6 +4,7 @@ import pytest
 
 from swnet import tradeoff as to
 from swnet.errors import ConfigError, DomainError
+from swnet.graphs import MAX_FILE_VERTICES
 
 
 def test_formula_values():
@@ -86,6 +87,14 @@ def test_sweep_config_errors():
         to.sweep({"S": [4]})
     with pytest.raises(ConfigError):
         to.sweep({"n": [8], "S": [64], "decider": "bogus"})
+
+
+def test_sweep_refuses_a_measure_cap_above_the_file_cap_before_generating(monkeypatch):
+    # random_digraph(n) allocates n^2 cells and loops n^2 times in Python
+    monkeypatch.setattr(to, "random_digraph", lambda *args: pytest.fail("generated a graph"))
+    with pytest.raises(ConfigError, match="MAX_FILE_VERTICES"):
+        to.sweep({"n": [8, 5000], "S": [169], "measure_max_n": MAX_FILE_VERTICES + 1})
+    assert to.sweep({"n": [5000], "S": [169], "measure_max_n": MAX_FILE_VERTICES})[0].ledger is None
 
 
 def test_csv_header_fixed():
