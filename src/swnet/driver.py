@@ -22,15 +22,15 @@ return, with each answer, the ResourceLedger of that one call: its model
 time, oracle queries and register cells.  The switching-network decider
 answers every sink of one (source, length) from one verdict array, read
 from one network evaluation (spaneval.Evaluation.verdicts) kept for the
-graph it is asking about; in spectral mode that array is the bounded
-reach and no effective resistance is found.  It builds one charge per
-(source, length), the full decision at the grafted size its network is
+graph it is asking about; in spectral mode that array is the reach of a
+BFS of that graph bounded at the length: nothing is grafted and no
+effective resistance is found.  It builds one charge per (source,
+length), the full decision at the grafted size its network would be
 built on, and returns it, shared and read-only, from every call of that
 (source, length); only the first call, the one that ran the evaluation,
 counts it in ``network_evaluations``.  A v == u call, which dstcon never
 makes, is charged the trivial decision (spaneval.trivial_charge) instead,
-built when first asked for.  The evaluation's reach is a BFS bounded at
-the rounded length.  The exact decider charges n time steps and the
+built when first asked for.  The exact decider charges n time steps and the
 oracle queries of its BFS; a noisy decider passes its inner charge
 through, and a majority vote sums its repetitions' charges as one call.
 dstcon folds every charge into its ledger (ResourceLedger.fold), so each
@@ -73,9 +73,16 @@ class DistDecider:
 
 
 def exact_bfs_decider() -> DistDecider:
-    """Deterministic ground-truth decider; queries the oracle row by row."""
+    """Deterministic ground-truth decider; queries the oracle row by row.
+
+    Refuses u or v outside 1..n and L < 1 (InvalidParams), as swnet does.
+    """
 
     def answer(g: Digraph, u: int, v: int, L: int) -> tuple[bool, ResourceLedger]:
+        if L < 1:
+            raise InvalidParams("L must be >= 1")
+        if not (1 <= u <= g.n and 1 <= v <= g.n):
+            raise InvalidParams(f"vertex pair ({u}, {v}) out of range 1..{g.n}")
         oracle = GraphOracle(g)
         dist = {u: 0}
         frontier = [u]
@@ -100,15 +107,16 @@ def swnet_decider(mode: str = "spectral") -> DistDecider:
 
     One Evaluation per (u, length) answers every sink of the graph from one
     verdict array (Evaluation.verdicts).  In spectral mode that array is the
-    bounded BFS's reach, by the witness bound R <= 3^ell, so the decider
-    finds no effective resistance R: each (u, length) costs one graft, one
-    charge and one bounded BFS.  The array is kept, keyed by (u, length),
-    for the graph last seen (compared by identity) and dropped when another
-    graph comes, with one charge per (u, length), shared and read-only: the
-    first call returns the evaluation's own charge, which counts it in
-    ``network_evaluations``, and every later call one repeat charge that
-    counts 0 there.  A v == u call is charged the trivial decision instead,
-    built only when a call asks for it.
+    reach of a BFS of g from u bounded at the length, by the witness bound
+    R <= 3^ell, so the decider finds no effective resistance R and grafts
+    nothing: each (u, length) costs one charge and one bounded BFS.  The
+    array is kept, keyed by (u, length), for the graph last seen (compared
+    by identity) and dropped when another graph comes, with one charge per
+    (u, length), shared and read-only: the first call returns the
+    evaluation's own charge, which counts it in ``network_evaluations``, and
+    every later call one repeat charge that counts 0 there.  A v == u call
+    is charged the trivial decision instead, built only when a call asks
+    for it.
     """
     memo: dict[tuple[int, int], list] = {}  # verdicts, the repeat charge, the repeat v == u charge or None
     seen: Digraph | None = None

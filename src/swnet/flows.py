@@ -165,20 +165,19 @@ def _signed_unit_flow_sum(n: int, ell: int, x: int) -> np.ndarray:
     return out
 
 
-def flow_state(net: SwitchingNet, j: int, with_boundary: bool = True) -> np.ndarray:
+def flow_state(net: SwitchingNet, j: int) -> np.ndarray:
     """Optimal unit flow to sink j in the reduced representation (float).
 
-    Edge coordinates are sqrt(2) * theta(e); with_boundary adds -1 on ls
-    and +1 on rt so that divergence is conserved at the boundary too.
+    Edge coordinates are sqrt(2) * theta(e), with -1 on ls and +1 on rt so
+    that divergence is conserved at the boundary too.
     """
     n, ell, E = net.n, net.ell, net.edge_count
     out = np.zeros(E + 4)
     theta = out[:E]
     np.divide(unit_flow(n, ell, j), float(n) ** ell, out=theta)
     theta *= np.sqrt(2.0)
-    if with_boundary:
-        out[E + LS_SLOT] = -1.0
-        out[E + RT_SLOT] = +1.0
+    out[E + LS_SLOT] = -1.0
+    out[E + RT_SLOT] = +1.0
     return out
 
 
@@ -313,11 +312,10 @@ def reduced_to_full(net: SwitchingNet, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def star_state(net: SwitchingNet, v: int, signed: bool = False, sink_j: int | None = None) -> np.ndarray:
-    """Incidence star of vertex v in the full representation.
+def star_state(net: SwitchingNet, v: int, sink_j: int | None = None) -> np.ndarray:
+    """Signed incidence star of vertex v in the full representation.
 
-    Unsigned: |fwd,e> per outgoing edge plus |bwd,e> per incoming edge.
-    Signed: (|fwd,e> - |bwd,e>)/2 outgoing and the negative incoming.
+    (|fwd,e> - |bwd,e>)/2 per outgoing edge and the negative per incoming.
     When v is the source (or sink_j is given and v is that sink) the
     matching boundary slot is added, as the cut-space basis requires.
     """
@@ -325,13 +323,9 @@ def star_state(net: SwitchingNet, v: int, signed: bool = False, sink_j: int | No
     E = net.edge_count
     out = np.zeros(full_dim(net))
     for e in np.flatnonzero((tail == v) | (head == v)):
-        outgoing = tail[e] == v
-        if not signed:
-            out[2 * e if outgoing else 2 * e + 1] += 1.0
-        else:
-            sgn = 0.5 if outgoing else -0.5
-            out[2 * e] += sgn
-            out[2 * e + 1] -= sgn
+        sgn = 0.5 if tail[e] == v else -0.5
+        out[2 * e] += sgn
+        out[2 * e + 1] -= sgn
     if v == net.source:
         out[2 * E + 2] += 1.0  # the ls slot
     if sink_j is not None and v == net.sink(sink_j):
@@ -418,7 +412,7 @@ def build_Bperp_basis(net: SwitchingNet, sink_j: int) -> np.ndarray:
         diag = np.arange(n_blocks)
         blocks[diag, :, diag, :] = np.sqrt(2.0) * circs
         row += n_blocks * k
-    rows[row] = flow_state(net, sink_j, with_boundary=True)
+    rows[row] = flow_state(net, sink_j)
     rows[row + 1, E + S_SLOT] = 1.0
     rows[row + 2, E + T_SLOT] = 1.0
     rows /= np.sqrt([r @ r for r in rows])[:, None]

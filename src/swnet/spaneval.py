@@ -26,10 +26,12 @@ the answer.
 
 Desk-scale shortcut: the spectral decision reads that mass off the
 identity, at every network size, and builds no network.  An ``Evaluation``
-of one source and one length bound grafts the input once and finds reach
-once, by a BFS of the grafted graph bounded at the rounded length, which
-the network theorem (swnet.network) makes the source's on-component; every
-route's verdict is held to it, and it settles every rejection.  It settles
+of one source and one length bound finds reach once, by a BFS of the input
+graph bounded at the asked length, which the network theorem
+(swnet.network) makes the source's on-component in the network on the
+input grafted up to the rounded length; every route's verdict is held to
+it, and it settles every rejection.  Only a route that builds the network
+or reads R grafts the input.  It settles
 every acceptance too: a reached sink has R <= 3^ell = W+ (the witness
 bound, proved in the Evaluation docstring), so its mass is at least twice
 the threshold, and the spectral verdicts are the reach itself.  Only a
@@ -275,24 +277,27 @@ class Evaluation:
     """One network evaluation for a source u and a length bound L (any L >= 1).
 
     u must be a vertex of g and every sink v one too, else InvalidParams.
-    Rounds L up to 2^ell = 2^ceil(log2 L) by grafting a feeder path of
-    2^ell - L vertices into u, once, on the first sink v != u; the depth-ell
-    network on the grafted graph is rooted at the chain head.  Only mode
-    "spectral-dense" pads the grafted graph to a power of two first, since
-    its complement basis signs by bitstrings.  The rounded L may be at most
-    the power of two at or above the grafted vertex count, and the network
-    may have at most MAX_NETWORK_EDGES edges (network.check_edge_budget), in
-    every mode, built or not; past either the first sink v != u raises
-    InvalidParams, before anything is grafted or allocated.  Reach is found
-    once, by a BFS of the grafted graph bounded at the rounded L
-    (graphs._reach_within): a vertex is reached when it lies within
-    distance 2^ell of the root, which the network theorem (swnet.network)
-    makes the sinks of the source's on-component.  Every route's verdict is
-    held to it, and ReachMismatch, naming every sink index where they
-    differ, is raised if they do.  ``verdicts()`` answers every sink at
-    once, as one array, and ``report(v)`` answers "is there a directed
-    u -> v path of length at most L" from the same cached arrays, along one
-    route, recorded in ``report.route``:
+    Rounds L up to 2^ell = 2^ceil(log2 L): the depth-ell network is built
+    on g with a feeder path of 2^ell - L vertices grafted into u, and rooted
+    at the chain head.  Only mode "spectral-dense" pads the grafted graph to
+    a power of two, since its complement basis signs by bitstrings.  The
+    graft (``graph``) is made once, and only by the routes that build the
+    network or read R.  The rounded L may be at most the power of two at or
+    above the grafted vertex count, and the network may have at most
+    MAX_NETWORK_EDGES edges (network.check_edge_budget), in every mode,
+    built or not; past either, ``charge`` raises InvalidParams, and
+    verdicts() and every report of a sink v != u read it first, before
+    anything is grafted or allocated.  Reach is found once, off g, not off
+    the graft, so a faulty graft cannot move it with the routes
+    (graphs._reach_within): the vertices of g within the asked L of u, and
+    the chain.  These are the vertices within distance 2^ell of the root,
+    which the network theorem (swnet.network) makes the sinks of the
+    source's on-component.  Every route's verdict is held to it, and
+    ReachMismatch, naming every sink index where they differ, is raised if
+    they do.  ``verdicts()`` answers every sink at once, as one array, and
+    ``report(v)`` answers "is there a directed u -> v path of length at most
+    L" from the same cached arrays, along one route, recorded in
+    ``report.route``:
 
     - ``trivial``: v == u, answered without the network;
     - ``exact`` (mode "exact"): whether the component labels of the built
@@ -376,24 +381,29 @@ class Evaluation:
         self.ell = self.L.bit_length() - 1
         self.threshold = acceptance_threshold(self.ell)
         self._feed = self.L - L
-        self.graph = self.charge = None  # grafted and charged on the first sink v != u or verdicts()
+        self._root = g.n + 1 if self._feed else u  # the chain head attach_source_path grafts
+        grafted_n = g.n + self._feed
+        self._net_n = 1 << (grafted_n - 1).bit_length() if mode == "spectral-dense" else grafted_n
 
-    def _build(self) -> None:
-        """Graft and charge; see the class docstring."""
+    @cached_property
+    def charge(self) -> ResourceLedger:
+        """The ledger of one decision; raises the class docstring's refusals before anything is grafted."""
         grafted_n = self.g.n + self._feed
-        padded_n = 1 << (grafted_n - 1).bit_length()
-        if self.L > padded_n:
+        if self.L > 1 << (grafted_n - 1).bit_length():
             raise InvalidParams(
                 f"L = {self.L} exceeds the power of two at or above the grafted vertex count {grafted_n}"
             )
-        n = padded_n if self.mode == "spectral-dense" else grafted_n
-        queries = check_edge_budget(n, self.ell)
-        grafted, self._root = attach_source_path(self.g, self.u, self._feed)
-        self.graph = pad_to_power_of_two(grafted) if self.mode == "spectral-dense" else grafted
-        self.charge = ResourceLedger(
+        n = self._net_n
+        return ResourceLedger(
             time_steps=time_formula(n, self.L), quantum_space_cells=quantum_space_cells(n, self.L),
-            oracle_queries=queries, decider_calls=1, network_evaluations=1,
+            oracle_queries=check_edge_budget(n, self.ell), decider_calls=1, network_evaluations=1,
         )
+
+    @cached_property
+    def graph(self) -> Digraph:
+        """The grafted graph the network is built on, padded in spectral-dense; read only by net and R."""
+        grafted, _ = attach_source_path(self.g, self.u, self._feed)
+        return pad_to_power_of_two(grafted) if self.mode == "spectral-dense" else grafted
 
     @cached_property
     def net(self) -> SwitchingNet:
@@ -402,8 +412,15 @@ class Evaluation:
 
     @cached_property
     def _reach(self) -> np.ndarray:
-        """Whether each vertex lies within distance L of the root: the bounded BFS every route is held to."""
-        return _reach_within(self.graph, self._root, self.L)
+        """Whether each vertex of the grafted graph lies within 2^ell of the root, read off g: every route's reference.
+
+        The vertices of g within the asked L of u, and the chain (the head
+        reaches chain vertex k at distance k < 2^ell - L and u at 2^ell - L).
+        """
+        reach = np.zeros(self._net_n, dtype=bool)
+        reach[: self.g.n] = _reach_within(self.g, self.u, self.L - self._feed)
+        reach[self.g.n : self.g.n + self._feed] = True
+        return reach
 
     def _hold_to_reach(self, joined: np.ndarray, what: str, sink: int | None = None) -> None:
         """Raise ReachMismatch unless ``joined`` (one flag per vertex) is the bounded BFS's reach.
@@ -419,7 +436,7 @@ class Evaluation:
     @cached_property
     def _labels(self) -> np.ndarray:
         """Whether the component labels join each sink to the source; the exact route's verdicts."""
-        return accepts_all(self.net, GraphOracle(self.graph))  # uncharged: _build charged the |E| queries
+        return accepts_all(self.net, GraphOracle(self.graph))  # uncharged: charge counts the |E| queries
 
     @cached_property
     def _resistances(self) -> np.ndarray:
@@ -449,7 +466,7 @@ class Evaluation:
             raise InvalidParams(
                 f"spectral-dense needs {dim}x{dim} dense projectors, above SPECTRAL_DIM_CAP={SPECTRAL_DIM_CAP}"
             )
-        # uncharged: _build charged the |E| queries
+        # uncharged: charge counts the |E| queries
         pair = build_reflections(self.net, GraphOracle(self.graph), sink)
         dense = decide_phase_estimation(pair, default_psi0(self.net))
         if dense.accepted != self._reach[sink]:
@@ -465,8 +482,7 @@ class Evaluation:
         Spectral-dense decides sink by sink.  Sink u's verdict is True, as
         its trivial report's.
         """
-        if self.graph is None:
-            self._build()
+        self.charge  # every refusal, before anything is grafted
         n = self.g.n
         if self.mode == "exact":
             self._hold_to_reach(self._labels, "the component labels")
@@ -488,8 +504,7 @@ class Evaluation:
             if witness:
                 report.witness_energy, report.path_len = 0.0, 0
             return report
-        if self.graph is None:
-            self._build()
+        charge = self.charge  # every refusal, before anything is grafted
         sink = v - 1
         if self.mode == "spectral-dense":
             report.route = "dense"
@@ -504,7 +519,7 @@ class Evaluation:
             report.overlap0 = float(report.accepted)
         if witness and report.accepted:
             report.witness_energy, report.path_len = float(self._resistances[sink]), 3**self.ell
-        report.ledger = replace(self.charge)
+        report.ledger = replace(charge)
         return report
 
 

@@ -215,7 +215,7 @@ def loop_A_basis(net, oracle) -> tuple[np.ndarray, np.ndarray]:
 
 def loop_B_spanning(net, sink_j: int) -> np.ndarray:
     """flows.build_B_spanning from one flows.star_state per vertex and one symmetric column per edge."""
-    cols = [fl.star_state(net, v, signed=True, sink_j=sink_j) for v in range(net.vertex_count)]
+    cols = [fl.star_state(net, v, sink_j=sink_j) for v in range(net.vertex_count)]
     E = net.edge_count
     sym = np.zeros((fl.full_dim(net), E))
     for e in range(E):

@@ -393,6 +393,43 @@ def test_dense_reach_mismatch_exits_3(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().err.startswith(f"invariant violation: sink index {v - 1}: the dense spectrum")
 
 
+def test_a_graft_that_misses_u_exits_3_and_leaves_spectral_verdicts_right(tmp_path, capsys, monkeypatch):
+    # the chain's last edge lands on u + 1, not u.  On the 6-path at L = 3
+    # that puts v = 5 within 4 of the chain head though dist(1, 5) = 4 > 3.
+    # Reach is read off the input graph, so the routes that read the graft
+    # exit 3, and the spectral verdicts and dstcon, which never graft, answer
+    # as BFS does
+    real = se.attach_source_path
+
+    def missing_u(g, u, a):
+        grafted, head = real(g, u, a)
+        adj = grafted.adj.copy()
+        adj[g.n + a - 1, u - 1] = False
+        adj[g.n + a - 1, u % g.n] = True
+        return sw.Digraph(grafted.n, adj), head
+
+    monkeypatch.setattr(se, "attach_source_path", missing_u)
+    g = sw.layered_path(6)
+    graph = tmp_path / "path6.txt"
+    sw.write_graph_file(graph, g)
+    for mode, v in (("exact", 5), ("exact", 4), ("spectral", 4)):  # 4: an accepted spectral report reads R
+        argv = ["decide", "--graph", str(graph), "--u", "1", "--v", str(v), "--L", "3", "--mode", mode]
+        assert main(argv) == 3, (mode, v)
+        assert capsys.readouterr().err.startswith("invariant violation: sink ind"), (mode, v)
+    for L in (3, 5, 6, 7):
+        for u in range(1, 7):
+            want = [sw.bfs_distance(g, u, v) <= L for v in range(1, 7)]
+            assert se.Evaluation(g, u, L, "spectral").verdicts().tolist() == want, (L, u)
+    for s, t, L in ((1, 5, 3), (1, 6, 3), (2, 6, 5), (6, 1, 3)):
+        runs = []
+        for decider in ("swnet", "exact"):
+            argv = ["dstcon", "--graph", str(graph), "--s", str(s), "--t", str(t), "--L", str(L), "--decider", decider]
+            assert main([*argv, "--json"]) == 0
+            out = json.loads(capsys.readouterr().out)
+            runs.append((out["result"], *(out["ledger"][k] for k in ("decider_calls", "peak_frontier", "space_cells"))))
+        assert runs[0] == runs[1], (s, t, L)
+
+
 def test_pebble_trace(capsys):
     assert main(["pebble", "--L", "4"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -62,6 +62,13 @@ def test_invalid_params():
         dr.boosted(dr.exact_bfs_decider(), 2)
 
 
+@pytest.mark.parametrize("decider", [dr.exact_bfs_decider, dr.swnet_decider], ids=["exact", "swnet"])
+@pytest.mark.parametrize("u, v, L", [(0, 2, 2), (6, 2, 2), (1, 0, 2), (1, 6, 2), (1, 2, 0), (1, 2, -1)])
+def test_deciders_refuse_vertices_out_of_range_and_L_below_1(decider, u, v, L):
+    with pytest.raises(InvalidParams):
+        decider().answer(sw.random_digraph(5, 0.4, 1), u, v, L)
+
+
 def test_frontier_guard_and_ledger():
     for n, L in [(5, 2), (6, 2), (6, 3)]:
         for seed in range(10):

@@ -300,12 +300,11 @@ def _embed(n, ell, k, block, z, x):
 
 def test_star_state_shapes():
     net = sw.build(2, 0, 1)
-    s = fl.star_state(net, net.source, signed=False)
-    # source star: both edges outgoing plus the boundary slot
+    s = fl.star_state(net, net.source)
+    # source star: the boundary slot
     E = net.edge_count
     assert s[2 * E + 2] == 1.0
-    assert s[0] == 1.0 and s[2] == 1.0
-    minus = fl.star_state(net, net.sink(0), signed=True)
+    minus = fl.star_state(net, net.sink(0))
     assert minus[0] == -0.5 and minus[1] == 0.5  # single incoming edge
     # antisymmetric star is orthogonal to every symmetric edge vector
     for e in range(E):
@@ -343,7 +342,7 @@ def test_dimension_lemmas_by_rank():
         assert Q.shape[1] - 2 == E + 2 - V  # flows: drop |s>, |t>
         assert Q.shape[1] - 3 == E - V + 1  # circulations: drop the flow too
         stars = np.column_stack(
-            [fl.star_state(net, v, signed=True, sink_j=0) for v in range(V)]
+            [fl.star_state(net, v, sink_j=0) for v in range(V)]
         )
         assert np.linalg.matrix_rank(stars, tol=1e-10) == V
 

@@ -289,6 +289,27 @@ def test_spectral_verdicts_equal_the_thresholded_masses_property(g):
             assert np.max(R[reach] / 3**ell) <= 1 + 1e-9, (u, L)
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(small_digraphs(max_n=8))
+def test_reach_off_the_input_graph_equals_the_grafted_bfs_property(g):
+    # reach read off the input graph, with the chain reached and the padding
+    # not, is the BFS of the grafted graph from the chain head bounded at the
+    # rounded L, at every root, every admitted L <= 8 and in every mode
+    # (spectral-dense, which pads, at n <= 4)
+    modes = ("exact", "spectral", "spectral-dense") if g.n <= 4 else ("exact", "spectral")
+    for u in range(1, g.n + 1):
+        for L in range(1, 9):
+            rounded = 1 << (L - 1).bit_length()
+            if rounded > 1 << (g.n + rounded - L - 1).bit_length():
+                continue  # refused: past the power of two at or above the grafted vertex count
+            grafted, head = sw.attach_source_path(g, u, rounded - L)
+            for mode in modes:
+                reach = se.Evaluation(g, u, L, mode)._reach
+                old = np.zeros_like(reach)
+                old[: grafted.n] = sw.graphs._reach_within(grafted, head, rounded)
+                assert np.array_equal(reach, old), (u, L, mode)
+
+
 def test_evaluation_answers_every_sink_as_decide_distance():
     # one Evaluation per (u, L) gives every sink the answer and ledger of a
     # fresh decision and the BFS answer; accepted spectral answers also match
@@ -378,11 +399,42 @@ def test_spectral_decisions_build_no_network(monkeypatch):
                 assert report.accepted == (sw.bfs_distance(g, u, v) <= L), (L, u, v)
                 seen.add(((L - 1).bit_length(), report.accepted))
     assert seen == {(ell, answer) for ell in range(4) for answer in (True, False)}
+    # only a report that reads R grafts: verdicts, rejections and dstcon
+    # read reach off the input graph
+    def refuse_graft(*args):
+        raise AssertionError("a spectral verdict or rejection grafted the input")
+
+    monkeypatch.setattr(se, "attach_source_path", refuse_graft)
+    for L in range(1, 9):
+        for u in (1, 2):
+            want = [sw.bfs_distance(g, u, v) <= L for v in range(1, 9)]
+            assert se.Evaluation(g, u, L, "spectral").verdicts().tolist() == want, (L, u)
+            for v in np.flatnonzero(~np.array(want)) + 1:
+                assert not se.decide_distance_report(g, u, int(v), L, mode="spectral").accepted, (L, u, v)
     decider = driver.swnet_decider("spectral")
     for s, t in ((1, 5), (2, 7), (5, 1)):
         for L in (3, 4):
             want = driver.CONNECTED if sw.bfs_distance(g, s, t) < sw.INF else driver.NOT_CONNECTED
             assert driver.dstcon(g, s, t, L, decider=decider)[0] == want, (s, t, L)
+
+
+@pytest.mark.parametrize("mode", ["exact", "spectral", "spectral-dense"])
+def test_refusals_fire_before_anything_is_grafted(monkeypatch, mode):
+    # verdicts() and a report of v != u read the charge first: L = 8 on 3
+    # vertices passes the power of two at or above the grafted vertex count,
+    # and L = 9 on 16 vertices grafts to a (23, 4) network past the edge budget
+    def refuse(*args):
+        raise AssertionError("a refused evaluation grafted the input")
+
+    monkeypatch.setattr(se, "attach_source_path", refuse)
+    for g, L, match in ((sw.layered_path(3), 8, "exceeds the power of two"),
+                        (sw.random_digraph(16, 0.2, 1), 9, "MAX_NETWORK_EDGES")):
+        evaluation = se.Evaluation(g, 1, L, mode)
+        with pytest.raises(InvalidParams, match=match):
+            evaluation.verdicts()
+        with pytest.raises(InvalidParams, match=match):
+            evaluation.report(2)
+        assert evaluation.report(1).route == "trivial"
 
 
 def test_a_rejection_reads_no_resistance(monkeypatch):
