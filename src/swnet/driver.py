@@ -24,13 +24,12 @@ answers every sink of one (source, length) from one verdict array, read
 from one network evaluation (spaneval.Evaluation.verdicts) kept for the
 graph it is asking about; in spectral mode that array is the reach of a
 BFS of that graph bounded at the length: nothing is grafted and no
-effective resistance is found.  It builds one charge per (source,
-length), the full decision at the grafted size its network would be
-built on, and returns it, shared and read-only, from every call of that
-(source, length); only the first call, the one that ran the evaluation,
-counts it in ``network_evaluations``.  A v == u call, which dstcon never
-makes, is charged the trivial decision (spaneval.trivial_charge) instead,
-built when first asked for.  The exact decider charges n time steps and the
+effective resistance is found.  Each call is charged the full decision
+at the grafted size its network would be built on, a function of that
+size alone, shared read-only (spaneval.size_charges); only the first call
+of a (source, length), the one that ran the evaluation, counts it in
+``network_evaluations``.  A v == u call, which dstcon never makes, is
+charged the trivial decision instead.  The exact decider charges n time steps and the
 oracle queries of its BFS; a noisy decider passes its inner charge
 through, and a majority vote sums its repetitions' charges as one call.
 dstcon folds every charge into its ledger (ResourceLedger.fold), so each
@@ -40,13 +39,13 @@ call is charged once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, InvalidParams
 from .graphs import Digraph, GraphOracle
-from .spaneval import Evaluation, ResourceLedger, trivial_charge
+from .spaneval import Evaluation, ResourceLedger, size_charges
 from .spaneval import decide_distance  # noqa: F401  (perfbench's tracer wraps driver.decide_distance)
 
 CONNECTED = "Connected"
@@ -109,16 +108,15 @@ def swnet_decider(mode: str = "spectral") -> DistDecider:
     verdict array (Evaluation.verdicts).  In spectral mode that array is the
     reach of a BFS of g from u bounded at the length, by the witness bound
     R <= 3^ell, so the decider finds no effective resistance R and grafts
-    nothing: each (u, length) costs one charge and one bounded BFS.  The
-    array is kept, keyed by (u, length), for the graph last seen (compared
-    by identity) and dropped when another graph comes, with one charge per
-    (u, length), shared and read-only: the first call returns the
-    evaluation's own charge, which counts it in ``network_evaluations``, and
-    every later call one repeat charge that counts 0 there.  A v == u call
-    is charged the trivial decision instead, built only when a call asks
-    for it.
+    nothing: each (u, length) costs one bounded BFS.  The array is kept,
+    keyed by (u, length), for the graph last seen (compared by identity) and
+    dropped when another graph comes.  A charge is a function of the size
+    alone, shared read-only (spaneval.size_charges): the first call of a
+    (u, length) gets the evaluation's own charge, which counts it in
+    ``network_evaluations``, and every later call its repeat, which counts 0
+    there.  A v == u call is charged the trivial decision at g's n instead.
     """
-    memo: dict[tuple[int, int], list] = {}  # verdicts, the repeat charge, the repeat v == u charge or None
+    memo: dict[tuple[int, int], tuple[list, tuple]] = {}  # the verdicts and the size's charges
     seen: Digraph | None = None
 
     def answer(g: Digraph, u: int, v: int, L: int) -> tuple[bool, ResourceLedger]:
@@ -129,19 +127,14 @@ def swnet_decider(mode: str = "spectral") -> DistDecider:
         if not 1 <= v <= g.n:
             raise InvalidParams(f"sink v = {v} out of range 1..{g.n}")
         entry = memo.get((u, L))
-        if entry is None:
+        repeat = entry is not None
+        if not repeat:
             evaluation = Evaluation(g, u, L, mode)
-            verdicts = evaluation.verdicts().tolist()
-            memo[u, L] = [verdicts, replace(evaluation.charge, network_evaluations=0), None]
-            if v == u:
-                return verdicts[v - 1], replace(trivial_charge(g.n, L), network_evaluations=1)
-            return verdicts[v - 1], evaluation.charge
-        verdicts, charge, trivial = entry
+            entry = memo[u, L] = evaluation.verdicts().tolist(), evaluation.charges
+        verdicts, charges = entry
         if v == u:
-            if trivial is None:
-                trivial = entry[2] = trivial_charge(g.n, L)
-            charge = trivial
-        return verdicts[v - 1], charge
+            charges = size_charges(g.n, L)[2:]
+        return verdicts[v - 1], charges[repeat]
 
     return DistDecider(name=f"swnet-{mode}", answer=answer)
 

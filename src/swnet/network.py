@@ -217,7 +217,8 @@ class NetStructure:
         return a.astype(np.int64), b
 
 
-# bounded by key count; decide-corpus, the workload with the most sizes, touches 17
+# bounded by key count; only the exact and spectral-dense routes read one, never a
+# spectral decision (the benchmark's decide-corpus warm-up builds 7)
 @lru_cache(maxsize=32)
 def structure(n: int, ell: int) -> NetStructure:
     return NetStructure(n, ell)

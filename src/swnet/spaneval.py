@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -132,14 +132,23 @@ class ResourceLedger:
             self.guard_exhausted = True
 
 
-def trivial_charge(n: int, L: int) -> ResourceLedger:
-    """The ledger of a trivial v == u decision: one decider call at the graph's own n.
+@lru_cache(maxsize=1024)
+def size_charges(n: int, L: int) -> tuple[ResourceLedger, ...]:
+    """The ledgers of a decision charged at n vertices and L rounded up to a power of two.
 
-    Charged at L rounded up to a power of two, as Evaluation rounds it, with
-    no queries and no network evaluation.
+    A decision's own charge, which counts one network evaluation, its
+    repeat, which counts none, and the same pair for a trivial v == u
+    decision, which asks no queries.  Built once per size and shared
+    read-only: callers fold them or pass them on.  Refusals are Evaluation's.
     """
     L = 1 << (L - 1).bit_length()
-    return ResourceLedger(time_steps=time_formula(n, L), quantum_space_cells=quantum_space_cells(n, L), decider_calls=1)
+    time_steps, cells = time_formula(n, L), quantum_space_cells(n, L)
+    edges = (2 * n + 1) ** (L.bit_length() - 1) * n
+    return tuple(
+        ResourceLedger(time_steps=time_steps, quantum_space_cells=cells, oracle_queries=queries, decider_calls=1,
+                       network_evaluations=evaluations)
+        for queries in (edges, 0) for evaluations in (1, 0)
+    )
 
 
 # -- reflections (dense, small instances) --------------------------------------
@@ -285,7 +294,7 @@ class Evaluation:
     network or read R.  The rounded L may be at most the power of two at or
     above the grafted vertex count, and the network may have at most
     MAX_NETWORK_EDGES edges (network.check_edge_budget), in every mode,
-    built or not; past either, ``charge`` raises InvalidParams, and
+    built or not; past either, ``charges`` raises InvalidParams, and
     verdicts() and every report of a sink v != u read it first, before
     anything is grafted or allocated.  Reach is found once, off g, not off
     the graft, so a faulty graft cannot move it with the routes
@@ -321,14 +330,15 @@ class Evaluation:
       built.  Its verdicts are decided sink by sink.
 
     Only the exact and dense routes build the network (``net``, on first
-    use).  Every report carries the full ledger of one decision: the
-    accounted quantum time and register cells at the vertex count the
+    use).  Every report carries a copy of the full ledger of one decision:
+    the accounted quantum time and register cells at the vertex count the
     network is built on (n + 2^ell - L; padded only in spectral-dense), one
     decider call, the |E| oracle queries of masking the network and one
-    network evaluation, charged whether or not the route builds it
-    (``charge``).  The trivial report is charged one decider call at the
-    graph's own n, with no queries and no evaluation, and builds nothing
-    (``trivial_charge(n, L)``, which the swnet decider charges too).
+    network evaluation, charged whether or not the route builds it.  That
+    is a function of the size alone, shared read-only by every evaluation
+    of the size (``charges``, from size_charges).  The trivial report is
+    charged one decider call at the graph's own n, with no queries and no
+    evaluation, and builds nothing.
 
     With ``witness`` an accepted report also gets its witness, the same on
     every route: the optimal on-flow energy R from
@@ -386,18 +396,15 @@ class Evaluation:
         self._net_n = 1 << (grafted_n - 1).bit_length() if mode == "spectral-dense" else grafted_n
 
     @cached_property
-    def charge(self) -> ResourceLedger:
-        """The ledger of one decision; raises the class docstring's refusals before anything is grafted."""
+    def charges(self) -> tuple[ResourceLedger, ...]:
+        """This decision's size_charges; raises the class docstring's refusals first, on every read."""
         grafted_n = self.g.n + self._feed
         if self.L > 1 << (grafted_n - 1).bit_length():
             raise InvalidParams(
                 f"L = {self.L} exceeds the power of two at or above the grafted vertex count {grafted_n}"
             )
-        n = self._net_n
-        return ResourceLedger(
-            time_steps=time_formula(n, self.L), quantum_space_cells=quantum_space_cells(n, self.L),
-            oracle_queries=check_edge_budget(n, self.ell), decider_calls=1, network_evaluations=1,
-        )
+        check_edge_budget(self._net_n, self.ell)
+        return size_charges(self._net_n, self.L)
 
     @cached_property
     def graph(self) -> Digraph:
@@ -417,10 +424,13 @@ class Evaluation:
         The vertices of g within the asked L of u, and the chain (the head
         reaches chain vertex k at distance k < 2^ell - L and u at 2^ell - L).
         """
-        reach = np.zeros(self._net_n, dtype=bool)
-        reach[: self.g.n] = _reach_within(self.g, self.u, self.L - self._feed)
-        reach[self.g.n : self.g.n + self._feed] = True
-        return reach
+        reach = _reach_within(self.g, self.u, self.L - self._feed)
+        if self._net_n == self.g.n:  # nothing grafted or padded
+            return reach
+        grafted = np.zeros(self._net_n, dtype=bool)
+        grafted[: self.g.n] = reach
+        grafted[self.g.n : self.g.n + self._feed] = True
+        return grafted
 
     def _hold_to_reach(self, joined: np.ndarray, what: str, sink: int | None = None) -> None:
         """Raise ReachMismatch unless ``joined`` (one flag per vertex) is the bounded BFS's reach.
@@ -461,7 +471,7 @@ class Evaluation:
 
     def _dense(self, sink: int) -> tuple[bool, float]:
         """The dense route's verdict and overlap0 for one sink, held to the bounded BFS."""
-        dim = 2 * self.charge.oracle_queries + 4  # refused before the network is built
+        dim = 2 * self.charges[0].oracle_queries + 4  # refused before the network is built
         if dim > SPECTRAL_DIM_CAP:
             raise InvalidParams(
                 f"spectral-dense needs {dim}x{dim} dense projectors, above SPECTRAL_DIM_CAP={SPECTRAL_DIM_CAP}"
@@ -482,7 +492,7 @@ class Evaluation:
         Spectral-dense decides sink by sink.  Sink u's verdict is True, as
         its trivial report's.
         """
-        self.charge  # every refusal, before anything is grafted
+        self.charges  # every refusal, before anything is grafted
         n = self.g.n
         if self.mode == "exact":
             self._hold_to_reach(self._labels, "the component labels")
@@ -500,11 +510,11 @@ class Evaluation:
         if not 1 <= v <= self.g.n:
             raise InvalidParams(f"sink v = {v} out of range 1..{self.g.n}")
         if v == self.u:
-            report.ledger = trivial_charge(self.g.n, self.L)
+            report.ledger = replace(size_charges(self.g.n, self.L)[3])
             if witness:
                 report.witness_energy, report.path_len = 0.0, 0
             return report
-        charge = self.charge  # every refusal, before anything is grafted
+        charge = self.charges[0]  # every refusal, before anything is grafted
         sink = v - 1
         if self.mode == "spectral-dense":
             report.route = "dense"

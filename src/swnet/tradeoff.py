@@ -8,7 +8,8 @@ with the quantum bound
 
     log2 T  =  log2(n) log2(n/S)/2 + c * log2(n) * log2(log2 n)
 
-for total space S >= log2(n)^2.  Hidden constants are surfaced as the
+for total space S >= log2(n)^2, with log2(n/S) clamped at 0 past S = n,
+where more space buys nothing.  Hidden constants are surfaced as the
 single knob c (0 gives formula-only shape).  With equal c the additive
 term cancels, and the curves cross where log2(n/S) = log2(n)/2, i.e. at
 S = sqrt(n): below that the quantum exponent is strictly smaller.
@@ -46,14 +47,14 @@ def log_T_classical(n: int, S: float, c: float = 1.0) -> float:
     """Exponent of the classical bound, base-2 logs."""
     _check_domain(n, S)
     ln = math.log2(n)
-    return math.log2(n / S) ** 2 + c * ln * math.log2(max(ln, 2))
+    return max(math.log2(n / S), 0.0) ** 2 + c * ln * math.log2(max(ln, 2))
 
 
 def log_T_quantum(n: int, S: float, c: float = 1.0) -> float:
     """Exponent of the quantum bound, base-2 logs."""
     _check_domain(n, S)
     ln = math.log2(n)
-    return 0.5 * ln * math.log2(n / S) + c * ln * math.log2(max(ln, 2))
+    return 0.5 * ln * max(math.log2(n / S), 0.0) + c * ln * math.log2(max(ln, 2))
 
 
 def chosen_L(n: int, S: float, c_L: float = 1.0) -> int:

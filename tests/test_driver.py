@@ -10,6 +10,7 @@ import swnet as sw
 from oracles import dstcon_questions
 from swnet import driver as dr
 from swnet import spaneval as se
+from swnet import tradeoff
 from swnet.errors import InvalidParams, ReachMismatch
 from swnet.spaneval import decide_distance, decide_distance_report
 
@@ -314,6 +315,17 @@ def question_instances(draw):
     return g, s, t, draw(st.integers(1, n))
 
 
+def formula_charges(n, L):
+    """size_charges(n, L) recomputed from the formulas, at a power-of-two L."""
+    ell = L.bit_length() - 1
+    full = se.ResourceLedger(
+        time_steps=se.time_formula(n, L), quantum_space_cells=se.quantum_space_cells(n, L),
+        oracle_queries=(2 * n + 1) ** ell * n, decider_calls=1, network_evaluations=1,
+    )
+    trivial = replace(full, oracle_queries=0)
+    return full, replace(full, network_evaluations=0), trivial, replace(trivial, network_evaluations=0)
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(question_instances())
 def test_dstcon_asks_the_rules_questions_and_is_charged_for_them(instance):
@@ -321,23 +333,30 @@ def test_dstcon_asks_the_rules_questions_and_is_charged_for_them(instance):
     # network past the edge budget) are asked exactly the questions read
     # from BFS distances, never about a frontier member, never u == v and
     # never at a length below 1, and dstcon's ledger is the fold of those
-    # questions' charges, asked one by one of a fresh decider
+    # questions' charges: asked one by one of a fresh exact decider, and for
+    # swnet recomputed from the formulas at each question's grafted size, the
+    # network evaluation counted on the first question of each (u, k)
     g, s, t, L = instance
     frontiers = []
     want = dstcon_questions(g, s, t, L, frontiers)
     assert all(v not in S and u in S and u != v and k >= 1 for (u, v, k), S in zip(want, frontiers))
-    for make in (dr.exact_bfs_decider, lambda: dr.swnet_decider("spectral")):
-        if make is not dr.exact_bfs_decider and L > 8:
+    for decider in (dr.exact_bfs_decider(), dr.swnet_decider("spectral")):
+        if decider.name != "exact" and L > 8:
             continue
-        asked, decider = [], make()
+        asked = []
         inner = decider.answer
         decider.answer = lambda g, u, v, k: asked.append((u, v, k)) or inner(g, u, v, k)
         result, ledger = dr.dstcon(g, s, t, L, decider=decider)
         assert asked == want
         assert result == ground_truth(g, s, t)
-        charged, fresh = se.ResourceLedger(), make()
+        charged, fresh, evaluated = se.ResourceLedger(), dr.exact_bfs_decider(), set()
         for u, v, k in want:
-            charged.fold(fresh.answer(g, u, v, k)[1])
+            if decider.name == "exact":
+                charged.fold(fresh.answer(g, u, v, k)[1])
+                continue
+            rounded = 1 << (k - 1).bit_length()
+            charged.fold(formula_charges(g.n + rounded - k, rounded)[(u, k) in evaluated])
+            evaluated.add((u, k))
         assert replace(ledger, space_cells=0, peak_frontier=0, guard_exhausted=False) == charged
 
 
@@ -383,6 +402,38 @@ def test_swnet_decider_shares_one_read_only_charge_per_source_and_length():
     for u, v, L in keys:
         report = decide_distance_report(g, u, v, L, mode="spectral")
         assert decider.answer(g, u, v, L) == (report.accepted, replace(report.ledger, network_evaluations=0))
+
+
+def test_shared_charges_are_refused_every_time_and_never_changed():
+    # a refused size raises on every call, and an admitted size answers after it
+    for g, L, match in ((sw.layered_path(3), 8, "exceeds the power of two"),
+                        (sw.random_digraph(16, 0.2, 1), 9, "MAX_NETWORK_EDGES")):
+        evaluation, decider = se.Evaluation(g, 1, L, "spectral"), dr.swnet_decider("spectral")
+        for _ in range(2):
+            with pytest.raises(InvalidParams, match=match):
+                evaluation.charges
+            with pytest.raises(InvalidParams, match=match):
+                decider.answer(g, 1, 2, L)
+        assert decider.answer(g, 1, 2, 2) == decide_distance(g, 1, 2, 2, mode="spectral")
+    # spectral-dense is charged at its padded size, spectral at the grafted one
+    g5 = sw.random_digraph(5, 0.3, 1)
+    dense, spectral = (se.Evaluation(g5, 1, 4, mode).charges for mode in ("spectral-dense", "spectral"))
+    assert (dense, spectral) == (formula_charges(8, 4), formula_charges(5, 4))
+    # no caller changes a shared ledger: dstcon, a majority vote, a sweep,
+    # and reports, whose ledgers their callers own
+    g = sw.random_digraph(8, 0.2, 1)
+    voted = dr.boosted(dr.noisy_decider(1.0, 0, dr.swnet_decider("spectral")), 3)
+    for decider in (dr.swnet_decider("spectral"), voted):
+        assert dr.dstcon(g, 1, 8, 3, decider=decider)[0] == ground_truth(g, 1, 8)
+    tradeoff.sweep({"n": [8], "S": [9, 16], "decider": "swnet", "seeds": [0, 1]})
+    for mode, L in (("exact", 3), ("spectral", 3), ("spectral-dense", 2)):
+        for v in range(1, 5):
+            decide_distance_report(g, 1, v, L, mode).ledger.fold(se.ResourceLedger(time_steps=1.0, oracle_queries=1))
+    # every size those runs read, each still cached (a hit) and as the formulas give it
+    sizes = [(8, 1), (8, 2), (9, 4), (8, 4), (5, 4)]
+    hits = se.size_charges.cache_info().hits
+    assert all(se.size_charges(*size) == formula_charges(*size) for size in sizes)
+    assert se.size_charges.cache_info().hits == hits + len(sizes)
 
 
 # G(6, 0.3) in the exact and spectral modes; spectral-dense runs G(4, 0.3)

@@ -53,7 +53,18 @@ def test_sweep_rows_and_dedupe():
     points = to.sweep(config)
     assert [(p.n, p.S) for p in points] == [(16, 16), (16, 32)]
     assert all(p.ledger is not None for p in points)
-    assert points[1].crossover_flag  # quantum wins at S = 32 < sqrt... formula level
+    # past S = n the two exponents are equal, so neither wins
+    assert [p.crossover_flag for p in points] == [False, False]
+
+
+def test_crossover_flag_is_set_exactly_below_sqrt_n():
+    # log2(n/S) is clamped at 0 past S = n, so the flag cannot come from S > n
+    ns = [2**k for k in range(1, 13)]
+    grids = {str(n): list(range(math.ceil(math.log2(n) ** 2), 4 * n + 1)) for n in ns}
+    points = to.sweep({"n": ns, "S": grids, "measure_max_n": 0})
+    assert len(points) == sum(map(len, grids.values()))
+    assert [p.crossover_flag for p in points] == [p.S < math.sqrt(p.n) for p in points]
+    assert [(p.n, p.S) for p in points if p.crossover_flag] == [(2, 1)]
 
 
 def test_sweep_formula_only_above_measure_cap():
