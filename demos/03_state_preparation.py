@@ -33,7 +33,7 @@ v, c = prep.prepare_sum_of_flows(n, ell)
 targ = sum(fl.unit_flow(n, ell, j) for j in range(n))
 print(f"sum of flows:   residual {residual(v, targ):.2e}, {c.gate_count} gates")
 v, c = prep.fourier_flows_C(n, ell, x=3)
-targ = sum((-1) ** fl._bitdot(3, j) * fl.unit_flow(n, ell, j) for j in range(n))
+targ = fl._signed_unit_flow_sum(n, ell, 3)
 print(f"signed sum x=3: residual {residual(v, targ):.2e}, {c.gate_count} gates")
 v, c = prep.prepare_psi(n, ell, z=2, x=1)
 print(f"circulation:    residual {residual(v, fl.fourier_circulation(n, ell, 2, 1)):.2e}, "

@@ -19,9 +19,8 @@ g = sw.from_edges(4, [(1, 2), (2, 3), (3, 4)])
 print("graph: the path 1 -> 2 -> 3 -> 4\n")
 
 print("== dense route: projectors and the operator ==")
-g2 = sw.pad_to_power_of_two(g)
-net = sw.build(g2.n, 1, root=1)
-pair = se.build_reflections(net, sw.GraphOracle(g2), sink_index=2)  # target 3
+net = sw.build(g.n, 1, root=1)
+pair = se.build_reflections(net, sw.GraphOracle(g), sink_index=2)  # target 3
 print(f"dim H = {pair.U.shape[0]}, rank P_A = {round(np.trace(pair.P_A))}, "
       f"rank P_B = {round(np.trace(pair.P_B))}")
 report = se.decide_phase_estimation(pair, se.default_psi0(net))
@@ -31,7 +30,7 @@ witness = se.decide_distance_report(g, 1, 3, 2, mode="spectral-dense")
 print(f"witness: path length {witness.path_len}, flow energy {witness.witness_energy:.3f}")
 
 print("\n== sector eigensolve and effective resistance (same statistic) ==")
-mass = se.phase_mass(net, sw.GraphOracle(g2), 2)
+mass = se.phase_mass(net, sw.GraphOracle(g), 2)
 R = se.decide_distance_report(g, 1, 3, 2, mode="spectral").witness_energy
 print(f"sector fixed-space mass = {mass:.4f}, 2/(2R+4) = {2 / (2 * R + 4):.4f} "
       f"(dense gave {report.overlap0:.4f})")

@@ -22,17 +22,17 @@ The recursively defined basis flows have rational entries with denominator
 n^ell.  ``unit_flow`` and friends return integer vectors scaled by n^ell
 (or n^(ell-1) for the circulations), so divergence and norm
 identities can be checked exactly; closed forms are ``Fraction`` values.
-The unit flows and their sums are int32: a unit flow carries at most n^ell
-on any edge, so every entry of a signed sum of at most n of them is at most
-n^(ell+1) <= (2n+1)^ell * n = |E| in absolute value, and |E| is at most
-``MAX_NETWORK_EDGES`` < 2^31, which ``unit_flow`` checks before it
-allocates.  The circulations are int64.
+The unit flows and their sums are int32: the unit flows are nonnegative and
+carry at most n^ell on any edge together, so a sum weighted by a row of the
+sign table (entries at most n - 1 in absolute value) stays below n^(ell+1)
+<= (2n+1)^ell * n = |E| <= ``MAX_NETWORK_EDGES`` < 2^31, which ``unit_flow``
+checks before it allocates.  The circulations are int64.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -46,31 +46,29 @@ S_SLOT, T_SLOT, LS_SLOT, RT_SLOT = 0, 1, 2, 3  # offsets after the |E| edge coor
 
 # -- integer-exact recursive flow states --------------------------------------
 
-def _bitdot(a: int, b: int) -> int:
-    """Parity of the bitwise AND; the F_2 inner product of index bitstrings."""
-    return bin(a & b).count("1") & 1
-
-
-def require_power_of_two(n: int) -> None:
-    """Refuse an n whose indices 0..n-1 are not the bitstrings of length log2 n.
-
-    The circulation signs (-1)^(z.i), the signed flow sums and the
-    preparers' Hadamard layers index by those bitstrings; the network, its
-    flows and the decisions take any n.
-    """
-    if n < 1 or n & (n - 1):
-        raise InvalidParams(f"n = {n} is not a power of two, which the bitwise signs z.i and x.j need")
-
-
-def _signs(x: int, n: int) -> np.ndarray:
-    """(-1)^(x.j) for j = 0..n-1, as integers."""
-    return np.array([1 - 2 * _bitdot(x, j) for j in range(n)])
-
-
 def _frozen(v: np.ndarray) -> np.ndarray:
     """``v`` made read-only: the cached vectors are shared by every caller."""
     v.flags.writeable = False
     return v
+
+
+@lru_cache(maxsize=64)
+def _sign_table(n: int) -> np.ndarray:
+    """The circulations' sign rows 0..n-1: orthogonal, row 0 all ones, as the basis needs; read-only int64.
+
+    At a power of two the Sylvester-Hadamard rows (-1)^(x.j), as the preparers
+    apply them; otherwise the Helmert rows: row k is k ones, then -k, then zeros.
+    """
+    if n & (n - 1) == 0:
+        return _frozen(reduce(np.kron, [np.array([[1, 1], [1, -1]])] * (n.bit_length() - 1), np.ones((1, 1), int)))
+    table = np.tril(np.ones((n, n), dtype=np.int64), -1) - np.diag(np.arange(n))
+    table[0] = 1
+    return _frozen(table)
+
+
+def _signs(x: int, n: int) -> np.ndarray:
+    """Row x of the sign table: (-1)^(x.j) for j = 0..n-1 at a power of two."""
+    return _sign_table(n)[x]
 
 
 # The flow caches are bounded by key count.  verify-dense, the only workload
@@ -119,14 +117,16 @@ def unit_flow(n: int, ell: int, j: int) -> np.ndarray:
 
 
 def fourier_circulation(n: int, ell: int, z: int, x: int) -> np.ndarray:
-    """Signed sum over routed flows: sum_{j,i} (-1)^(x.j + z.i) p_ij.
+    """Signed sum over routed flows: sum_{j,i} _signs(x, n)[j] _signs(z, n)[i] p_ij.
 
     p_ij is the unit flow to sink j through midpoint i.  Scaled by
     n^(ell-1).  A circulation for every z != 0; pairwise orthogonal over
-    (z, x).
+    (z, x).  At a power of two the sign is (-1)^(x.j + z.i).
     """
     if z == 0:
         raise ZeroZ("z must be a nonzero bitstring index")
+    if not (0 < z < n and 0 <= x < n):
+        raise InvalidParams(f"(z, x) = ({z}, {x}) is not a pair of sign rows 1..{n - 1}, 0..{n - 1}")
     return _circulations(n, ell, np.array([z]), np.array([x]))[0, 0]
 
 
@@ -138,15 +138,15 @@ def circulation_matrix(n: int, ell: int) -> np.ndarray:
 def _circulations(n: int, ell: int, zs: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """fourier_circulation(n, ell, z, x) at every z in zs and x in xs, as a (|zs|, |xs|, |E|) array.
 
-    Integer-exact: with S[b] = sum_j (-1)^(b.j) unit_flow(n, ell - 1, j),
-    circulation (z, x) holds n S[z] in block 0 when x = 0, (-1)^(z.i) S[x]
-    in block (1,i) and (-1)^(x.j) S[z] in block (2,j).
+    Integer-exact: with s_b = _signs(b, n) and S[b] = sum_j s_b[j]
+    unit_flow(n, ell - 1, j), circulation (z, x) holds n S[z] in block 0
+    when x = 0, s_z[i] S[x] in block (1,i) and s_x[j] S[z] in block (2,j).
     """
     if ell < 1:
         raise InvalidParams("circulations appear at depth >= 1")
     check_edge_budget(n, ell)
     sz, sx = (np.stack([_signed_unit_flow_sum(n, ell - 1, b) for b in bits]) for bits in (zs, xs))
-    sign_z, sign_x = (np.stack([_signs(b, n) for b in bits]) for bits in (zs, xs))
+    sign_z, sign_x = _sign_table(n)[zs], _sign_table(n)[xs]
     out = np.zeros((zs.size, xs.size, 2 * n + 1, sz.shape[1]), dtype=np.int64)
     out[:, xs == 0, 0] = n * sz[:, None]
     np.multiply(sign_z[:, None, :, None], sx[None, :, None, :], out=out[:, :, 1 : n + 1])
@@ -155,13 +155,13 @@ def _circulations(n: int, ell: int, zs: np.ndarray, xs: np.ndarray) -> np.ndarra
 
 
 def _signed_unit_flow_sum(n: int, ell: int, x: int) -> np.ndarray:
-    """sum_j (-1)^(x.j) unit_flow(n, ell, j), accumulated in place in int32."""
+    """sum_j _signs(x, n)[j] unit_flow(n, ell, j), accumulated in place in int32."""
     out = np.zeros(unit_flow(n, ell, 0).shape[0], dtype=np.int32)
-    for j in range(n):
-        if _bitdot(x, j):
-            out -= unit_flow(n, ell, j)
-        else:
+    for j, sign in enumerate(_signs(x, n).tolist()):
+        if sign == 1:
             out += unit_flow(n, ell, j)
+        elif sign:  # -1, or the -k a Helmert row k holds at j = k
+            out -= unit_flow(n, ell, j) if sign == -1 else -sign * unit_flow(n, ell, j)
     return out
 
 
@@ -196,7 +196,7 @@ def flow_sum_norm_sq(n: int, ell: int) -> Fraction:
 
 @lru_cache(maxsize=64)
 def signed_flow_sum_norm_sq(n: int, ell: int) -> Fraction:
-    """Squared norm of sum_j (-1)^(x.j) unit_flow(j) for any nonzero x.
+    """Squared norm of sum_j (-1)^(x.j) unit_flow(j) for any nonzero x: the Hadamard rows, n a power of two.
 
     By symmetry the value does not depend on which nonzero x is used.  The
     tag-0 block cancels, so the sum splits into n tag-1 blocks carrying the
@@ -385,7 +385,7 @@ def build_Bperp_basis(net: SwitchingNet, sink_j: int) -> np.ndarray:
 
     Block-embedded circulations at every depth, the boundary-augmented
     optimal unit flow to sink_j, and the bare |s>, |t> states.  Cardinality
-    is |E| + 4 - |V|.  Columns are normalized.  n must be a power of two.
+    is |E| + 4 - |V|.  Columns are normalized.  Any n: see ``_sign_table``.
     Each depth's circulations are built once, as one matrix, and written
     into a block-diagonal view of one array with a member per row.  Every
     member is divided by the norm of its own full-length row: the BLAS dot
@@ -394,7 +394,6 @@ def build_Bperp_basis(net: SwitchingNet, sink_j: int) -> np.ndarray:
     normalized one embedded column at a time.
     """
     n, ell = net.n, net.ell
-    require_power_of_two(n)
     E = net.edge_count
     expect = E + 4 - net.vertex_count
     members = 3 + sum((2 * n + 1) ** (ell - lp) * (n - 1) * n for lp in range(1, ell + 1))

@@ -1,8 +1,8 @@
 """Directed graphs, the counting query oracle, generators, and file I/O.
 
 Vertices are 1-indexed externally.  When n is a power of two, vertex i also
-names the bitstring binary(i-1) of length log2(n); the complement basis and
-the preparers sign by those bitstrings, so only they need such an n.
+names the bitstring binary(i-1) of length log2(n); the preparers sign by
+those bitstrings, so only they need such an n.
 """
 
 from __future__ import annotations

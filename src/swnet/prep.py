@@ -60,6 +60,12 @@ def _logn(n: int) -> int:
     return max(int(math.log2(n)), 1)
 
 
+def require_power_of_two(n: int) -> None:
+    """Refuse an n that is not a power of two, which the Hadamard layers need (see the module docstring)."""
+    if n < 1 or n & (n - 1):
+        raise InvalidParams(f"n = {n} is not a power of two, which the preparers' Hadamard layers need")
+
+
 # -- amplitude loading from prefix sums -----------------------------------------
 
 @dataclass(frozen=True)
@@ -159,7 +165,7 @@ def prepare_sum_of_flows(n: int, ell: int) -> tuple[np.ndarray, PrepCircuit]:
     (code 0 has tag 0, codes 1..n tag 1, codes n+1..2n tag 2) and repeats
     each leaf's amplitude over its n edges; no leaf is decoded.
     """
-    fl.require_power_of_two(n)
+    require_power_of_two(n)
     check_edge_budget(n, ell)
     if ell == 0:
         out = np.full(n, 1 / math.sqrt(n))
@@ -184,7 +190,7 @@ def fourier_flows_C(n: int, ell: int, x: int) -> tuple[np.ndarray, PrepCircuit]:
     tag-2 branches, a controlled swap and a Hadamard layer set the middle
     register, and the circuit recurses once on the last register.
     """
-    fl.require_power_of_two(n)
+    require_power_of_two(n)
     if not 0 <= x < n:
         raise InvalidParams(f"x = {x} out of range")
     check_edge_budget(n, ell)
@@ -217,7 +223,7 @@ def prepare_psi(n: int, ell: int, z: int, x: int) -> tuple[np.ndarray, PrepCircu
     signed-sum norm one level down; for nonzero x the tag-0 branch
     vanishes and the weights degenerate to (0, 1/sqrt2, 1/sqrt2).
     """
-    fl.require_power_of_two(n)
+    require_power_of_two(n)
     if z == 0:
         raise ZeroZ("z must be nonzero")
     if ell < 1:
@@ -252,7 +258,7 @@ def prepare_theta(
     two boundary slots are rotated in with exact amplitudes, matching
     :func:`swnet.flows.flow_state`.
     """
-    fl.require_power_of_two(n)
+    require_power_of_two(n)
     if not 0 <= j < n:
         raise InvalidParams(f"sink index {j} out of range")
     E = check_edge_budget(n, ell)

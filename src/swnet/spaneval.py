@@ -61,7 +61,8 @@ import numpy as np
 
 from . import flows as fl
 from .errors import BasisMismatch, InvalidParams, ReachMismatch, WitnessBound
-from .graphs import Digraph, GraphOracle, _reach_within, attach_source_path, pad_to_power_of_two
+from .graphs import Digraph, GraphOracle, _reach_within, attach_source_path
+from .graphs import pad_to_power_of_two  # noqa: F401  (bound here for perfbench's tracer, as accepts is)
 from .network import SwitchingNet, accepts_all, build, check_edge_budget, on_edge_mask, source_resistances
 from .network import accepts  # noqa: F401  (bound here for perfbench's tracer, which wraps spaneval.accepts)
 
@@ -286,27 +287,25 @@ class Evaluation:
     """One network evaluation for a source u and a length bound L (any L >= 1).
 
     u must be a vertex of g and every sink v one too, else InvalidParams.
-    Rounds L up to 2^ell = 2^ceil(log2 L): the depth-ell network is built
-    on g with a feeder path of 2^ell - L vertices grafted into u, and rooted
-    at the chain head.  Only mode "spectral-dense" pads the grafted graph to
-    a power of two, since its complement basis signs by bitstrings.  The
-    graft (``graph``) is made once, and only by the routes that build the
-    network or read R.  The rounded L may be at most the power of two at or
-    above the grafted vertex count, and the network may have at most
-    MAX_NETWORK_EDGES edges (network.check_edge_budget), in every mode,
-    built or not; past either, ``charges`` raises InvalidParams, and
-    verdicts() and every report of a sink v != u read it first, before
-    anything is grafted or allocated.  Reach is found once, off g, not off
-    the graft, so a faulty graft cannot move it with the routes
-    (graphs._reach_within): the vertices of g within the asked L of u, and
-    the chain.  These are the vertices within distance 2^ell of the root,
-    which the network theorem (swnet.network) makes the sinks of the
-    source's on-component.  Every route's verdict is held to it, and
-    ReachMismatch, naming every sink index where they differ, is raised if
-    they do.  ``verdicts()`` answers every sink at once, as one array, and
-    ``report(v)`` answers "is there a directed u -> v path of length at most
-    L" from the same cached arrays, along one route, recorded in
-    ``report.route``:
+    Rounds L up to 2^ell = 2^ceil(log2 L): the depth-ell network is built on
+    g with a feeder path of 2^ell - L vertices grafted into u, and rooted at
+    the chain head, in every mode.  The graft (``graph``) is made once, and
+    only by the routes that build the network or read R.  The rounded L may
+    be at most the power of two at or above the grafted vertex count, and
+    the network may have at most MAX_NETWORK_EDGES edges
+    (network.check_edge_budget), in every mode, built or not; past either,
+    ``charges`` raises InvalidParams, and verdicts() and every report of a
+    sink v != u read it first, before anything is grafted or allocated.
+    Reach is found once, off g, not off the graft, so a faulty graft cannot
+    move it with the routes (graphs._reach_within): the vertices of g within
+    the asked L of u, and the chain.  These are the vertices within distance
+    2^ell of the root, which the network theorem (swnet.network) makes the
+    sinks of the source's on-component.  Every route's verdict is held to
+    it, and ReachMismatch, naming every sink index where they differ, is
+    raised if they do.  ``verdicts()`` answers every sink at once, as one
+    array, and ``report(v)`` answers "is there a directed u -> v path of
+    length at most L" from the same cached arrays, along one route, recorded
+    in ``report.route``:
 
     - ``trivial``: v == u, answered without the network;
     - ``exact`` (mode "exact"): whether the component labels of the built
@@ -332,13 +331,13 @@ class Evaluation:
     Only the exact and dense routes build the network (``net``, on first
     use).  Every report carries a copy of the full ledger of one decision:
     the accounted quantum time and register cells at the vertex count the
-    network is built on (n + 2^ell - L; padded only in spectral-dense), one
-    decider call, the |E| oracle queries of masking the network and one
-    network evaluation, charged whether or not the route builds it.  That
-    is a function of the size alone, shared read-only by every evaluation
-    of the size (``charges``, from size_charges).  The trivial report is
-    charged one decider call at the graph's own n, with no queries and no
-    evaluation, and builds nothing.
+    network is built on (n + 2^ell - L), one decider call, the |E| oracle
+    queries of masking the network and one network evaluation, charged
+    whether or not the route builds it.  That is a function of the size
+    alone, shared read-only by every evaluation of the size (``charges``,
+    from size_charges).  The trivial report is charged one decider call at
+    the graph's own n, with no queries and no evaluation, and builds
+    nothing.
 
     With ``witness`` an accepted report also gets its witness, the same on
     every route: the optimal on-flow energy R from
@@ -392,8 +391,6 @@ class Evaluation:
         self.threshold = acceptance_threshold(self.ell)
         self._feed = self.L - L
         self._root = g.n + 1 if self._feed else u  # the chain head attach_source_path grafts
-        grafted_n = g.n + self._feed
-        self._net_n = 1 << (grafted_n - 1).bit_length() if mode == "spectral-dense" else grafted_n
 
     @cached_property
     def charges(self) -> tuple[ResourceLedger, ...]:
@@ -403,14 +400,13 @@ class Evaluation:
             raise InvalidParams(
                 f"L = {self.L} exceeds the power of two at or above the grafted vertex count {grafted_n}"
             )
-        check_edge_budget(self._net_n, self.ell)
-        return size_charges(self._net_n, self.L)
+        check_edge_budget(grafted_n, self.ell)
+        return size_charges(grafted_n, self.L)
 
     @cached_property
     def graph(self) -> Digraph:
-        """The grafted graph the network is built on, padded in spectral-dense; read only by net and R."""
-        grafted, _ = attach_source_path(self.g, self.u, self._feed)
-        return pad_to_power_of_two(grafted) if self.mode == "spectral-dense" else grafted
+        """The grafted graph the network is built on; read only by net and R."""
+        return attach_source_path(self.g, self.u, self._feed)[0]
 
     @cached_property
     def net(self) -> SwitchingNet:
@@ -425,11 +421,10 @@ class Evaluation:
         reaches chain vertex k at distance k < 2^ell - L and u at 2^ell - L).
         """
         reach = _reach_within(self.g, self.u, self.L - self._feed)
-        if self._net_n == self.g.n:  # nothing grafted or padded
+        if not self._feed:  # nothing grafted
             return reach
-        grafted = np.zeros(self._net_n, dtype=bool)
+        grafted = np.ones(self.g.n + self._feed, dtype=bool)
         grafted[: self.g.n] = reach
-        grafted[self.g.n : self.g.n + self._feed] = True
         return grafted
 
     def _hold_to_reach(self, joined: np.ndarray, what: str, sink: int | None = None) -> None:

@@ -13,6 +13,11 @@ from swnet.graphs import bfs_distances
 from swnet.network import SRC, SwitchingNet, leaf_symbols, on_component, on_edge_mask
 
 
+def bitdot(a: int, b: int) -> int:
+    """Parity of the bitwise AND, the F_2 inner product of index bitstrings: (-1)^(a.b) is a Hadamard sign."""
+    return bin(a & b).count("1") & 1
+
+
 # -- the edge codec, one scalar at a time -----------------------------------------
 
 def symbol_code(n: int, tag: int, payload: int = 0) -> int:
@@ -230,7 +235,7 @@ def loop_fourier_circulation(n: int, ell: int, z: int, x: int) -> np.ndarray:
     def signed_sum(bits: int) -> np.ndarray:
         out = np.zeros(fl.unit_flow(n, ell - 1, 0).shape[0], dtype=np.int64)
         for j in range(n):
-            out += (-1) ** fl._bitdot(bits, j) * fl.unit_flow(n, ell - 1, j)
+            out += (-1) ** bitdot(bits, j) * fl.unit_flow(n, ell - 1, j)
         return out
 
     tz, tx = signed_sum(z), signed_sum(x)
@@ -239,9 +244,9 @@ def loop_fourier_circulation(n: int, ell: int, z: int, x: int) -> np.ndarray:
     if x == 0:
         out[:block] = n * tz
     for i in range(n):
-        out[(1 + i) * block : (2 + i) * block] = (-1) ** fl._bitdot(z, i) * tx
+        out[(1 + i) * block : (2 + i) * block] = (-1) ** bitdot(z, i) * tx
     for j in range(n):
-        out[(1 + n + j) * block : (2 + n + j) * block] = (-1) ** fl._bitdot(x, j) * tz
+        out[(1 + n + j) * block : (2 + n + j) * block] = (-1) ** bitdot(x, j) * tz
     return out
 
 

@@ -21,6 +21,7 @@ from swnet import pebbling as pb
 from swnet import prep
 from swnet import spaneval as se
 from swnet import tradeoff as to
+from oracles import bitdot
 
 N4_GRAPHS = 200
 EDGE_PROBS = (0.2, 0.5, 0.8)
@@ -133,7 +134,7 @@ def test_criterion_04_optimal_flow_identity():
             ok &= Fraction(int(T @ T), scale * scale) == fl.flow_norm_sq(n, ell)
             S = np.array(fl._sum_unit_flows(n, ell), dtype=object)
             ok &= Fraction(int(S @ S), scale * scale) == fl.flow_sum_norm_sq(n, ell)
-            TX = sum((-1) ** fl._bitdot(1, j) * fl.unit_flow(n, ell, j) for j in range(n))
+            TX = sum((-1) ** bitdot(1, j) * fl.unit_flow(n, ell, j) for j in range(n))
             ok &= Fraction(int(TX @ TX), scale * scale) == fl.signed_flow_sum_norm_sq(n, ell)
     ok &= worst < 1e-9
     report(4, ok, f"recursive optimal flows == least-squares oracle (worst {worst:.1e}); norms exact")
@@ -156,7 +157,7 @@ def test_criterion_05_state_preparation_fidelity():
             worst = max(worst, res(v, sum(fl.unit_flow(n, ell, j) for j in range(n))))
             for x in range(n):
                 v, _ = prep.fourier_flows_C(n, ell, x)
-                targ = sum((-1) ** fl._bitdot(x, j) * fl.unit_flow(n, ell, j) for j in range(n))
+                targ = sum((-1) ** bitdot(x, j) * fl.unit_flow(n, ell, j) for j in range(n))
                 worst = max(worst, res(v, targ))
             for j in range(n):
                 v, _ = prep.prepare_theta(n, ell, j, with_boundary=True)

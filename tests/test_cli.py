@@ -4,6 +4,7 @@ import resource
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import swnet as sw
@@ -121,7 +122,7 @@ def test_decide_grafts_non_power_of_two_L(path_graph, capsys, mode):
 
 
 def test_decide_spectral_dense_refused_above_cap(path_graph, capsys, monkeypatch):
-    # unpatched, this grafted instance would need dense 4628x4628 projectors
+    # this grafts to a (5, 2) network, whose dense projectors are 1214x1214
     monkeypatch.setattr(se, "SPECTRAL_DIM_CAP", 100)
     rc = main(["decide", "--graph", path_graph, "--u", "1", "--v", "4", "--L", "3", "--mode", "spectral-dense"])
     assert rc == 2
@@ -247,10 +248,20 @@ def test_fixed_depth_commands_take_no_root(capsys, command):
     assert "unrecognized arguments: --root 2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [["basis", "dump"], ["prep", "verify"]])
-def test_fixed_depth_commands_reject_non_power_of_two_n(capsys, command):
-    assert main([*command, "--n", "3", "--L", "2"]) == 2
+def test_prep_verify_rejects_non_power_of_two_n(capsys):
+    # the preparers' Hadamard layers act on log2 n qubits
+    assert main(["prep", "verify", "--n", "3", "--L", "2"]) == 2
     assert "power of two" in capsys.readouterr().err
+
+
+def test_basis_dump_takes_any_n(capsys):
+    # the complement basis signs by Helmert rows off the powers of two:
+    # 9 = |E| + 4 - |V| orthonormal members at n = 3, L = 2
+    assert main(["basis", "dump", "--n", "3", "--L", "2"]) == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out[0] == "# complement basis of n=3 L=2: 9 members"
+    gram = np.array([[float(x) for x in row.split(",")] for row in out if not row.startswith("#")])
+    assert gram.shape == (9, 9) and np.abs(gram - np.eye(9)).max() < 1e-12
 
 
 def test_dstcon_json(path_graph, capsys):

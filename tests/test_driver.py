@@ -415,10 +415,10 @@ def test_shared_charges_are_refused_every_time_and_never_changed():
             with pytest.raises(InvalidParams, match=match):
                 decider.answer(g, 1, 2, L)
         assert decider.answer(g, 1, 2, 2) == decide_distance(g, 1, 2, 2, mode="spectral")
-    # spectral-dense is charged at its padded size, spectral at the grafted one
+    # spectral-dense is charged at the same grafted size as spectral
     g5 = sw.random_digraph(5, 0.3, 1)
     dense, spectral = (se.Evaluation(g5, 1, 4, mode).charges for mode in ("spectral-dense", "spectral"))
-    assert (dense, spectral) == (formula_charges(8, 4), formula_charges(5, 4))
+    assert dense == spectral == formula_charges(5, 4)
     # no caller changes a shared ledger: dstcon, a majority vote, a sweep,
     # and reports, whose ledgers their callers own
     g = sw.random_digraph(8, 0.2, 1)
@@ -437,8 +437,8 @@ def test_shared_charges_are_refused_every_time_and_never_changed():
 
 
 # G(6, 0.3) in the exact and spectral modes; spectral-dense runs G(4, 0.3)
-# and leaves out L = 3, whose grafted and padded (8, 2) network needs
-# 4628-dimensional dense decompositions
+# and leaves out L = 3 only for time: it grafts to a (5, 2) network, whose
+# dense decompositions have dimension 1214
 PARITY_CASES = [("exact", 6, (1, 2, 3, 4)), ("spectral", 6, (1, 2, 3, 4)), ("spectral-dense", 4, (1, 2, 4))]
 
 

@@ -9,8 +9,8 @@ from swnet import prep
 from swnet.errors import Disconnected, InvalidParams, RankDeficient, ZeroZ
 from swnet.network import _component_and_parents
 from oracles import (
-    loop_A_basis, loop_B_spanning, loop_divergence, loop_fourier_circulation, mgs_orthonormalize, mgs_projector,
-    on_distances, routed_flow, unit_flow_int64,
+    bitdot, loop_A_basis, loop_B_spanning, loop_divergence, loop_fourier_circulation, mgs_orthonormalize,
+    mgs_projector, on_distances, routed_flow, unit_flow_int64,
 )
 
 TOL = 1e-9
@@ -40,7 +40,7 @@ def test_flow_norm_closed_forms_match_integer_vectors():
             assert Fraction(int(S @ S), scale * scale) == fl.flow_sum_norm_sq(n, ell)
             for x in range(1, n):
                 TX = sum(
-                    (-1) ** fl._bitdot(x, j) * fl.unit_flow(n, ell, j) for j in range(n)
+                    (-1) ** bitdot(x, j) * fl.unit_flow(n, ell, j) for j in range(n)
                 )
                 assert Fraction(int(TX @ TX), scale * scale) == fl.signed_flow_sum_norm_sq(n, ell)
 
@@ -87,8 +87,12 @@ def test_routed_flow_averages_to_unit_flow():
         assert (total == fl.unit_flow(n, ell, 0)).all()
 
 
+# non-power-of-two sizes, where the circulations sign by the Helmert rows
+HELMERT_SIZES = [(3, 1), (3, 2), (5, 1), (6, 2)]
+
+
 def test_circulations_have_zero_divergence_everywhere():
-    for n, ell in [(2, 1), (2, 2), (4, 1)]:
+    for n, ell in [(2, 1), (2, 2), (4, 1)] + HELMERT_SIZES:
         net = sw.build(n, ell, 1)
         for z in range(1, n):
             for x in range(n):
@@ -99,6 +103,10 @@ def test_circulations_have_zero_divergence_everywhere():
 def test_fourier_circulation_rejects_zero_z():
     with pytest.raises(ZeroZ):
         fl.fourier_circulation(2, 1, 0, 1)
+    # a negative index would read a sign row from the end of the table
+    for z, x in [(1, -1), (-1, 0), (3, 0), (1, 3)]:
+        with pytest.raises(InvalidParams, match="sign rows"):
+            fl.fourier_circulation(3, 1, z, x)
 
 
 def test_circulations_equal_the_block_by_block_oracle():
@@ -113,7 +121,7 @@ def test_circulations_equal_the_block_by_block_oracle():
 
 
 def test_circulations_pairwise_orthogonal():
-    for n, ell in [(2, 1), (2, 2), (4, 1)]:
+    for n, ell in [(2, 1), (2, 2), (4, 1)] + HELMERT_SIZES:
         vecs = [
             fl.fourier_circulation(n, ell, z, x).astype(float)
             for z in range(1, n)
@@ -139,10 +147,10 @@ def test_routed_vs_circulation_inner_products():
             probe = []
             for i in range(n):
                 for j in range(n):
-                    sz = (-1) ** fl._bitdot(z, i)
-                    sx = (-1) ** fl._bitdot(x, j)
+                    sz = (-1) ** bitdot(z, i)
+                    sx = (-1) ** bitdot(x, j)
                     axj = sum(
-                        (-1) ** fl._bitdot(x, jp) for jp in range(n) if jp != j
+                        (-1) ** bitdot(x, jp) for jp in range(n) if jp != j
                     )
                     probe.append((p[i, j] @ psi, sz * sx, sz * axj))
             probe = np.array(probe)
@@ -232,10 +240,35 @@ def test_unit_flows_are_int32_and_equal_an_int64_rebuild(n, ell):
     assert n ** (ell + 1) <= (2 * n + 1) ** ell * n
 
 
-def test_complement_basis_needs_power_of_two():
-    # the network and its flows take any n; the signs z.i of the circulations do not
-    with pytest.raises(InvalidParams, match="power of two"):
-        fl.build_Bperp_basis(sw.build(3, 1, 1), 0)
+def test_sign_table_is_the_hadamard_rows_at_powers_of_two():
+    # the preparers and basis dump keep the bitstring signs (-1)^(x.j)
+    for n in (1, 2, 4, 8, 16):
+        for x in range(n):
+            want = [(-1) ** bitdot(x, j) for j in range(n)]
+            assert fl._signs(x, n).tolist() == want, (n, x)
+
+
+@pytest.mark.parametrize(
+    "n, ell", [(n, ell) for n in (3, 5, 6, 7) for ell in (1, 2)] + [(3, 3)],
+)
+def test_complement_basis_spans_the_complement_of_B_at_any_n(n, ell):
+    # Helmert-signed circulations: every member is orthogonal to every
+    # column of the spanning set of B, the members are orthonormal, and
+    # there are exactly 2|E| + 4 - rank(B) of them, so they span the
+    # complement of B.  Largest errors seen, at sinks 0 and n - 1: 1.1e-16
+    # against B and 1.2e-14 from orthonormality.  The rank is taken at sink
+    # 0 only, as the rank of the Gram matrix B^T B, which sparse B makes cheap
+    from scipy import sparse
+
+    net = sw.build(n, ell, 1)
+    for j in (n - 1, 0):
+        Q = fl.reduced_to_full(net, fl.build_Bperp_basis(net, j))
+        B = fl.build_B_spanning(net, j)
+        assert np.abs(Q.T @ (B / np.linalg.norm(B, axis=0))).max() < 1e-14, j
+        assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() < 1e-13, j
+    sparse_B = sparse.csr_matrix(B)
+    rank = np.linalg.matrix_rank((sparse_B.T @ sparse_B).toarray(), hermitian=True)
+    assert Q.shape[1] == 2 * net.edge_count + 4 - rank
 
 
 @pytest.mark.parametrize("n, ell", [(2, 2), (4, 1), (4, 2)])
@@ -325,7 +358,7 @@ def test_A_basis_dimension_and_signs():
 
 
 def test_bperp_cardinality_and_orthogonality():
-    for n, ell in [(2, 1), (2, 2), (4, 1)]:
+    for n, ell in [(2, 1), (2, 2), (4, 1)] + HELMERT_SIZES:
         net = sw.build(n, ell, 1)
         Q = fl.build_Bperp_basis(net, 0)
         assert Q.shape[1] == net.edge_count + 4 - net.vertex_count

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import swnet as sw
-from oracles import leaf_decode_sum_of_flows
+from oracles import bitdot, leaf_decode_sum_of_flows
 from swnet import flows as fl
 from swnet import prep
 from swnet.errors import InvalidParams, NegativePrefix, ZeroZ
@@ -110,7 +110,7 @@ def test_fourier_flows_fidelity():
             for x in range(n):
                 v, _ = prep.fourier_flows_C(n, ell, x)
                 targ = sum(
-                    (-1) ** fl._bitdot(x, j) * fl.unit_flow(n, ell, j) for j in range(n)
+                    (-1) ** bitdot(x, j) * fl.unit_flow(n, ell, j) for j in range(n)
                 )
                 assert residual(v, targ) < TOL
 
