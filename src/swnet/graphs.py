@@ -202,33 +202,45 @@ def complete(n: int) -> Digraph:
 
 # -- file format -------------------------------------------------------------
 #
-# UTF-8 text; line 1 is "n m"; the next m lines are "i j" with
-# 1 <= i, j <= n and i != j.  Duplicate edge lines are rejected.
+# UTF-8 text; line 1 is "n m" with 0 <= m <= n(n-1); the next m lines are
+# "i j" with 1 <= i, j <= n and i != j.  Blank lines are skipped, and
+# duplicate edge lines are rejected.
 
 def read_graph_file(path) -> Digraph:
+    """Read a graph file, streamed: the header first, then at most m edge lines.
+
+    Refuses (InvalidParams) a header n outside 1..MAX_FILE_VERTICES, an m
+    outside 0..n(n-1), and a file with a non-blank line past the m-th edge,
+    at that line, so bad input allocates no more than its header admits.
+    """
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise InvalidParams(f"{path}: empty graph file")
-    try:
-        n, m = (int(tok) for tok in lines[0].split())
-    except ValueError as exc:
-        raise InvalidParams(f"{path}: bad header {lines[0]!r}") from exc
-    if not 1 <= n <= MAX_FILE_VERTICES:
-        raise InvalidParams(f"{path}: header n = {n} is not in 1..MAX_FILE_VERTICES={MAX_FILE_VERTICES}")
-    if len(lines) - 1 != m:
-        raise InvalidParams(f"{path}: header promises {m} edges, found {len(lines) - 1}")
-    seen = set()
-    edges = []
-    for ln in lines[1:]:
+        lines = filter(None, map(str.strip, fh))
+        header = next(lines, None)
+        if header is None:
+            raise InvalidParams(f"{path}: empty graph file")
         try:
-            i, j = (int(tok) for tok in ln.split())
+            n, m = (int(tok) for tok in header.split())
         except ValueError as exc:
-            raise InvalidParams(f"{path}: bad edge line {ln!r}") from exc
-        if (i, j) in seen:
-            raise InvalidParams(f"{path}: duplicate edge ({i}, {j})")
-        seen.add((i, j))
-        edges.append((i, j))
+            raise InvalidParams(f"{path}: bad header {header!r}") from exc
+        if not 1 <= n <= MAX_FILE_VERTICES:
+            raise InvalidParams(f"{path}: header n = {n} is not in 1..MAX_FILE_VERTICES={MAX_FILE_VERTICES}")
+        if not 0 <= m <= n * (n - 1):
+            raise InvalidParams(f"{path}: header m = {m} is not in 0..n(n-1) = {n * (n - 1)}")
+        seen = set()
+        edges = []
+        for ln in lines:
+            if len(edges) == m:
+                raise InvalidParams(f"{path}: header promises {m} edges, found more")
+            try:
+                i, j = (int(tok) for tok in ln.split())
+            except ValueError as exc:
+                raise InvalidParams(f"{path}: bad edge line {ln!r}") from exc
+            if (i, j) in seen:
+                raise InvalidParams(f"{path}: duplicate edge ({i}, {j})")
+            seen.add((i, j))
+            edges.append((i, j))
+    if len(edges) != m:
+        raise InvalidParams(f"{path}: header promises {m} edges, found {len(edges)}")
     return from_edges(n, edges)
 
 

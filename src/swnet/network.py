@@ -21,10 +21,11 @@ reachable from the root by a directed path of length at most 2^ell.
 
 Structure (vertices, gluing, orientations) is root-independent, so one
 ``NetStructure`` is cached per (n, ell) and ``SwitchingNet`` binds a root.
-It is built with array operations: the glue pairs of every block at every
-depth come from mixed-radix block indices, glued vertices are resolved by
-min-label propagation, and each leaf's orientation and label source are
-read off one decoded (leaves x ell) symbol table.
+It is built level by level from one gluing plan, :func:`_glue_plan`, which
+says where a level places each child's boundary: each new outermost level
+maps its children's vertices into its own, flips the leaves under a tag-2
+child and hands a tag-1 child's payload to the leaves still labelled by
+the root, in a few array operations per level.
 
 ``source_resistances`` follows the same recursion without building the
 network: it Kron-reduces the on-subgraph onto each block's boundary, one
@@ -48,9 +49,12 @@ SRC = 0  # local source slot of a leaf block; slots 1..n are its sinks
 #: the most edges a network may have, checked in every decision mode.  The
 #: largest decision it admits is (67, 2), 1.22M edges.  Only the exact and
 #: spectral-dense routes build the structure, the mask and (exact) the
-#: component labels, 0.08-0.1 s and 33-36 MB of max RSS; the spectral route
-#: builds none of them.  `swnet decide` (spectral) at L = 4 on G(67, p),
-#: seed 1, takes 1.1 s, ru_maxrss 393-394 MB and VmPeak 483 MiB at p in
+#: component labels: at G(67, p), seed 1, p in {0.05, 0.3, 1}, 0.09-0.24 s
+#: and 63-124 MB of max RSS above the process's before them, of which the
+#: structure is 0.04-0.06 s and 54 MB, 10 MB of it the cached level plan
+#: (2-core x86, one BLAS thread, three runs each); the spectral route builds
+#: none of them.  `swnet decide` (spectral) at L = 4 on G(67, p), seed 1,
+#: takes 1.1 s, ru_maxrss 393-394 MB and VmPeak 483 MiB at p in
 #: {0.3, 0.6, 1}, and 0.22 s and 112 MB at p = 0.05 (2-core x86, one BLAS
 #: thread, one run each, wall time of the whole command).  On the denser
 #: graphs that is mostly the top level's LU solve over the source's
@@ -94,41 +98,16 @@ def leaf_symbols(n: int, ell: int, leaves: np.ndarray | list[int] | None = None)
     return tags, np.where(tags == 0, 0, (codes - 1) % n)
 
 
-def _glue_pairs(n: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-vertex pairs glued at every internal block, every depth at once.
-
-    Pre-vertex leaf * (n+1) + slot is slot SRC or sink slot 1+i of a leaf
-    star.  A depth-d block is a length-d prefix of Sigma^ell in mixed radix;
-    its source is its first leaf's source and its sink k is the source of its
-    child (2, k), or leaf sink k at depth ell.  Block 0's sink i is glued to
-    block (1,i)'s source, and block (1,i)'s sink j to block (2,j)'s sink i.
-    """
-    R = 2 * n + 1
-
-    def source(block, depth):
-        return block * R ** (ell - depth) * (n + 1) + SRC
-
-    def sink(block, depth, k):
-        if depth == ell:
-            return block * (n + 1) + 1 + k
-        return source(block * R + 1 + n + k, depth + 1)
-
-    i, j = np.arange(n)[:, None], np.arange(n)[None, :]
-    left, right = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for d in range(ell):
-        first = R * np.arange(R**d, dtype=np.int64)[:, None, None]  # child 0 of each block
-        left += [sink(first, d + 1, i).ravel(), sink(first + 1 + i, d + 1, j).ravel()]
-        right += [source(first + 1 + i, d + 1).ravel(), sink(first + 1 + n + j, d + 1, i).ravel()]
-    return np.concatenate(left), np.concatenate(right)
-
-
 def component_labels(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Smallest vertex of each vertex's component in the graph with edges (a, b).
 
     Min-label propagation with pointer jumping: every label is a vertex of
     its own component no larger than itself; each round hooks the larger
     root of every edge under the smaller one, then follows labels until each
-    points at a root, and stops when every edge joins equal labels.
+    points at a root, and stops when every edge joins equal labels.  It
+    labels the on-subgraph (:func:`on_component`) and one level's glued
+    vertices in the resistance reduction (:func:`_glue`); the network's own
+    vertices need none, as the gluing plan places them.
     """
     lab = np.arange(size)
     while True:
@@ -156,12 +135,14 @@ def on_component(net: SwitchingNet, on_mask: np.ndarray):
 
 
 class NetStructure:
-    """Root-independent skeleton: resolved vertices, orientations, labels.
+    """Root-independent skeleton: vertices, orientations, labels.
 
     Edges are numbered as :func:`leaf_symbols` states, and every per-edge
-    fact is read off per-leaf arrays indexed by ``e // n``.  Vertex ids
-    number the glued components in the order of their smallest pre-vertex,
-    which is the order a scan of the pre-vertices first meets them.
+    fact is read off per-leaf arrays indexed by ``e // n``.  Pre-vertex
+    leaf * (n+1) + slot is slot SRC or sink slot 1+i of a leaf star, and
+    vertex ids number the network's vertices in the order a scan of the
+    pre-vertices first meets them.  The tables are built over depth from
+    :func:`_glue_plan`'s ``idx``, one new outermost level at a time.
     """
 
     def __init__(self, n: int, ell: int):
@@ -175,30 +156,42 @@ class NetStructure:
         R = 2 * n + 1
         self.num_leaves = R**ell
 
-        # resolve glued pre-vertices to consecutive ids: a component's id is
-        # the number of smaller components' minima, i.e. its first-seen rank
-        lab = component_labels(self.num_leaves * (n + 1), *_glue_pairs(n, ell))
-        is_root = lab == np.arange(lab.size)
-        vid = (np.cumsum(is_root) - 1)[lab].reshape(self.num_leaves, n + 1)
-        self.vertex_count = int(is_root.sum())
+        # the depth-d block's tables from depth d-1's, by the level plan of
+        # :func:`_glue_plan`: leaf c * R^(d-1) + k is leaf k of child c, whose
+        # boundary slot s is the level's vertex idx[row c][s] and whose
+        # internal vertex m is the level's (n+1)^2 + c * inner + m - (n+1).
+        # A tag-2 child flips its leaves, and a tag-1 child's payload becomes
+        # the label source of its leaves that had none (-1: the root's)
+        code = np.arange(R)  # child c's symbol code
+        idx = _glue_plan(n)[0][np.r_[0, n + 1 : R, 1 : n + 1]]  # the plan's rows in code order
+        flips, payload = code > n, np.where((code > 0) & (code <= n), code - 1, -1)
+        loc = np.arange(n + 1)[None, :]  # depth 0: the star, slot s is vertex s
+        rev = np.zeros(1, dtype=bool)
+        lab_src = np.full(1, -1, dtype=np.int64)
+        count = n + 1
+        for _ in range(ell):
+            inner = count - (n + 1)
+            place = np.hstack([idx, (n + 1) ** 2 + inner * code[:, None] + np.arange(inner)])
+            loc = place.take(loc, axis=1).reshape(-1, n + 1)
+            rev = (flips[:, None] ^ rev).ravel()
+            lab_src = np.where(lab_src < 0, payload[:, None], lab_src).ravel()
+            count = (n + 1) ** 2 + R * inner
+
+        # number the vertices in the order a scan of the pre-vertices
+        # leaf * (n+1) + slot first meets them; the top level's vertex 0 is
+        # the global source and its vertex 1+j is global sink j
+        first = np.full(count, loc.size)
+        np.minimum.at(first, loc.ravel(), np.arange(loc.size))
+        met = np.zeros(loc.size, dtype=bool)
+        met[first] = True
+        rank = np.cumsum(met)[first] - 1
+        vid = rank[loc]
+        self.vertex_count = count
         self._leaf_src_vid = np.ascontiguousarray(vid[:, SRC])
         self._leaf_sink_vid = np.ascontiguousarray(vid[:, 1:])
-
-        # the global source is leaf 0's source; global sink j is the source
-        # of block (2, j), or leaf sink j of the lone star at depth 0
-        self.source_vid = int(self._leaf_src_vid[0])
-        if ell == 0:
-            self.sink_vids = self._leaf_sink_vid[0].copy()
-        else:
-            self.sink_vids = self._leaf_src_vid[(1 + n + np.arange(n)) * R ** (ell - 1)]
-
-        # a leaf is reversed under an odd number of tag-2 symbols, and its
-        # labels start at the payload of its last tag-1 symbol (-1: the root)
-        tags, payloads = leaf_symbols(n, ell)
-        self._leaf_rev = (tags == 2).sum(axis=1) % 2 == 1
-        lab_src = np.full(self.num_leaves, -1, dtype=np.int64)
-        for pos in range(ell):
-            np.copyto(lab_src, payloads[:, pos], where=tags[:, pos] == 1)
+        self.source_vid = int(rank[0])
+        self.sink_vids = rank[1 : n + 1].copy()
+        self._leaf_rev = rev
         self._leaf_label_src = lab_src
 
     @cached_property
@@ -414,7 +407,10 @@ def _glue_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     sink i).  Row c of ``idx`` lists child c's vertices by slot, for block
     0, the blocks (2, j), then the blocks (1, i); ``rows`` and ``cols``
     place every entry of every child's (n+1) x (n+1) Laplacian; ``child``
-    is child c's type, -1 for the parent's.
+    is child c's type, -1 for the parent's.  This is the one statement of
+    which child slot meets which level vertex: :class:`NetStructure` builds
+    the network's tables from ``idx`` and :func:`source_resistances` glues
+    the reduced Laplacians by it.
     """
     b = 2 * n + 1 + np.arange(n * n).reshape(n, n)
     idx = np.empty((2 * n + 1, n + 1), dtype=np.int64)

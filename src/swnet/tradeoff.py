@@ -25,7 +25,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .driver import decider_from_name, dstcon
+from .driver import boosted, decider_from_name, dstcon
 from .errors import ConfigError, DomainError
 from .graphs import MAX_FILE_VERTICES, random_digraph
 from .spaneval import ResourceLedger
@@ -135,7 +135,8 @@ def sweep(config: dict) -> list[TradeoffPoint]:
     optional "c" (default 1.0), "c_L", "decider" (exact | swnet | noisy:P),
     "seeds" (list, default [0]), "edge_prob", "measure_max_n" (default 64,
     at most graphs.MAX_FILE_VERTICES), "reps".  n, S and seeds are lists of
-    integers; c, c_L and edge_prob are numbers.  Duplicate (n, S) pairs are dropped; row order follows config
+    integers; c, c_L and edge_prob are numbers.  The decider and reps are
+    checked before any row, measured or not.  Duplicate (n, S) pairs are dropped; row order follows config
     order.  A measured point's ledger folds the dstcon ledgers of its seeds;
     points with n above measure_max_n carry no ledger.
     """
@@ -158,6 +159,7 @@ def sweep(config: dict) -> list[TradeoffPoint]:
     decider_name = config.get("decider", "exact")
     if not isinstance(decider_name, str):
         raise ConfigError(f"decider must be a name, got {decider_name!r}")
+    boosted(decider_from_name(decider_name), reps)  # refuses a bad decider or reps before any row
 
     points, seen = [], set()
     for n in ns:

@@ -494,6 +494,15 @@ def test_decide_rejects_graph_header_n_out_of_bounds(tmp_path, capsys, header):
     assert "MAX_FILE_VERTICES" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header", ["3 7", "3 -1", "4096 16773121"])
+def test_decide_rejects_graph_header_m_out_of_bounds(tmp_path, capsys, header):
+    # m is at most n(n-1), the edges a digraph without self-loops has
+    graph = tmp_path / "g.txt"
+    graph.write_text(header + "\n1 2\n")
+    assert main(["decide", "--graph", str(graph), "--u", "1", "--v", "2", "--L", "1"]) == 2
+    assert "0..n(n-1)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["bogus", "noisy:abc"])
 def test_dstcon_rejects_unknown_decider(path_graph, capsys, name):
     assert main(["dstcon", "--graph", path_graph, "--s", "1", "--t", "4", "--L", "2", "--decider", name]) == 2
@@ -539,6 +548,10 @@ def test_pebble_refuses_a_path_vertex_outside_the_graph(c4_graph, capsys, path):
     {"n": [8], "S": [16], "edge_prob": [0.3]},
     {"n": [8], "S": [16], "c": None},
     {"n": [8], "S": [16], "c_L": "1"},
+    # refused before any row, so also when no row is measured
+    {"n": [5000], "S": [169], "decider": "bogus"},
+    {"n": [8], "S": [16], "decider": "noisy:abc", "measure_max_n": 4},
+    {"n": [8], "S": [16], "reps": 2, "measure_max_n": 4},
 ], ids=repr)
 def test_sweep_malformed_config_exits_2(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"

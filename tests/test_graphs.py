@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -82,20 +84,40 @@ def test_graph_file_roundtrip(tmp_path):
     sw.write_graph_file(path, g)
     h = sw.read_graph_file(path)
     assert h.n == g.n and (h.adj == g.adj).all()
+    path.write_text("\n3 1\n\n2 3\n\n")  # blank lines are skipped
+    assert list(sw.read_graph_file(path).edges()) == [(2, 3)]
 
 
 def test_graph_file_rejects_duplicates(tmp_path):
     path = tmp_path / "dup.txt"
     path.write_text("3 2\n1 2\n1 2\n")
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match=r"duplicate edge \(1, 2\)"):
         sw.read_graph_file(path)
 
 
 def test_graph_file_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("3 5\n1 2\n")
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match="promises 5 edges, found 1"):
         sw.read_graph_file(path)
+
+
+def test_graph_file_refuses_extra_lines_as_it_streams(tmp_path):
+    # 2,000,000 edge lines (8 MB) under a header that promises one: refused
+    # at the second, so the reader holds one line, not the file (a list of
+    # its lines alone would be over 100 MB)
+    path = tmp_path / "long.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("3 1\n")
+        fh.writelines(["1 2\n"] * 2_000_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParams, match="promises 1 edges, found more"):
+            sw.read_graph_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def assert_reach_is_bounded_bfs(g, root, L):

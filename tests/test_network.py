@@ -191,6 +191,30 @@ def test_structure_equals_union_find_oracle(n, ell):
             assert got == want, name
 
 
+def test_glue_plan_is_the_one_gluing_rule(monkeypatch):
+    # swap two b entries of the plan: block (1, 0) meets block (2, 0)'s sink
+    # 0 at its sink 1 and block (2, 1)'s at its sink 0.  Both the structure
+    # and the reduction must follow the plan, so both leave their references
+    n, ell, root = 4, 2, 1
+    g = sw.random_digraph(n, 0.5, 3)
+    net = sw.build(n, ell, root)  # built and cached before the plan is swapped
+    want = splu_resistances(net, sw.on_edge_mask(net, sw.GraphOracle(g)))
+    assert np.allclose(source_resistances(g.adj, root, ell), want, rtol=1e-12, equal_nan=True)
+    plan = sw.network._glue_plan
+
+    def swapped(n):
+        idx, _, _, child = plan(n)
+        idx = idx.copy()
+        idx[n + 1, [1, 2]] = idx[n + 1, [2, 1]]
+        return idx, np.repeat(idx, n + 1, axis=1).ravel(), np.tile(idx, n + 1).ravel(), child
+
+    monkeypatch.setattr(sw.network, "_glue_plan", swapped)
+    st = sw.network.NetStructure(n, ell)
+    assert any(not np.array_equal(getattr(st, name), want_table)
+               for name, want_table in union_find_structure(n, ell).items())
+    assert not np.allclose(source_resistances(g.adj, root, ell), want, rtol=1e-12, equal_nan=True)
+
+
 def test_structure_cache_is_bounded():
     # more distinct sizes than the cache keeps, as non-power-of-two n allows
     bound = sw.structure.cache_info().maxsize
