@@ -6,6 +6,8 @@ with the boundary states they span the orthogonal complement of the
 input-independent space B.  Everything here is checked against numerics.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 import swnet as sw
@@ -25,8 +27,10 @@ for j in range(n):
 print("\n== exact norms ==")
 print("sum of flows, squared:      ", fl.flow_sum_norm_sq(n, ell))
 print("signed sum (any x != 0):    ", fl.signed_flow_sum_norm_sq(n, ell))
-print("recurrence == closed form:  ",
-      fl.signed_flow_sum_norm_sq(n, ell) == fl.signed_flow_sum_norm_sq_closed(n, ell))
+signed = Fraction(n)  # the recurrence N(k) = (N(k-1) + N0(k-1)) / n from N(0) = n
+for k in range(ell):
+    signed = (signed + fl.flow_sum_norm_sq(n, k)) / n
+print("recurrence == closed form:  ", signed == fl.signed_flow_sum_norm_sq(n, ell))
 
 print("\n== circulations ==")
 psi = fl.fourier_circulation(n, ell, z=1, x=1)

@@ -14,8 +14,9 @@ from swnet import tradeoff as to
 
 print("== one run, three deciders ==")
 g = sw.random_digraph(6, 0.3, seed=5)
-for decider in (dr.exact_bfs_decider(), dr.noisy_decider(0.9, seed=1), dr.swnet_decider("spectral")):
-    result, ledger = dr.dstcon(g, 1, 6, L=2, decider=decider, boost_reps=11)
+for name in ("exact", "noisy:0.9", "swnet"):
+    decider = dr.decider_from_name(name, seed=1)
+    result, ledger = dr.dstcon(g, 1, 6, L=2, decider=dr.boosted(decider, 11))
     print(f"{decider.name:>22s}: {result:13s} time={ledger.time_steps:10.1f} "
           f"frontier<= {ledger.peak_frontier} qcells={ledger.quantum_space_cells}")
 

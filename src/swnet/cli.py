@@ -17,7 +17,7 @@ import numpy as np
 from . import flows as fl
 from . import pebbling as pb
 from . import prep
-from .driver import decider_from_name, dstcon
+from .driver import boosted, decider_from_name, dstcon
 from .errors import InvalidParams, InvariantViolation, SwnetError
 from .graphs import layered_path, read_graph_file
 from .network import build, leaf_symbols
@@ -104,8 +104,8 @@ def cmd_decide(args) -> int:
 
 def cmd_dstcon(args) -> int:
     g = read_graph_file(args.graph)
-    decider = decider_from_name(args.decider, seed=args.seed)
-    result, ledger = dstcon(g, args.s, args.t, args.L, decider=decider, boost_reps=args.reps)
+    decider = boosted(decider_from_name(args.decider, seed=args.seed), args.reps)
+    result, ledger = dstcon(g, args.s, args.t, args.L, decider=decider)
     payload = {"result": result, "ledger": asdict(ledger)}
     if args.json:
         print(json.dumps(payload, indent=2))

@@ -29,9 +29,10 @@ at the grafted size its network would be built on, a function of that
 size alone, shared read-only (spaneval.size_charges); only the first call
 of a (source, length), the one that ran the evaluation, counts it in
 ``network_evaluations``.  A v == u call, which dstcon never makes, is
-charged the trivial decision instead.  The exact decider charges n time steps and the
-oracle queries of its BFS; a noisy decider passes its inner charge
-through, and a majority vote sums its repetitions' charges as one call.
+charged the trivial decision instead.  The exact decider reads the same
+bounded BFS of g and charges n time steps and that BFS's row queries.  A
+noisy decider passes its inner charge through, and a majority vote, which
+the caller builds (boosted), sums its repetitions' charges as one call.
 dstcon folds every charge into its ledger (ResourceLedger.fold), so each
 call is charged once.
 """
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidParams
-from .graphs import Digraph, GraphOracle
+from .graphs import Digraph, _reach_within
 from .spaneval import Evaluation, ResourceLedger, size_charges
 from .spaneval import decide_distance  # noqa: F401  (perfbench's tracer wraps driver.decide_distance)
 
@@ -63,7 +64,8 @@ class DistDecider:
     charge is read-only: a decider may return the same ledger from many
     calls, so callers fold it (ResourceLedger.fold) or pass it on, and
     never change it.
-    ``randomized`` marks bounded-error flavors that benefit from boosting.
+    ``randomized`` marks the bounded-error flavors that boosted() wraps in a
+    majority vote.
     """
 
     name: str
@@ -72,9 +74,10 @@ class DistDecider:
 
 
 def exact_bfs_decider() -> DistDecider:
-    """Deterministic ground-truth decider; queries the oracle row by row.
+    """Deterministic ground-truth decider: reach[v - 1] of the bounded BFS every route reads (graphs._reach_within).
 
-    Refuses u or v outside 1..n and L < 1 (InvalidParams), as swnet does.
+    Charges n time steps, that BFS's row queries and one call.  Refuses u
+    or v outside 1..n and L < 1 (InvalidParams), as swnet does.
     """
 
     def answer(g: Digraph, u: int, v: int, L: int) -> tuple[bool, ResourceLedger]:
@@ -82,21 +85,8 @@ def exact_bfs_decider() -> DistDecider:
             raise InvalidParams("L must be >= 1")
         if not (1 <= u <= g.n and 1 <= v <= g.n):
             raise InvalidParams(f"vertex pair ({u}, {v}) out of range 1..{g.n}")
-        oracle = GraphOracle(g)
-        dist = {u: 0}
-        frontier = [u]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                if dist[a] >= L:
-                    continue
-                for b in range(1, g.n + 1):
-                    if b != a and b not in dist and oracle.query(a, b):
-                        dist[b] = dist[a] + 1
-                        nxt.append(b)
-            frontier = nxt
-        charge = ResourceLedger(time_steps=float(g.n), oracle_queries=oracle.query_count, decider_calls=1)
-        return v in dist and dist[v] <= L, charge
+        reach, queries = _reach_within(g, u, L)
+        return bool(reach[v - 1]), ResourceLedger(time_steps=float(g.n), oracle_queries=queries, decider_calls=1)
 
     return DistDecider(name="exact", answer=answer)
 
@@ -169,10 +159,13 @@ def decider_from_name(name: str, seed: int = 0) -> DistDecider:
 
 
 def boosted(decider: DistDecider, reps: int) -> DistDecider:
-    """Majority vote over reps independent calls (reps odd; 1 = passthrough)."""
+    """Majority vote over reps independent calls (reps odd and >= 1, checked for every decider).
+
+    reps = 1 and a deterministic decider return the decider unchanged.
+    """
     if reps < 1 or reps % 2 == 0:
         raise InvalidParams("reps must be odd and >= 1")
-    if reps == 1:
+    if reps == 1 or not decider.randomized:
         return decider
 
     def answer(g, u, v, L):
@@ -184,9 +177,7 @@ def boosted(decider: DistDecider, reps: int) -> DistDecider:
         charge.decider_calls = 1
         return 2 * yes > reps, charge
 
-    return DistDecider(
-        name=f"majority{reps}[{decider.name}]", answer=answer, randomized=decider.randomized
-    )
+    return DistDecider(name=f"majority{reps}[{decider.name}]", answer=answer, randomized=True)
 
 
 # -- the outer algorithm -----------------------------------------------------------
@@ -197,7 +188,6 @@ def dstcon(
     t: int,
     L: int,
     decider: DistDecider | None = None,
-    boost_reps: int = 1,
     frontier_trace: list | None = None,
 ) -> tuple[str, ResourceLedger]:
     """Directed st-connectivity via distance-class BFS; see module docstring.
@@ -206,20 +196,16 @@ def dstcon(
     the answer equals BFS ground truth.  The decider is asked only whether
     a frontier member u reaches a vertex v outside the frontier within a
     length k >= 1, the members in admission order up to the first yes.
-    ``boost_reps`` must be odd and >= 1 for every decider; it wraps
-    randomized deciders in a majority vote, and exact deciders are never
-    boosted.  When a list is passed as ``frontier_trace`` it receives one
-    (j, round, admitted-set) triple per completed extension round, for
-    invariant checks.
+    The decider is asked as given; a caller that wants a majority vote
+    passes boosted(decider, reps).  When a list is passed as
+    ``frontier_trace`` it receives one (j, round, admitted-set) triple per
+    completed extension round, for invariant checks.
     """
     if not (1 <= L <= g.n):
         raise InvalidParams(f"need 1 <= L <= n, got L={L}, n={g.n}")
     if not (1 <= s <= g.n and 1 <= t <= g.n):
         raise InvalidParams("s, t out of range")
     decider = decider or exact_bfs_decider()
-    voted = boosted(decider, boost_reps)  # checks boost_reps whatever the decider
-    if decider.randomized:
-        decider = voted
     ledger = ResourceLedger()
     n = g.n
     cell_bits = 1 + max(math.ceil(math.log2(max(L, 2))), 1)

@@ -194,26 +194,16 @@ def flow_sum_norm_sq(n: int, ell: int) -> Fraction:
     return Fraction(n**2 * (n + 2) ** ell, n ** (ell + 1))
 
 
-@lru_cache(maxsize=64)
 def signed_flow_sum_norm_sq(n: int, ell: int) -> Fraction:
-    """Squared norm of sum_j (-1)^(x.j) unit_flow(j) for any nonzero x: the Hadamard rows, n a power of two.
+    """Squared norm of sum_j (-1)^(x.j) unit_flow(j) for any nonzero x: n ((n+2)^ell + n) / (n^ell (n+1)).
 
-    By symmetry the value does not depend on which nonzero x is used.  The
-    tag-0 block cancels, so the sum splits into n tag-1 blocks carrying the
-    signed sum one level down and n tag-2 blocks carrying the plain sum,
-    all scaled by 1/n:
-
-        N(ell) = (N(ell-1) + N0(ell-1)) / n,      N(0) = n.
-
-    The recurrence is exact for every n, including n = 2.
+    By symmetry the value does not depend on which nonzero x (a Hadamard
+    row, n a power of two) is used.  The tag-0 block cancels, so the sum
+    splits into n tag-1 blocks carrying the signed sum one level down and n
+    tag-2 blocks carrying the plain sum, all scaled by 1/n; the closed form
+    solves that recurrence, N(ell) = (N(ell-1) + N0(ell-1)) / n with
+    N(0) = n, exactly for every n, including n = 2.
     """
-    if ell == 0:
-        return Fraction(n)
-    return (signed_flow_sum_norm_sq(n, ell - 1) + flow_sum_norm_sq(n, ell - 1)) / n
-
-
-def signed_flow_sum_norm_sq_closed(n: int, ell: int) -> Fraction:
-    """Closed form of the same norm: ((n+2)^ell + n) / (n^(ell-1) (n+1))."""
     return Fraction(n * ((n + 2) ** ell + n), n**ell * (n + 1))
 
 

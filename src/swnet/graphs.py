@@ -106,28 +106,32 @@ def bfs_distances(g: Digraph, u: int) -> np.ndarray:
     return dist
 
 
-def _reach_within(g: Digraph, root: int, L: int) -> np.ndarray:
-    """Whether each vertex lies within distance L of root: bfs_distances(g, root) <= L.
+def _reach_within(g: Digraph, root: int, L: int) -> tuple[np.ndarray, int]:
+    """(bfs_distances(g, root) <= L, the row queries of a scan of its rows through a GraphOracle).
 
     A BFS bounded at L: it expands no vertex at distance L and stops early
     when a level adds nothing.  Each expanded row is read once as a Python
     list, so the cost is the rows it expands, not n rows of numpy calls.
+    Each expanded vertex asks g.n minus the vertices reached before its row.
     """
     reached = [False] * g.n
     reached[root - 1] = True
     frontier = [root - 1]
     vertices = range(g.n)
+    found, queries = 1, 0  # the vertices reached before the level; the rows' queries
     for _ in range(L):
         nxt = []
         for a in frontier:
+            queries += g.n - found - len(nxt)
             for b in compress(vertices, g.adj[a].tolist()):
                 if not reached[b]:
                     reached[b] = True
                     nxt.append(b)
         if not nxt:
             break
+        found += len(nxt)
         frontier = nxt
-    return np.array(reached)
+    return np.array(reached), queries
 
 
 def bfs_distance(g: Digraph, u: int, v: int):
@@ -206,15 +210,28 @@ def complete(n: int) -> Digraph:
 # "i j" with 1 <= i, j <= n and i != j.  Blank lines are skipped, and
 # duplicate edge lines are rejected.
 
+MAX_LINE_CHARS = 1024  # a line's length; the longest valid line, "4096 16773120", has 13
+
+
+def _file_lines(path, fh):
+    """fh's stripped non-blank lines, read with a bounded readline; a longer line is refused by its number."""
+    for number, line in enumerate(iter(lambda: fh.readline(MAX_LINE_CHARS + 1), ""), 1):
+        if len(line.rstrip("\n")) > MAX_LINE_CHARS:
+            raise InvalidParams(f"{path}: line {number} is longer than MAX_LINE_CHARS={MAX_LINE_CHARS}")
+        if line.strip():
+            yield line.strip()
+
+
 def read_graph_file(path) -> Digraph:
     """Read a graph file, streamed: the header first, then at most m edge lines.
 
     Refuses (InvalidParams) a header n outside 1..MAX_FILE_VERTICES, an m
-    outside 0..n(n-1), and a file with a non-blank line past the m-th edge,
-    at that line, so bad input allocates no more than its header admits.
+    outside 0..n(n-1), a line longer than MAX_LINE_CHARS and a file with a
+    non-blank line past the m-th edge, at that line, so bad input allocates
+    no more than its header admits, and no message echoes a longer line.
     """
     with open(path, encoding="utf-8") as fh:
-        lines = filter(None, map(str.strip, fh))
+        lines = _file_lines(path, fh)
         header = next(lines, None)
         if header is None:
             raise InvalidParams(f"{path}: empty graph file")

@@ -420,7 +420,7 @@ class Evaluation:
         The vertices of g within the asked L of u, and the chain (the head
         reaches chain vertex k at distance k < 2^ell - L and u at 2^ell - L).
         """
-        reach = _reach_within(self.g, self.u, self.L - self._feed)
+        reach, _ = _reach_within(self.g, self.u, self.L - self._feed)
         if not self._feed:  # nothing grafted
             return reach
         grafted = np.ones(self.g.n + self._feed, dtype=bool)

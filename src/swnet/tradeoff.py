@@ -178,7 +178,7 @@ def sweep(config: dict) -> list[TradeoffPoint]:
                 ledger = ResourceLedger()
                 for seed in seeds:
                     g = random_digraph(n, edge_prob, seed)
-                    _, led = dstcon(g, 1, n, L, decider=decider_from_name(decider_name), boost_reps=reps)
+                    _, led = dstcon(g, 1, n, L, decider=boosted(decider_from_name(decider_name), reps))
                     ledger.fold(led)
                 point.ledger = ledger
             points.append(point)

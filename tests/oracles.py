@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from swnet import flows as fl
 from swnet import prep
+from swnet.driver import DistDecider
 from swnet.errors import InvalidParams, RankDeficient
-from swnet.graphs import bfs_distances
+from swnet.graphs import GraphOracle, bfs_distances
 from swnet.network import SRC, SwitchingNet, leaf_symbols, on_component, on_edge_mask
+from swnet.spaneval import ResourceLedger
 
 
 def bitdot(a: int, b: int) -> int:
@@ -269,6 +272,19 @@ def routed_flow(n: int, ell: int, i: int, j: int) -> np.ndarray:
     return out
 
 
+def signed_flow_sum_norm_sq_recurrence(n: int, ell: int) -> Fraction:
+    """flows.signed_flow_sum_norm_sq by its recurrence N(ell) = (N(ell-1) + N0(ell-1)) / n, N(0) = n.
+
+    The tag-0 block cancels, so the signed sum splits into n tag-1 blocks
+    carrying the signed sum one level down and n tag-2 blocks carrying the
+    plain sum (flows.flow_sum_norm_sq), all scaled by 1/n.
+    """
+    norm = Fraction(n)
+    for depth in range(ell):
+        norm = (norm + fl.flow_sum_norm_sq(n, depth)) / n
+    return norm
+
+
 # -- flow vectors and the sum-of-flows state, leaf by leaf ------------------------
 
 def leaf_decode_sum_of_flows(n: int, ell: int) -> np.ndarray:
@@ -472,6 +488,40 @@ def isomorphic(rebuilt: RebuiltNet, net: SwitchingNet) -> bool:
         if not (match(ta, tail[e]) and match(ha, head[e])):
             return False
     return True
+
+
+# -- the exact decider, one oracle query at a time -----------------------------------
+
+def oracle_loop_decider() -> DistDecider:
+    """driver.exact_bfs_decider as a BFS over GraphOracle rows, counted query by query.
+
+    Each vertex at distance below L asks the oracle about every vertex
+    not yet reached, in vertex order; the charge is n time steps, the
+    oracle's count and one call.
+    """
+
+    def answer(g, u: int, v: int, L: int) -> tuple[bool, ResourceLedger]:
+        if L < 1:
+            raise InvalidParams("L must be >= 1")
+        if not (1 <= u <= g.n and 1 <= v <= g.n):
+            raise InvalidParams(f"vertex pair ({u}, {v}) out of range 1..{g.n}")
+        oracle = GraphOracle(g)
+        dist = {u: 0}
+        frontier = [u]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                if dist[a] >= L:
+                    continue
+                for b in range(1, g.n + 1):
+                    if b != a and b not in dist and oracle.query(a, b):
+                        dist[b] = dist[a] + 1
+                        nxt.append(b)
+            frontier = nxt
+        charge = ResourceLedger(time_steps=float(g.n), oracle_queries=oracle.query_count, decider_calls=1)
+        return v in dist and dist[v] <= L, charge
+
+    return DistDecider(name="exact", answer=answer)
 
 
 # -- the outer loop's questions, read from BFS distances ---------------------------

@@ -270,9 +270,7 @@ def test_criterion_08_outer_algorithm():
             t = 1 + t % n
         want = dr.CONNECTED if sw.bfs_distance(g, s, t) != sw.INF else dr.NOT_CONNECTED
         L = 1 + seed % n
-        got, led = dr.dstcon(
-            g, s, t, L, decider=dr.noisy_decider(0.9, seed=seed), boost_reps=11
-        )
+        got, led = dr.dstcon(g, s, t, L, decider=dr.boosted(dr.noisy_decider(0.9, seed=seed), 11))
         trials += 1
         errs += got != want
         guard_ok &= led.peak_frontier <= math.ceil(n / L) + 1

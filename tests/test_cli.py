@@ -503,6 +503,15 @@ def test_decide_rejects_graph_header_m_out_of_bounds(tmp_path, capsys, header):
     assert "0..n(n-1)" in capsys.readouterr().err
 
 
+def test_decide_refuses_a_graph_file_line_past_the_limit(tmp_path, capsys):
+    # 20,000,000 characters on one line: exit 2 with a short message, not the line
+    graph = tmp_path / "long_line.txt"
+    graph.write_text("3 1\n" + "1" * 20_000_000)
+    assert main(["decide", "--graph", str(graph), "--u", "1", "--v", "2", "--L", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "line 2 is longer than MAX_LINE_CHARS" in err and len(err) < 1000
+
+
 @pytest.mark.parametrize("name", ["bogus", "noisy:abc"])
 def test_dstcon_rejects_unknown_decider(path_graph, capsys, name):
     assert main(["dstcon", "--graph", path_graph, "--s", "1", "--t", "4", "--L", "2", "--decider", name]) == 2

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import swnet as sw
-from oracles import dstcon_questions
+from oracles import dstcon_questions, oracle_loop_decider
 from swnet import driver as dr
 from swnet import spaneval as se
 from swnet import tradeoff
@@ -169,12 +169,16 @@ def test_noisy_perfect_probability_is_exact():
     g = sw.random_digraph(5, 0.5, 77)
     dec = dr.noisy_decider(1.0, seed=1)
     for t in (2, 5):
-        assert dr.dstcon(g, 1, t, 2, decider=dec, boost_reps=1)[0] == ground_truth(g, 1, t)
+        assert dr.dstcon(g, 1, t, 2, decider=dr.boosted(dec, 1))[0] == ground_truth(g, 1, t)
 
 
 def test_boosted_passthrough_and_majority():
+    # reps is checked for every decider, and a deterministic one is never voted
     dec = dr.exact_bfs_decider()
     assert dr.boosted(dec, 1) is dec
+    assert dr.boosted(dec, 3) is dec
+    with pytest.raises(InvalidParams, match="reps must be odd"):
+        dr.boosted(dec, 2)
     noisy = dr.noisy_decider(0.9, seed=3)
     maj = dr.boosted(noisy, 11)
     g = sw.random_digraph(5, 0.5, 7)
@@ -194,10 +198,45 @@ def test_noisy_boosted_error_rate_small_sample():
         s, t = 1, n
         want = ground_truth(g, s, t)
         L = 1 + seed % n
-        got, _ = dr.dstcon(g, s, t, L, decider=dr.noisy_decider(0.9, seed), boost_reps=11)
+        got, _ = dr.dstcon(g, s, t, L, decider=dr.boosted(dr.noisy_decider(0.9, seed), 11))
         trials += 1
         errs += got != want
     assert errs / trials <= 0.05
+
+
+def test_boosted_noisy_dstcon_ledger_is_pinned():
+    # G(7, 0.3) seed 2, s 1, t 7, L 2, noisy seed 4: each of the 61 calls
+    # votes 11 exact calls of 7 time steps; the ledger is the one dstcon
+    # gave when it boosted the noisy decider itself
+    g = sw.random_digraph(7, 0.3, 2)
+    trace = []
+    result, ledger = dr.dstcon(g, 1, 7, 2, decider=dr.boosted(dr.noisy_decider(0.9, 4), 11), frontier_trace=trace)
+    assert result == dr.CONNECTED
+    assert ledger == se.ResourceLedger(
+        time_steps=4697.0, space_cells=8, oracle_queries=5280, decider_calls=61, peak_frontier=4
+    )
+    assert trace == [(0, 0, frozenset({1})), (1, 0, frozenset({1, 4, 5}))] + [(1, i, frozenset()) for i in (1, 2, 3)]
+
+
+# G(n, p) at n 2..8, p in EXACT_CORPUS_PROBS, seeds 0..2: every (u, v) and L 1..n+1
+EXACT_CORPUS_PROBS = (0.1, 0.3, 0.5, 0.8)
+
+
+def assert_exact_decider_is_the_oracle_loop(g):
+    decider, loop = dr.exact_bfs_decider(), oracle_loop_decider()
+    for u in range(1, g.n + 1):
+        for v in range(1, g.n + 1):
+            for L in range(1, g.n + 2):
+                got, want = decider.answer(g, u, v, L), loop.answer(g, u, v, L)
+                assert type(got[0]) is bool and got == want, (g.n, u, v, L)
+
+
+def test_exact_decider_equals_the_oracle_loop_corpus():
+    # the answer and every charge field, the row queries above all
+    for n in range(2, 9):
+        for p in EXACT_CORPUS_PROBS:
+            for seed in range(3):
+                assert_exact_decider_is_the_oracle_loop(sw.random_digraph(n, p, seed))
 
 
 def test_swnet_decider_agrees_on_small_instance():
@@ -246,7 +285,7 @@ def swnet_and_exact_runs(g, s, t, L, decider):
     right result but asks different questions.
     """
     runs, ledgers = [], []
-    for each in (decider, dr.exact_bfs_decider()):
+    for each in (decider, oracle_loop_decider()):
         trace = []
         result, ledger = dr.dstcon(g, s, t, L, decider=each, frontier_trace=trace)
         runs.append((result, ledger.decider_calls, ledger.peak_frontier, ledger.space_cells,
@@ -293,6 +332,12 @@ def dstcon_instances(draw, max_n=7):
     g = sw.from_edges(n, draw(st.lists(st.sampled_from(slots), unique=True, max_size=len(slots))))
     s, t = draw(st.sampled_from(slots))
     return g, s, t, draw(st.integers(1, n))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(dstcon_instances(max_n=9))
+def test_exact_decider_equals_the_oracle_loop_property(instance):
+    assert_exact_decider_is_the_oracle_loop(instance[0])
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -349,7 +394,7 @@ def test_dstcon_asks_the_rules_questions_and_is_charged_for_them(instance):
         result, ledger = dr.dstcon(g, s, t, L, decider=decider)
         assert asked == want
         assert result == ground_truth(g, s, t)
-        charged, fresh, evaluated = se.ResourceLedger(), dr.exact_bfs_decider(), set()
+        charged, fresh, evaluated = se.ResourceLedger(), oracle_loop_decider(), set()
         for u, v, k in want:
             if decider.name == "exact":
                 charged.fold(fresh.answer(g, u, v, k)[1])

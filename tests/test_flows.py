@@ -10,7 +10,7 @@ from swnet.errors import Disconnected, InvalidParams, RankDeficient, ZeroZ
 from swnet.network import _component_and_parents
 from oracles import (
     bitdot, loop_A_basis, loop_B_spanning, loop_divergence, loop_fourier_circulation, mgs_orthonormalize,
-    mgs_projector, on_distances, routed_flow, unit_flow_int64,
+    mgs_projector, on_distances, routed_flow, signed_flow_sum_norm_sq_recurrence, unit_flow_int64,
 )
 
 TOL = 1e-9
@@ -46,9 +46,9 @@ def test_flow_norm_closed_forms_match_integer_vectors():
 
 
 def test_signed_norm_recurrence_equals_closed_form():
-    for n in (2, 4, 8):
-        for ell in range(5):
-            assert fl.signed_flow_sum_norm_sq(n, ell) == fl.signed_flow_sum_norm_sq_closed(n, ell)
+    for n in range(2, 65):
+        for ell in range(9):
+            assert fl.signed_flow_sum_norm_sq(n, ell) == signed_flow_sum_norm_sq_recurrence(n, ell), (n, ell)
 
 
 def test_specific_norm_values():
@@ -204,7 +204,6 @@ def test_flow_caches_are_bounded():
     for cached, keys in [
         (fl.unit_flow, ((n, 0, j) for n in range(1, 40) for j in range(n))),
         (fl._sum_unit_flows, ((n, 0) for n in range(1, 100))),
-        (fl.signed_flow_sum_norm_sq, ((n, 0) for n in range(1, 100))),
     ]:
         bound = cached.cache_info().maxsize
         for key in keys:

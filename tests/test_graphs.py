@@ -120,8 +120,37 @@ def test_graph_file_refuses_extra_lines_as_it_streams(tmp_path):
     assert peak < 1_000_000
 
 
+def test_graph_file_refuses_a_long_line_by_number(tmp_path):
+    # a header promising one edge, then one 20,000,000-character line with no
+    # newline: the reader holds at most MAX_LINE_CHARS + 1 characters of the
+    # line, and the message names the line, not its text
+    path = tmp_path / "long_line.txt"
+    path.write_text("3 1\n" + "1" * 20_000_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParams, match="line 2 is longer than MAX_LINE_CHARS=1024") as info:
+            sw.read_graph_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(str(info.value)) < len(str(path)) + 100
+    assert peak < 200_000
+
+
+def test_graph_file_messages_echo_at_most_a_line_limit(tmp_path):
+    # a bad header or edge line at the limit is echoed, and one character more is refused unread
+    for text, match in (("x" * 1024 + "\n", "bad header"), ("3 1\n" + "y" * 1024, "bad edge line")):
+        (tmp_path / "at.txt").write_text(text)
+        with pytest.raises(InvalidParams, match=match) as info:
+            sw.read_graph_file(tmp_path / "at.txt")
+        assert len(str(info.value)) < 1024 + len(str(tmp_path)) + 40
+        (tmp_path / "past.txt").write_text(text.rstrip("\n") + "z\n")
+        with pytest.raises(InvalidParams, match="is longer than MAX_LINE_CHARS"):
+            sw.read_graph_file(tmp_path / "past.txt")
+
+
 def assert_reach_is_bounded_bfs(g, root, L):
-    got = _reach_within(g, root, L)
+    got, _ = _reach_within(g, root, L)
     assert got.dtype == bool
     assert got.tolist() == (sw.bfs_distances(g, root) <= L).tolist(), (g.n, root, L)
 
