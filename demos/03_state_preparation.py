@@ -14,8 +14,7 @@ n, ell = 4, 2
 
 print("== prefix sums (exact rationals) ==")
 for p in [(), (0,), (1,), (0, 2)]:
-    print(f"S{p} = {prep.prefix_sum_S(n, ell, p)} "
-          f"(brute force {prep.prefix_sum_S_brute(n, ell, p)})")
+    print(f"S{p} = {prep.prefix_sum_S(n, ell, p)}")
 
 print("\n== layer-weighted loading ==")
 spec = prep.AmplitudeSpec(m=ell, d=3, prefix_sum=lambda p: prep.prefix_sum_S(n, ell, p))

@@ -117,10 +117,10 @@ def cmd_dstcon(args) -> int:
 def cmd_pebble(args) -> int:
     if args.path:
         path = [int(tok) for tok in args.path.split(",")]
-        g = read_graph_file(args.graph) if args.graph else layered_path(max(path))
     else:
         path = list(range(1, args.L + 2))
-        g = layered_path(args.L + 1)
+    # a plain path has at least two vertices, so strategy_moves refuses a short path by its length
+    g = read_graph_file(args.graph) if args.path and args.graph else layered_path(max([2, *path]))
     L = len(path) - 1
     moves = pb.strategy_moves(g, path)
     pb.replay(g, path[0], moves)  # refuse to print an illegal trace

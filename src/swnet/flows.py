@@ -183,12 +183,6 @@ def flow_state(net: SwitchingNet, j: int) -> np.ndarray:
 
 # -- closed forms --------------------------------------------------------------
 
-def layer_size(n: int, tau: tuple) -> int:
-    """Number of edges whose block path has tag pattern tau in {0,1,2}^ell."""
-    zeros = sum(1 for t in tau if t == 0)
-    return n ** (1 + len(tau) - zeros)
-
-
 def flow_sum_norm_sq(n: int, ell: int) -> Fraction:
     """Squared norm of sum_j unit_flow(j) (true scale): n^2 (n+2)^ell / n^(ell+1)."""
     return Fraction(n**2 * (n + 2) ** ell, n ** (ell + 1))

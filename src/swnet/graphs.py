@@ -225,7 +225,7 @@ def _file_lines(path, fh):
 def read_graph_file(path) -> Digraph:
     """Read a graph file, streamed: the header first, then at most m edge lines.
 
-    Refuses (InvalidParams) a header n outside 1..MAX_FILE_VERTICES, an m
+    Refuses (InvalidParams) a header n outside 2..MAX_FILE_VERTICES, an m
     outside 0..n(n-1), a line longer than MAX_LINE_CHARS and a file with a
     non-blank line past the m-th edge, at that line, so bad input allocates
     no more than its header admits, and no message echoes a longer line.
@@ -239,8 +239,8 @@ def read_graph_file(path) -> Digraph:
             n, m = (int(tok) for tok in header.split())
         except ValueError as exc:
             raise InvalidParams(f"{path}: bad header {header!r}") from exc
-        if not 1 <= n <= MAX_FILE_VERTICES:
-            raise InvalidParams(f"{path}: header n = {n} is not in 1..MAX_FILE_VERTICES={MAX_FILE_VERTICES}")
+        if not 2 <= n <= MAX_FILE_VERTICES:
+            raise InvalidParams(f"{path}: header n = {n} is not in 2..MAX_FILE_VERTICES={MAX_FILE_VERTICES}")
         if not 0 <= m <= n * (n - 1):
             raise InvalidParams(f"{path}: header m = {m} is not in 0..n(n-1) = {n * (n - 1)}")
         seen = set()

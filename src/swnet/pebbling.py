@@ -9,12 +9,11 @@ traces self-certifying.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadPath, CapExceeded, IllegalMove, InvalidParams
+from .errors import BadPath, IllegalMove, InvalidParams
 from .graphs import Digraph
 from .network import leaf_symbols
 
@@ -89,60 +88,6 @@ def strategy_moves(g: Digraph, path: list[int]) -> list[PebbleMove]:
         return first + second + undo
 
     return recurse(0, len(path) - 1)
-
-
-def reachable_configs(
-    g: Digraph, start: int, max_pebbles: int, cap: int = 10**6
-) -> set[frozenset]:
-    """All configurations reachable from {start} with at most max_pebbles.
-
-    Exhaustive BFS over the configuration graph; the independent oracle
-    for the distance bounds.  Raises CapExceeded past ``cap`` states.
-    """
-    if max_pebbles < 1:
-        raise InvalidParams("need at least one pebble")
-    first = frozenset({start})
-    seen = {first}
-    queue = deque([first])
-    while queue:
-        config = queue.popleft()
-        for v in config:
-            for w in range(1, g.n + 1):
-                if not g.has_edge(v, w):
-                    continue
-                nxt = None
-                if w in config:
-                    nxt = config - {w}
-                elif len(config) < max_pebbles:
-                    nxt = config | {w}
-                if nxt is not None and nxt not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(f"more than {cap} configurations")
-                    seen.add(nxt)
-                    queue.append(nxt)
-    return seen
-
-
-def max_pebbled_distance(configs, dist) -> int:
-    """Largest BFS distance (array indexed by vertex-1) of any pebbled vertex."""
-    best = 0
-    for config in configs:
-        for v in config:
-            d = dist[v - 1]
-            if d != float("inf"):
-                best = max(best, int(d))
-    return best
-
-
-def max_pair_distance(configs, start: int, dist) -> int:
-    """Largest distance of v over reachable two-pebble configs {start, v}."""
-    best = 0
-    for config in configs:
-        if len(config) == 2 and start in config:
-            (v,) = config - {start}
-            if dist[v - 1] != float("inf"):
-                best = max(best, int(dist[v - 1]))
-    return best
 
 
 # -- trace format -----------------------------------------------------------------

@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -117,22 +116,15 @@ def grover_rudolph(spec: AmplitudeSpec) -> tuple[np.ndarray, PrepCircuit]:
 def prefix_sum_S(n: int, ell: int, p: tuple) -> Fraction:
     """Sum over tag patterns extending p of 1/|E_tau|, in closed form.
 
-    Equals (n+2)^(ell-k) / n^(ell+1-z) for a length-k prefix with z zeros,
-    and agrees with brute-force enumeration of the layers.
+    Equals (n+2)^(ell-k) / n^(ell+1-z) for a length-k prefix with z zeros;
+    the tests hold it to brute-force enumeration of the layers
+    (``prefix_sum_S_brute`` in ``tests/oracles.py``).
     """
     k = len(p)
     if k > ell or any(t not in (0, 1, 2) for t in p):
         raise InvalidParams(f"bad tag prefix {p}")
     zeros = sum(1 for t in p if t == 0)
     return Fraction((n + 2) ** (ell - k), n ** (ell + 1 - zeros))
-
-
-def prefix_sum_S_brute(n: int, ell: int, p: tuple) -> Fraction:
-    """Enumeration oracle for prefix_sum_S."""
-    total = Fraction(0)
-    for tail in product((0, 1, 2), repeat=ell - len(p)):
-        total += Fraction(1, fl.layer_size(n, p + tail))
-    return total
 
 
 def _layer_amplitudes(n: int, ell: int) -> tuple[np.ndarray, np.ndarray]:

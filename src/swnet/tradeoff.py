@@ -135,7 +135,8 @@ def sweep(config: dict) -> list[TradeoffPoint]:
     optional "c" (default 1.0), "c_L", "decider" (exact | swnet | noisy:P),
     "seeds" (list, default [0]), "edge_prob", "measure_max_n" (default 64,
     at most graphs.MAX_FILE_VERTICES), "reps".  n, S and seeds are lists of
-    integers; c, c_L and edge_prob are numbers.  The decider and reps are
+    integers, seeds is not empty, and every key of an S map names an entry
+    of n; c, c_L and edge_prob are numbers.  The decider and reps are
     checked before any row, measured or not.  Duplicate (n, S) pairs are dropped; row order follows config
     order.  A measured point's ledger folds the dstcon ledgers of its seeds;
     points with n above measure_max_n carry no ledger.
@@ -151,9 +152,14 @@ def sweep(config: dict) -> list[TradeoffPoint]:
     S_cfg = config["S"]
     if isinstance(S_cfg, dict):
         grids = {key: _integers(f"S[{key!r}]", grid) for key, grid in S_cfg.items()}
+        stray = sorted(set(grids) - set(map(str, ns)))
+        if stray:
+            raise ConfigError(f"S keys {stray} name no entry of n")
     else:
         grids = dict.fromkeys(map(str, ns), _integers("S", S_cfg))
     seeds = _integers("seeds", config.get("seeds", [0]))
+    if not seeds:
+        raise ConfigError("seeds must name at least one seed")
     edge_prob = _number("edge_prob", config.get("edge_prob", 0.3))
     reps = _integer("reps", config.get("reps", 1))
     decider_name = config.get("decider", "exact")

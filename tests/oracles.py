@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
 from swnet import flows as fl
 from swnet import prep
 from swnet.driver import DistDecider
-from swnet.errors import InvalidParams, RankDeficient
-from swnet.graphs import GraphOracle, bfs_distances
+from swnet.errors import CapExceeded, InvalidParams, RankDeficient
+from swnet.graphs import Digraph, GraphOracle, bfs_distances
 from swnet.network import SRC, SwitchingNet, leaf_symbols, on_component, on_edge_mask
 from swnet.spaneval import ResourceLedger
 
@@ -283,6 +285,22 @@ def signed_flow_sum_norm_sq_recurrence(n: int, ell: int) -> Fraction:
     for depth in range(ell):
         norm = (norm + fl.flow_sum_norm_sq(n, depth)) / n
     return norm
+
+
+# -- layer sizes and the loader's prefix sums, by enumeration -------------------
+
+def layer_size(n: int, tau: tuple) -> int:
+    """Number of edges whose block path has tag pattern tau in {0,1,2}^ell."""
+    zeros = sum(1 for t in tau if t == 0)
+    return n ** (1 + len(tau) - zeros)
+
+
+def prefix_sum_S_brute(n: int, ell: int, p: tuple) -> Fraction:
+    """Enumeration oracle for prefix_sum_S."""
+    total = Fraction(0)
+    for tail in product((0, 1, 2), repeat=ell - len(p)):
+        total += Fraction(1, layer_size(n, p + tail))
+    return total
 
 
 # -- flow vectors and the sum-of-flows state, leaf by leaf ------------------------
@@ -583,3 +601,59 @@ def dstcon_questions(g, s: int, t: int, L: int, frontiers: list | None = None) -
                 ask_members(S, t, L)
             return questions
     return questions
+
+
+# -- the pebbling game's reach, by exhaustive configuration search --------------
+
+def reachable_configs(
+    g: Digraph, start: int, max_pebbles: int, cap: int = 10**6
+) -> set[frozenset]:
+    """All configurations reachable from {start} with at most max_pebbles.
+
+    Exhaustive BFS over the configuration graph; the independent oracle
+    for the distance bounds.  Raises CapExceeded past ``cap`` states.
+    """
+    if max_pebbles < 1:
+        raise InvalidParams("need at least one pebble")
+    first = frozenset({start})
+    seen = {first}
+    queue = deque([first])
+    while queue:
+        config = queue.popleft()
+        for v in config:
+            for w in range(1, g.n + 1):
+                if not g.has_edge(v, w):
+                    continue
+                nxt = None
+                if w in config:
+                    nxt = config - {w}
+                elif len(config) < max_pebbles:
+                    nxt = config | {w}
+                if nxt is not None and nxt not in seen:
+                    if len(seen) >= cap:
+                        raise CapExceeded(f"more than {cap} configurations")
+                    seen.add(nxt)
+                    queue.append(nxt)
+    return seen
+
+
+def max_pebbled_distance(configs, dist) -> int:
+    """Largest BFS distance (array indexed by vertex-1) of any pebbled vertex."""
+    best = 0
+    for config in configs:
+        for v in config:
+            d = dist[v - 1]
+            if d != float("inf"):
+                best = max(best, int(d))
+    return best
+
+
+def max_pair_distance(configs, start: int, dist) -> int:
+    """Largest distance of v over reachable two-pebble configs {start, v}."""
+    best = 0
+    for config in configs:
+        if len(config) == 2 and start in config:
+            (v,) = config - {start}
+            if dist[v - 1] != float("inf"):
+                best = max(best, int(dist[v - 1]))
+    return best

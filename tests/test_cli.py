@@ -494,6 +494,14 @@ def test_decide_rejects_graph_header_n_out_of_bounds(tmp_path, capsys, header):
     assert "MAX_FILE_VERTICES" in capsys.readouterr().err
 
 
+def test_decide_refuses_a_graph_file_with_one_vertex(tmp_path, capsys):
+    # refused at the header, by the file's name, not later by Digraph's "need n >= 2"
+    graph = tmp_path / "g.txt"
+    graph.write_text("1 0\n")
+    assert main(["decide", "--graph", str(graph), "--u", "1", "--v", "1", "--L", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {graph}: header n = 1 is not in 2..MAX_FILE_VERTICES=4096\n"
+
+
 @pytest.mark.parametrize("header", ["3 7", "3 -1", "4096 16773121"])
 def test_decide_rejects_graph_header_m_out_of_bounds(tmp_path, capsys, header):
     # m is at most n(n-1), the edges a digraph without self-loops has
@@ -541,6 +549,22 @@ def test_pebble_refuses_a_path_vertex_outside_the_graph(c4_graph, capsys, path):
     assert out == "" and "out of range 1..4" in err
 
 
+@pytest.mark.parametrize(
+    "argv, length", [(["--L", "0"], 0), (["--L", "-1"], -1), (["--path", "1"], 0)], ids=["L0", "L-1", "path1"]
+)
+def test_pebble_refuses_a_short_path_by_its_length(capsys, argv, length):
+    # without --graph the plain path is built on at least two vertices, so the
+    # refusal is strategy_moves' own, as it is with a graph
+    assert main(["pebble", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: path length {length} is not a positive power of two\n"
+
+
+def test_pebble_path_of_one_vertex_is_refused_alike_with_a_graph(c4_graph, capsys):
+    assert main(["pebble", "--graph", c4_graph, "--path", "1"]) == 2
+    assert capsys.readouterr().err == "error: path length 0 is not a positive power of two\n"
+
+
 @pytest.mark.parametrize("config", [
     {"n": 8, "S": [16]},
     {"n": [8], "S": 16},
@@ -561,6 +585,10 @@ def test_pebble_refuses_a_path_vertex_outside_the_graph(c4_graph, capsys, path):
     {"n": [5000], "S": [169], "decider": "bogus"},
     {"n": [8], "S": [16], "decider": "noisy:abc", "measure_max_n": 4},
     {"n": [8], "S": [16], "reps": 2, "measure_max_n": 4},
+    # no seed would print zero time and zero cells as a measurement
+    {"n": [8], "S": [16], "seeds": []},
+    # an S map key that names no n would print the header alone
+    {"n": [8], "S": {"9": [16]}},
 ], ids=repr)
 def test_sweep_malformed_config_exits_2(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"

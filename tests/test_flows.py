@@ -9,7 +9,7 @@ from swnet import prep
 from swnet.errors import Disconnected, InvalidParams, RankDeficient, ZeroZ
 from swnet.network import _component_and_parents
 from oracles import (
-    bitdot, loop_A_basis, loop_B_spanning, loop_divergence, loop_fourier_circulation, mgs_orthonormalize,
+    bitdot, layer_size, loop_A_basis, loop_B_spanning, loop_divergence, loop_fourier_circulation, mgs_orthonormalize,
     mgs_projector, on_distances, routed_flow, signed_flow_sum_norm_sq_recurrence, unit_flow_int64,
 )
 
@@ -23,9 +23,9 @@ def normalized(v):
 # -- closed forms ------------------------------------------------------------
 
 def test_layer_size_formula():
-    assert fl.layer_size(4, (0, 1, 2)) == 4**3
-    assert fl.layer_size(2, (0,)) == 2
-    assert fl.layer_size(2, (1,)) == 4
+    assert layer_size(4, (0, 1, 2)) == 4**3
+    assert layer_size(2, (0,)) == 2
+    assert layer_size(2, (1,)) == 4
     # brute force at n=2, ell=1: layers of sizes 2, 4, 4
     assert prep.prefix_sum_S(2, 1, ()) == Fraction(1, 2) + Fraction(1, 4) + Fraction(1, 4)
 

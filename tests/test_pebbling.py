@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import swnet as sw
-from oracles import assoc
+from oracles import assoc, max_pair_distance, max_pebbled_distance, reachable_configs
 from swnet import pebbling as pb
 from swnet.errors import BadPath, CapExceeded, IllegalMove, InvalidParams
 from swnet.network import leaf_symbols
@@ -65,18 +65,18 @@ def test_strategy_rejects_bad_paths():
 
 def test_reachable_configs_no_out_edges():
     g = sw.from_edges(3, [(2, 3)])
-    assert pb.reachable_configs(g, 1, 3) == {frozenset({1})}
+    assert reachable_configs(g, 1, 3) == {frozenset({1})}
 
 
 def test_reachable_configs_cap():
     g = sw.complete(5)
     with pytest.raises(CapExceeded):
-        pb.reachable_configs(g, 1, 5, cap=10)
+        reachable_configs(g, 1, 5, cap=10)
 
 
 def test_reachable_only_reachable_vertices():
     g = sw.from_edges(4, [(1, 2), (3, 4)])
-    cfgs = pb.reachable_configs(g, 1, 4)
+    cfgs = reachable_configs(g, 1, 4)
     pebbled = set().union(*cfgs)
     assert pebbled == {1, 2}
     # random graphs: every vertex any legal sequence ever pebbles is
@@ -84,7 +84,7 @@ def test_reachable_only_reachable_vertices():
     for seed in range(10):
         g = sw.random_digraph(5, 0.35, 300 + seed)
         dist = sw.bfs_distances(g, 1)
-        cfgs = pb.reachable_configs(g, 1, 4)
+        cfgs = reachable_configs(g, 1, 4)
         for v in set().union(*cfgs):
             assert dist[v - 1] != sw.INF
 
@@ -93,11 +93,11 @@ def test_reachable_only_reachable_vertices():
 def test_distance_bounds_on_paths(ell):
     g = sw.layered_path(2 ** (ell - 1) + 3)
     dist = sw.bfs_distances(g, 1)
-    cfgs = pb.reachable_configs(g, 1, ell)
+    cfgs = reachable_configs(g, 1, ell)
     # with ell pebbles nothing beyond distance 2^(ell-1) - 1 is pebbled,
     # and a bare {start, v} pair never exceeds 2^(ell-2); both are tight
-    assert pb.max_pebbled_distance(cfgs, dist) == 2 ** (ell - 1) - 1
-    assert pb.max_pair_distance(cfgs, 1, dist) == 2 ** (ell - 2)
+    assert max_pebbled_distance(cfgs, dist) == 2 ** (ell - 1) - 1
+    assert max_pair_distance(cfgs, 1, dist) == 2 ** (ell - 2)
 
 
 def test_trace_format():

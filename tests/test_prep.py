@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import swnet as sw
-from oracles import bitdot, leaf_decode_sum_of_flows
+from oracles import bitdot, layer_size, leaf_decode_sum_of_flows, prefix_sum_S_brute
 from swnet import flows as fl
 from swnet import prep
 from swnet.errors import InvalidParams, NegativePrefix, ZeroZ
@@ -73,13 +73,13 @@ def test_prefix_sums_exact_against_enumeration():
         for ell in (1, 2, 3):
             for k in range(ell + 1):
                 for p in product((0, 1, 2), repeat=k):
-                    assert prep.prefix_sum_S(n, ell, p) == prep.prefix_sum_S_brute(n, ell, p)
+                    assert prep.prefix_sum_S(n, ell, p) == prefix_sum_S_brute(n, ell, p)
 
 
 def test_prefix_sum_examples():
     assert prep.prefix_sum_S(2, 1, ()) == 1
     assert prep.prefix_sum_S(2, 1, (0,)) == Fraction(1, 2)
-    assert prep.prefix_sum_S(2, 2, (1, 2)) == Fraction(1, fl.layer_size(2, (1, 2)))
+    assert prep.prefix_sum_S(2, 2, (1, 2)) == Fraction(1, layer_size(2, (1, 2)))
 
 
 # -- the four preparers ----------------------------------------------------------
