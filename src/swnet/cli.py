@@ -19,7 +19,7 @@ from . import pebbling as pb
 from . import prep
 from .driver import boosted, decider_from_name, dstcon
 from .errors import InvalidParams, InvariantViolation, SwnetError
-from .graphs import layered_path, read_graph_file
+from .graphs import MAX_FILE_VERTICES, layered_path, read_graph_file
 from .network import build, leaf_symbols
 from .spaneval import decide_distance_report
 from .tradeoff import sweep_csv
@@ -115,12 +115,17 @@ def cmd_dstcon(args) -> int:
 
 
 def cmd_pebble(args) -> int:
-    if args.path:
-        path = [int(tok) for tok in args.path.split(",")]
+    path = [int(tok) for tok in args.path.split(",")] if args.path else None
+    if path and args.graph:
+        g = read_graph_file(args.graph)
     else:
-        path = list(range(1, args.L + 2))
-    # a plain path has at least two vertices, so strategy_moves refuses a short path by its length
-    g = read_graph_file(args.graph) if args.path and args.graph else layered_path(max([2, *path]))
+        # a plain path has at least two vertices, so strategy_moves refuses a short path by its length;
+        # its dense adjacency is refused, before it is built, past a graph file's cap
+        n = max(2, *path) if path else max(2, args.L + 1)
+        if n > MAX_FILE_VERTICES:
+            raise InvalidParams(f"a plain path on {n} vertices is above MAX_FILE_VERTICES={MAX_FILE_VERTICES}")
+        g = layered_path(n)
+        path = path or list(range(1, args.L + 2))
     L = len(path) - 1
     moves = pb.strategy_moves(g, path)
     pb.replay(g, path[0], moves)  # refuse to print an illegal trace

@@ -20,19 +20,21 @@ questions follow from the graph, s, t and L alone.
 Deciders answer "is there a directed u -> v path of length at most L" and
 return, with each answer, the ResourceLedger of that one call: its model
 time, oracle queries and register cells.  The switching-network decider
-answers every sink of one (source, length) from one verdict array, read
+answers every sink of one (source, length) from one verdict list, read
 from one network evaluation (spaneval.Evaluation.verdicts) kept for the
-graph it is asking about; in spectral mode that array is the reach of a
+graph it is asking about; in spectral mode that list is the reach of a
 BFS of that graph bounded at the length: nothing is grafted and no
 effective resistance is found.  Each call is charged the full decision
 at the grafted size its network would be built on, a function of that
 size alone, shared read-only (spaneval.size_charges); only the first call
 of a (source, length), the one that ran the evaluation, counts it in
 ``network_evaluations``.  A v == u call, which dstcon never makes, is
-charged the trivial decision instead.  The exact decider reads the same
-bounded BFS of g and charges n time steps and that BFS's row queries.  A
-noisy decider passes its inner charge through, and a majority vote, which
-the caller builds (boosted), sums its repetitions' charges as one call.
+charged the trivial decision instead.  The exact decider runs the same
+bounded BFS of g once per (source, length), keeps it for that graph as
+swnet does, and charges every call n time steps and that BFS's row
+queries.  A noisy decider passes its inner charge through, and a majority
+vote, which the caller builds (boosted), sums its repetitions' charges as
+one call.
 dstcon folds every charge into its ledger (ResourceLedger.fold), so each
 call is charged once.
 """
@@ -76,17 +78,33 @@ class DistDecider:
 def exact_bfs_decider() -> DistDecider:
     """Deterministic ground-truth decider: reach[v - 1] of the bounded BFS every route reads (graphs._reach_within).
 
-    Charges n time steps, that BFS's row queries and one call.  Refuses u
-    or v outside 1..n and L < 1 (InvalidParams), as swnet does.
+    The BFS runs once per (u, L): its reach, as n bytes, and its charge are
+    kept, keyed by (u, L), for the graph last seen (compared by identity)
+    and dropped when another graph comes, as swnet_decider keeps its
+    verdicts.  Every call is charged n time steps, that BFS's row queries
+    and one call; the charge is shared read-only by the calls of its
+    (u, L).  Refuses u or v outside 1..n and L < 1 (InvalidParams), as
+    swnet does, before the memo is read.
     """
+    memo: dict[tuple[int, int], tuple[bytes, ResourceLedger]] = {}
+    seen: Digraph | None = None
 
     def answer(g: Digraph, u: int, v: int, L: int) -> tuple[bool, ResourceLedger]:
+        nonlocal seen
         if L < 1:
             raise InvalidParams("L must be >= 1")
         if not (1 <= u <= g.n and 1 <= v <= g.n):
             raise InvalidParams(f"vertex pair ({u}, {v}) out of range 1..{g.n}")
-        reach, queries = _reach_within(g, u, L)
-        return bool(reach[v - 1]), ResourceLedger(time_steps=float(g.n), oracle_queries=queries, decider_calls=1)
+        if g is not seen:
+            memo.clear()
+            seen = g
+        entry = memo.get((u, L))
+        if entry is None:
+            reach, queries = _reach_within(g, u, L)
+            charge = ResourceLedger(time_steps=float(g.n), oracle_queries=queries, decider_calls=1)
+            entry = memo[u, L] = bytes(reach), charge
+        reach, charge = entry
+        return reach[v - 1] == 1, charge
 
     return DistDecider(name="exact", answer=answer)
 
@@ -95,18 +113,19 @@ def swnet_decider(mode: str = "spectral") -> DistDecider:
     """Decide through the switching network (exact or spectral evaluation).
 
     One Evaluation per (u, length) answers every sink of the graph from one
-    verdict array (Evaluation.verdicts).  In spectral mode that array is the
+    verdict list (Evaluation.verdicts).  In spectral mode that list is the
     reach of a BFS of g from u bounded at the length, by the witness bound
     R <= 3^ell, so the decider finds no effective resistance R and grafts
-    nothing: each (u, length) costs one bounded BFS.  The array is kept,
-    keyed by (u, length), for the graph last seen (compared by identity) and
-    dropped when another graph comes.  A charge is a function of the size
-    alone, shared read-only (spaneval.size_charges): the first call of a
-    (u, length) gets the evaluation's own charge, which counts it in
-    ``network_evaluations``, and every later call its repeat, which counts 0
-    there.  A v == u call is charged the trivial decision at g's n instead.
+    nothing: each (u, length) costs one bounded BFS.  The verdicts are kept,
+    as n bytes, keyed by (u, length), for the graph last seen (compared by
+    identity) and dropped when another graph comes.  A charge is a function
+    of the size alone, shared read-only (spaneval.size_charges): the first
+    call of a (u, length) gets the evaluation's own charge, which counts it
+    in ``network_evaluations``, and every later call its repeat, which
+    counts 0 there.  A v == u call is charged the trivial decision at g's n
+    instead.
     """
-    memo: dict[tuple[int, int], tuple[list, tuple]] = {}  # the verdicts and the size's charges
+    memo: dict[tuple[int, int], tuple[bytes, tuple]] = {}  # the verdicts and the size's charges
     seen: Digraph | None = None
 
     def answer(g: Digraph, u: int, v: int, L: int) -> tuple[bool, ResourceLedger]:
@@ -120,11 +139,11 @@ def swnet_decider(mode: str = "spectral") -> DistDecider:
         repeat = entry is not None
         if not repeat:
             evaluation = Evaluation(g, u, L, mode)
-            entry = memo[u, L] = evaluation.verdicts().tolist(), evaluation.charges
+            entry = memo[u, L] = bytes(evaluation.verdicts()), evaluation.charges
         verdicts, charges = entry
         if v == u:
             charges = size_charges(g.n, L)[2:]
-        return verdicts[v - 1], charges[repeat]
+        return verdicts[v - 1] == 1, charges[repeat]
 
     return DistDecider(name=f"swnet-{mode}", answer=answer)
 

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
-from itertools import compress
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,15 +21,21 @@ MAX_FILE_VERTICES = 4096  # a graph file's n; its dense adjacency is 16 MB
 
 @dataclass(frozen=True)
 class Digraph:
-    """Directed graph on vertices 1..n with dense boolean adjacency.
+    """Directed graph on vertices 1..n with dense boolean adjacency and successor lists.
 
     ``adj[i-1, j-1]`` is True iff there is an edge i -> j.  No self-loops.
-    Instances are immutable after construction and safe to share across
-    threads.
+    ``succ[i-1]`` lists the 0-based heads j-1 of i's edges in increasing
+    order, built once, row by row, by masking one object array of the
+    vertex ints: the lists share one int object per vertex, so an edge
+    costs one reference, and no temporary outgrows a row.  The BFS routes
+    (bfs_distances, _reach_within) read succ, not adjacency rows.
+    Instances are immutable after construction (succ is read-only by
+    contract) and safe to share across threads.
     """
 
     n: int
     adj: np.ndarray
+    succ: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -43,6 +48,8 @@ class Digraph:
         adj = adj.copy()
         adj.flags.writeable = False
         object.__setattr__(self, "adj", adj)
+        vertices = np.arange(self.n).astype(object)  # one int object per vertex, shared by every list
+        object.__setattr__(self, "succ", [vertices[row].tolist() for row in adj])
 
     @property
     def edge_count(self) -> int:
@@ -91,39 +98,41 @@ class GraphOracle:
 # -- distances ---------------------------------------------------------------
 
 def bfs_distances(g: Digraph, u: int) -> np.ndarray:
-    """Exact directed distances from u to every vertex (INF if unreachable)."""
-    dist = np.full(g.n, INF)
+    """Exact directed distances from u to every vertex (INF if unreachable), read from g.succ."""
+    dist = [INF] * g.n
     dist[u - 1] = 0
     queue = deque([u - 1])
-    adj = g.adj
+    succ = g.succ
     while queue:
         a = queue.popleft()
         d = dist[a] + 1
-        for b in np.nonzero(adj[a])[0]:
+        for b in succ[a]:
             if dist[b] == INF:
                 dist[b] = d
                 queue.append(b)
-    return dist
+    return np.array(dist, dtype=float)
 
 
-def _reach_within(g: Digraph, root: int, L: int) -> tuple[np.ndarray, int]:
-    """(bfs_distances(g, root) <= L, the row queries of a scan of its rows through a GraphOracle).
+def _reach_within(g: Digraph, root: int, L: int) -> tuple[list[bool], int]:
+    """(bfs_distances(g, root) <= L as a list of bools, the row queries of a scan of its rows through a GraphOracle).
 
     A BFS bounded at L: it expands no vertex at distance L and stops early
-    when a level adds nothing.  Each expanded row is read once as a Python
-    list, so the cost is the rows it expands, not n rows of numpy calls.
-    Each expanded vertex asks g.n minus the vertices reached before its row.
+    when a level adds nothing.  It reads each expanded vertex's successor
+    list (g.succ), so its cost is the edges it expands, with no numpy call.
+    Each expanded vertex asks g.n minus the vertices reached before its row,
+    as the adjacency-row scan it replaces did (tests/oracles.py keeps that
+    scan as the reference).
     """
     reached = [False] * g.n
     reached[root - 1] = True
     frontier = [root - 1]
-    vertices = range(g.n)
+    succ = g.succ
     found, queries = 1, 0  # the vertices reached before the level; the rows' queries
     for _ in range(L):
         nxt = []
         for a in frontier:
             queries += g.n - found - len(nxt)
-            for b in compress(vertices, g.adj[a].tolist()):
+            for b in succ[a]:
                 if not reached[b]:
                     reached[b] = True
                     nxt.append(b)
@@ -131,7 +140,7 @@ def _reach_within(g: Digraph, root: int, L: int) -> tuple[np.ndarray, int]:
             break
         found += len(nxt)
         frontier = nxt
-    return np.array(reached), queries
+    return reached, queries
 
 
 def bfs_distance(g: Digraph, u: int, v: int):

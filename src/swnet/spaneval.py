@@ -54,7 +54,7 @@ ReflectionPair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -197,7 +197,9 @@ def build_reflections(net: SwitchingNet, oracle: GraphOracle, sink_index: int) -
 class DecisionReport:
     """Outcome of one simulated span-program decision.
 
-    ``route`` names how the answer was reached; see Evaluation.
+    ``route`` names how the answer was reached; see Evaluation.  The
+    ledger is the report's own: Evaluation.report passes a copy of the
+    shared size charge, so a caller may change it.
     """
 
     accepted: bool
@@ -296,6 +298,8 @@ class Evaluation:
     (network.check_edge_budget), in every mode, built or not; past either,
     ``charges`` raises InvalidParams, and verdicts() and every report of a
     sink v != u read it first, before anything is grafted or allocated.
+    ``charges`` and ``_reach`` are properties over plain attributes filled
+    on their first successful read, with no lock on that read.
     Reach is found once, off g, not off the graft, so a faulty graft cannot
     move it with the routes (graphs._reach_within): the vertices of g within
     the asked L of u, and the chain.  These are the vertices within distance
@@ -303,9 +307,9 @@ class Evaluation:
     sinks of the source's on-component.  Every route's verdict is held to
     it, and ReachMismatch, naming every sink index where they differ, is
     raised if they do.  ``verdicts()`` answers every sink at once, as one
-    array, and ``report(v)`` answers "is there a directed u -> v path of
-    length at most L" from the same cached arrays, along one route, recorded
-    in ``report.route``:
+    list, and ``report(v)`` answers "is there a directed u -> v path of
+    length at most L" from the same reach, labels or resistances, each found
+    once per evaluation, along one route, recorded in ``report.route``:
 
     - ``trivial``: v == u, answered without the network;
     - ``exact`` (mode "exact"): whether the component labels of the built
@@ -329,7 +333,7 @@ class Evaluation:
       built.  Its verdicts are decided sink by sink.
 
     Only the exact and dense routes build the network (``net``, on first
-    use).  Every report carries a copy of the full ledger of one decision:
+    use).  Every report carries its own copy of the full ledger of one decision:
     the accounted quantum time and register cells at the vertex count the
     network is built on (n + 2^ell - L), one decider call, the |E| oracle
     queries of masking the network and one network evaluation, charged
@@ -391,17 +395,20 @@ class Evaluation:
         self.threshold = acceptance_threshold(self.ell)
         self._feed = self.L - L
         self._root = g.n + 1 if self._feed else u  # the chain head attach_source_path grafts
+        self._charges = self._reached = None  # filled by the first read of charges and _reach
 
-    @cached_property
+    @property
     def charges(self) -> tuple[ResourceLedger, ...]:
-        """This decision's size_charges; raises the class docstring's refusals first, on every read."""
-        grafted_n = self.g.n + self._feed
-        if self.L > 1 << (grafted_n - 1).bit_length():
-            raise InvalidParams(
-                f"L = {self.L} exceeds the power of two at or above the grafted vertex count {grafted_n}"
-            )
-        check_edge_budget(grafted_n, self.ell)
-        return size_charges(grafted_n, self.L)
+        """This decision's size_charges; raises the class docstring's refusals first, on every read until one passes."""
+        if self._charges is None:
+            grafted_n = self.g.n + self._feed
+            if self.L > 1 << (grafted_n - 1).bit_length():
+                raise InvalidParams(
+                    f"L = {self.L} exceeds the power of two at or above the grafted vertex count {grafted_n}"
+                )
+            check_edge_budget(grafted_n, self.ell)
+            self._charges = size_charges(grafted_n, self.L)
+        return self._charges
 
     @cached_property
     def graph(self) -> Digraph:
@@ -413,19 +420,18 @@ class Evaluation:
         """The network on the grafted graph, built only by the routes that read it."""
         return build(self.graph.n, self.ell, self._root)
 
-    @cached_property
-    def _reach(self) -> np.ndarray:
+    @property
+    def _reach(self) -> list[bool]:
         """Whether each vertex of the grafted graph lies within 2^ell of the root, read off g: every route's reference.
 
         The vertices of g within the asked L of u, and the chain (the head
         reaches chain vertex k at distance k < 2^ell - L and u at 2^ell - L).
         """
-        reach, _ = _reach_within(self.g, self.u, self.L - self._feed)
-        if not self._feed:  # nothing grafted
-            return reach
-        grafted = np.ones(self.g.n + self._feed, dtype=bool)
-        grafted[: self.g.n] = reach
-        return grafted
+        if self._reached is None:
+            reach, _ = _reach_within(self.g, self.u, self.L - self._feed)
+            reach += [True] * self._feed
+            self._reached = reach
+        return self._reached
 
     def _hold_to_reach(self, joined: np.ndarray, what: str, sink: int | None = None) -> None:
         """Raise ReachMismatch unless ``joined`` (one flag per vertex) is the bounded BFS's reach.
@@ -478,7 +484,7 @@ class Evaluation:
             raise ReachMismatch(f"sink index {sink}: the dense spectrum and the bounded BFS disagree")
         return dense.accepted, dense.overlap0
 
-    def verdicts(self) -> np.ndarray:
+    def verdicts(self) -> list[bool]:
         """Every sink's verdict at once: entry v - 1 is ``report(v).accepted``, for v = 1..n.
 
         The resistance route's verdicts are the bounded BFS's reach, by the
@@ -491,41 +497,38 @@ class Evaluation:
         n = self.g.n
         if self.mode == "exact":
             self._hold_to_reach(self._labels, "the component labels")
-            return self._labels[:n]
+            return self._labels[:n].tolist()
         if self.mode == "spectral":
             return self._reach[:n]
-        return np.array([v == self.u or self._dense(v - 1)[0] for v in range(1, n + 1)])
+        return [v == self.u or self._dense(v - 1)[0] for v in range(1, n + 1)]
 
     def report(self, v: int, witness: bool = False) -> DecisionReport:
         """The decision for sink v; see the class docstring."""
-        report = DecisionReport(
-            accepted=True, overlap0=1.0, witness_energy=None, path_len=None,
-            threshold=self.threshold, route="trivial",
-        )
         if not 1 <= v <= self.g.n:
             raise InvalidParams(f"sink v = {v} out of range 1..{self.g.n}")
+        energy = path_len = None
         if v == self.u:
-            report.ledger = replace(size_charges(self.g.n, self.L)[3])
+            route, accepted, overlap0, charge = "trivial", True, 1.0, size_charges(self.g.n, self.L)[3]
             if witness:
-                report.witness_energy, report.path_len = 0.0, 0
-            return report
-        charge = self.charges[0]  # every refusal, before anything is grafted
-        sink = v - 1
-        if self.mode == "spectral-dense":
-            report.route = "dense"
-            report.accepted, report.overlap0 = self._dense(sink)
-        elif self.mode == "spectral":
-            # the verdict is the reach (the witness bound); an unreached sink reads no R
-            report.route, report.accepted = "resistance", bool(self._reach[sink])
-            report.overlap0 = float(2 / (2 * self._resistances[sink] + 4)) if report.accepted else 0.0
+                energy, path_len = 0.0, 0
         else:
-            self._hold_to_reach(self._labels, "the component labels", sink)
-            report.route, report.accepted = "exact", bool(self._labels[sink])
-            report.overlap0 = float(report.accepted)
-        if witness and report.accepted:
-            report.witness_energy, report.path_len = float(self._resistances[sink]), 3**self.ell
-        report.ledger = replace(charge)
-        return report
+            charge = self.charges[0]  # every refusal, before anything is grafted
+            sink = v - 1
+            if self.mode == "spectral-dense":
+                route = "dense"
+                accepted, overlap0 = self._dense(sink)
+            elif self.mode == "spectral":
+                # the verdict is the reach (the witness bound); an unreached sink reads no R
+                route, accepted = "resistance", self._reach[sink]
+                overlap0 = float(2 / (2 * self._resistances[sink] + 4)) if accepted else 0.0
+            else:
+                self._hold_to_reach(self._labels, "the component labels", sink)
+                route, accepted = "exact", bool(self._labels[sink])
+                overlap0 = float(accepted)
+            if witness and accepted:
+                energy, path_len = float(self._resistances[sink]), 3**self.ell
+        return DecisionReport(accepted, overlap0, energy, path_len, self.threshold, route,
+                              ledger=ResourceLedger(**vars(charge)))
 
 
 def decide_length_bounded(

@@ -135,11 +135,12 @@ def sweep(config: dict) -> list[TradeoffPoint]:
     optional "c" (default 1.0), "c_L", "decider" (exact | swnet | noisy:P),
     "seeds" (list, default [0]), "edge_prob", "measure_max_n" (default 64,
     at most graphs.MAX_FILE_VERTICES), "reps".  n, S and seeds are lists of
-    integers, seeds is not empty, and every key of an S map names an entry
-    of n; c, c_L and edge_prob are numbers.  The decider and reps are
-    checked before any row, measured or not.  Duplicate (n, S) pairs are dropped; row order follows config
-    order.  A measured point's ledger folds the dstcon ledgers of its seeds;
-    points with n above measure_max_n carry no ledger.
+    integers, n and seeds are not empty, and the keys of an S map are
+    exactly the entries of n; c, c_L and edge_prob are numbers.  The
+    decider and reps are checked before any row, measured or not.
+    Duplicate (n, S) pairs are dropped; row order follows config order.
+    A measured point's ledger folds the dstcon ledgers of its seeds; points
+    with n above measure_max_n carry no ledger.
     """
     if not isinstance(config, dict) or "n" not in config or "S" not in config:
         raise ConfigError('config must provide "n" and "S"')
@@ -149,12 +150,17 @@ def sweep(config: dict) -> list[TradeoffPoint]:
     if measure_max_n > MAX_FILE_VERTICES:
         raise ConfigError(f"measure_max_n = {measure_max_n} is above MAX_FILE_VERTICES={MAX_FILE_VERTICES}")
     ns = _integers("n", config["n"])
+    if not ns:
+        raise ConfigError("n must name at least one size")
     S_cfg = config["S"]
     if isinstance(S_cfg, dict):
         grids = {key: _integers(f"S[{key!r}]", grid) for key, grid in S_cfg.items()}
         stray = sorted(set(grids) - set(map(str, ns)))
         if stray:
             raise ConfigError(f"S keys {stray} name no entry of n")
+        missing = [n for n in ns if str(n) not in grids]
+        if missing:
+            raise ConfigError(f"S map has no key for n = {missing}")
     else:
         grids = dict.fromkeys(map(str, ns), _integers("S", S_cfg))
     seeds = _integers("seeds", config.get("seeds", [0]))
@@ -169,7 +175,7 @@ def sweep(config: dict) -> list[TradeoffPoint]:
 
     points, seen = [], set()
     for n in ns:
-        for S in grids.get(str(n), []):
+        for S in grids[str(n)]:
             if (n, S) in seen:
                 continue
             seen.add((n, S))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 
 import numpy as np
 
@@ -508,7 +508,33 @@ def isomorphic(rebuilt: RebuiltNet, net: SwitchingNet) -> bool:
     return True
 
 
-# -- the exact decider, one oracle query at a time -----------------------------------
+# -- the bounded BFS over adjacency rows, and the exact decider query by query --------
+
+def reach_within_rows(g: Digraph, root: int, L: int) -> tuple[np.ndarray, int]:
+    """graphs._reach_within as it read adjacency rows before successor lists: the reference.
+
+    A BFS bounded at L that reads each expanded row once as a Python list;
+    each expanded vertex asks g.n minus the vertices reached before its row.
+    """
+    reached = [False] * g.n
+    reached[root - 1] = True
+    frontier = [root - 1]
+    vertices = range(g.n)
+    found, queries = 1, 0  # the vertices reached before the level; the rows' queries
+    for _ in range(L):
+        nxt = []
+        for a in frontier:
+            queries += g.n - found - len(nxt)
+            for b in compress(vertices, g.adj[a].tolist()):
+                if not reached[b]:
+                    reached[b] = True
+                    nxt.append(b)
+        if not nxt:
+            break
+        found += len(nxt)
+        frontier = nxt
+    return np.array(reached), queries
+
 
 def oracle_loop_decider() -> DistDecider:
     """driver.exact_bfs_decider as a BFS over GraphOracle rows, counted query by query.

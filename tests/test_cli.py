@@ -430,7 +430,7 @@ def test_a_graft_that_misses_u_exits_3_and_leaves_spectral_verdicts_right(tmp_pa
     for L in (3, 5, 6, 7):
         for u in range(1, 7):
             want = [sw.bfs_distance(g, u, v) <= L for v in range(1, 7)]
-            assert se.Evaluation(g, u, L, "spectral").verdicts().tolist() == want, (L, u)
+            assert se.Evaluation(g, u, L, "spectral").verdicts() == want, (L, u)
     for s, t, L in ((1, 5, 3), (1, 6, 3), (2, 6, 5), (6, 1, 3)):
         runs = []
         for decider in ("swnet", "exact"):
@@ -560,6 +560,18 @@ def test_pebble_refuses_a_short_path_by_its_length(capsys, argv, length):
     assert out == "" and err == f"error: path length {length} is not a positive power of two\n"
 
 
+@pytest.mark.parametrize("argv", [["--L", "4096"], ["--path", "1,4097"]], ids=["L4096", "path4097"])
+def test_pebble_refuses_a_plain_path_past_the_cap_before_building_it(monkeypatch, capsys, argv):
+    # the first plain path above MAX_FILE_VERTICES: 4097 vertices
+    def refuse(n):
+        raise AssertionError("the plain path was built")
+
+    monkeypatch.setattr(cli, "layered_path", refuse)
+    assert main(["pebble", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: a plain path on 4097 vertices is above MAX_FILE_VERTICES=4096\n"
+
+
 def test_pebble_path_of_one_vertex_is_refused_alike_with_a_graph(c4_graph, capsys):
     assert main(["pebble", "--graph", c4_graph, "--path", "1"]) == 2
     assert capsys.readouterr().err == "error: path length 0 is not a positive power of two\n"
@@ -589,6 +601,9 @@ def test_pebble_path_of_one_vertex_is_refused_alike_with_a_graph(c4_graph, capsy
     {"n": [8], "S": [16], "seeds": []},
     # an S map key that names no n would print the header alone
     {"n": [8], "S": {"9": [16]}},
+    # an n without an S map key, or no n at all, would drop its rows silently
+    {"n": [8, 16], "S": {"8": [16]}},
+    {"n": [], "S": [16]},
 ], ids=repr)
 def test_sweep_malformed_config_exits_2(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"

@@ -1,6 +1,6 @@
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -237,6 +237,42 @@ def test_exact_decider_equals_the_oracle_loop_corpus():
         for p in EXACT_CORPUS_PROBS:
             for seed in range(3):
                 assert_exact_decider_is_the_oracle_loop(sw.random_digraph(n, p, seed))
+
+
+def dstcon_record(g, s, t, L, decider):
+    """dstcon's result, every ledger field (time_steps as float.hex) and frontier trace."""
+    trace = []
+    result, ledger = dr.dstcon(g, s, t, L, decider=decider, frontier_trace=trace)
+    fields = asdict(ledger)
+    fields["time_steps"] = float.hex(fields["time_steps"])
+    return result, fields, trace
+
+
+def test_dstcon_with_the_exact_decider_equals_the_oracle_loop_corpus():
+    # one exact decider per graph keeps each (u, L) reach across every run
+    # on that graph; the oracle loop runs each BFS afresh, query by query
+    for n in range(2, 9):
+        for p in EXACT_CORPUS_PROBS:
+            for seed in range(3):
+                g, decider = sw.random_digraph(n, p, seed), dr.exact_bfs_decider()
+                for s, t in ((1, n), (n, 1), (2, 1)):
+                    for L in range(1, n + 1):
+                        got = dstcon_record(g, s, t, L, decider)
+                        assert got == dstcon_record(g, s, t, L, oracle_loop_decider()), (n, p, seed, s, t, L)
+
+
+def test_exact_decider_answers_from_the_graph_it_is_asked_about():
+    # the kept reach belongs to the graph last seen: an edited copy is asked afresh
+    g1 = sw.layered_path(4)
+    adj = g1.adj.copy()
+    adj[1, 2] = False  # 2 -> 3 removed
+    g2 = sw.Digraph(4, adj)
+    decider, loop = dr.exact_bfs_decider(), oracle_loop_decider()
+    for g, want in ((g1, True), (g2, False), (g1, True)):
+        for v in (2, 3, 4):
+            assert decider.answer(g, 1, v, 3) == loop.answer(g, 1, v, 3), (g is g1, v)
+        assert decider.answer(g, 1, 4, 3)[0] is want
+    assert decider.answer(g1, 1, 2, 3)[1] is decider.answer(g1, 1, 4, 3)[1]
 
 
 def test_swnet_decider_agrees_on_small_instance():

@@ -2,8 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swnet as sw
+from oracles import reach_within_rows
 from swnet.errors import InvalidParams
 from swnet.graphs import _reach_within
 
@@ -150,9 +153,12 @@ def test_graph_file_messages_echo_at_most_a_line_limit(tmp_path):
 
 
 def assert_reach_is_bounded_bfs(g, root, L):
-    got, _ = _reach_within(g, root, L)
-    assert got.dtype == bool
-    assert got.tolist() == (sw.bfs_distances(g, root) <= L).tolist(), (g.n, root, L)
+    # the reach and the row queries of the adjacency-row scan it replaced
+    got, queries = _reach_within(g, root, L)
+    assert all(type(x) is bool for x in got)
+    assert got == (sw.bfs_distances(g, root) <= L).tolist(), (g.n, root, L)
+    want, want_queries = reach_within_rows(g, root, L)
+    assert (got, queries) == (want.tolist(), want_queries), (g.n, root, L)
 
 
 def test_bounded_reach_equals_bfs_within_L():
@@ -182,4 +188,28 @@ def test_bounded_reach_at_4096_vertices():
     adj = np.zeros((4096, 4096), dtype=bool)
     adj[tuple(rng.integers(0, 4096, size=(2, 168_000)))] = True
     np.fill_diagonal(adj, False)
-    assert_reach_is_bounded_bfs(sw.Digraph(4096, adj), 7, 1)
+    g = sw.Digraph(4096, adj)
+    for L in (1, 2, 3):
+        assert_reach_is_bounded_bfs(g, 7, L)
+    # one int object per vertex, however many edges point at it
+    heads = [b for row in g.succ for b in row]
+    assert len(heads) == g.edge_count and len(set(map(id, heads))) == len(set(heads))
+
+
+@st.composite
+def adjacencies_with_empty_rows(draw):
+    n = draw(st.integers(2, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    adj = rng.random((n, n)) < draw(st.sampled_from((0.05, 0.3, 0.9)))
+    np.fill_diagonal(adj, False)
+    adj[draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))] = False
+    return adj
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(adjacencies_with_empty_rows())
+def test_successor_lists_are_the_adjacency_rows_property(adj):
+    g = sw.Digraph(len(adj), adj)
+    assert len(g.succ) == g.n and not all(g.succ)
+    for a in range(g.n):
+        assert g.succ[a] == np.flatnonzero(adj[a]).tolist(), a

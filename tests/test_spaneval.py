@@ -182,6 +182,20 @@ def test_spectral_dense_decides_unpadded_at_5_2():
     assert report.ledger == want.ledger and dense.charges == spectral.charges
 
 
+def test_a_report_owns_its_ledger():
+    # setting every field of a report's ledger leaves the shared size charges as they were
+    g = sw.random_digraph(5, 0.3, 1)
+    for mode, L in (("exact", 3), ("spectral", 3), ("spectral", 4), ("spectral-dense", 2)):
+        evaluation = se.Evaluation(g, 1, L, mode)
+        for v in (1, 2, 5):
+            n = g.n if v == 1 else g.n + evaluation.L - L
+            before = [se.ResourceLedger(**vars(c)) for c in se.size_charges(n, evaluation.L)]
+            ledger = evaluation.report(v).ledger
+            for name, value in vars(ledger).items():
+                setattr(ledger, name, value + 7)
+            assert list(se.size_charges(n, evaluation.L)) == before, (mode, L, v)
+
+
 def test_psi0_must_be_normalized():
     net = sw.build(2, 0, 1)
     pair = se.build_reflections(net, sw.GraphOracle(sw.complete(2)), 1)
@@ -436,7 +450,7 @@ def test_spectral_decisions_build_no_network(monkeypatch):
     for L in range(1, 9):
         for u in (1, 2):
             want = [sw.bfs_distance(g, u, v) <= L for v in range(1, 9)]
-            assert se.Evaluation(g, u, L, "spectral").verdicts().tolist() == want, (L, u)
+            assert se.Evaluation(g, u, L, "spectral").verdicts() == want, (L, u)
             for v in np.flatnonzero(~np.array(want)) + 1:
                 assert not se.decide_distance_report(g, u, int(v), L, mode="spectral").accepted, (L, u, v)
     decider = driver.swnet_decider("spectral")
