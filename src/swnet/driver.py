@@ -19,22 +19,18 @@ questions follow from the graph, s, t and L alone.
 
 Deciders answer "is there a directed u -> v path of length at most L" and
 return, with each answer, the ResourceLedger of that one call: its model
-time, oracle queries and register cells.  The switching-network decider
-answers every sink of one (source, length) from one verdict list, read
-from one network evaluation (spaneval.Evaluation.verdicts) kept for the
-graph it is asking about; in spectral mode that list is the reach of a
-BFS of that graph bounded at the length: nothing is grafted and no
-effective resistance is found.  Each call is charged the full decision
-at the grafted size its network would be built on, a function of that
-size alone, shared read-only (spaneval.size_charges); only the first call
-of a (source, length), the one that ran the evaluation, counts it in
-``network_evaluations``.  A v == u call, which dstcon never makes, is
-charged the trivial decision instead.  The exact decider runs the same
-bounded BFS of g once per (source, length), keeps it for that graph as
-swnet does, and charges every call n time steps and that BFS's row
-queries.  A noisy decider passes its inner charge through, and a majority
-vote, which the caller builds (boosted), sums its repetitions' charges as
-one call.
+time, oracle queries and register cells.  Both deterministic deciders
+read one row table (_reach_table) kept for the graph they are asking
+about: a row per (source, length) holds every sink's verdict and two
+charges, the first call's and every repeat's, whatever the sink.  The
+exact decider's row is the bounded BFS of g (graphs._reach_within),
+charged n time steps and its row queries on every call.  The
+switching-network decider's row is one network evaluation's verdict list
+(spaneval.Evaluation.verdicts), in spectral mode the same bounded reach,
+and its charges are the full decision at the grafted size, shared
+read-only (spaneval.size_charges), the first counting the evaluation.  A
+noisy decider passes its inner charge through, and a majority vote, which
+the caller builds (boosted), sums its repetitions' charges as one call.
 dstcon folds every charge into its ledger (ResourceLedger.fold), so each
 call is charged once.
 """
@@ -48,7 +44,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidParams
 from .graphs import Digraph, _reach_within
-from .spaneval import Evaluation, ResourceLedger, size_charges
+from .spaneval import Evaluation, ResourceLedger
 from .spaneval import decide_distance  # noqa: F401  (perfbench's tracer wraps driver.decide_distance)
 
 CONNECTED = "Connected"
@@ -65,9 +61,9 @@ class DistDecider:
     (bool, charge), the charge being that call's ResourceLedger.  The
     charge is read-only: a decider may return the same ledger from many
     calls, so callers fold it (ResourceLedger.fold) or pass it on, and
-    never change it.
-    ``randomized`` marks the bounded-error flavors that boosted() wraps in a
-    majority vote.
+    never change it.  The deterministic flavors answer from one row table
+    (_reach_table).  ``randomized`` marks the bounded-error flavors that
+    boosted() wraps in a majority vote.
     """
 
     name: str
@@ -75,77 +71,71 @@ class DistDecider:
     randomized: bool = False
 
 
-def exact_bfs_decider() -> DistDecider:
-    """Deterministic ground-truth decider: reach[v - 1] of the bounded BFS every route reads (graphs._reach_within).
+def _reach_table(name: str, evaluate) -> DistDecider:
+    """A deterministic decider answering every sink v of a (u, L) from one row.
 
-    The BFS runs once per (u, L): its reach, as n bytes, and its charge are
-    kept, keyed by (u, L), for the graph last seen (compared by identity)
-    and dropped when another graph comes, as swnet_decider keeps its
-    verdicts.  Every call is charged n time steps, that BFS's row queries
-    and one call; the charge is shared read-only by the calls of its
-    (u, L).  Refuses u or v outside 1..n and L < 1 (InvalidParams), as
-    swnet does, before the memo is read.
+    ``evaluate(g, u, L)`` makes the row, or raises its refusals and keeps
+    none: n verdict bytes (entry v - 1 is 1 when v is within L of u) and
+    charges, [0] for the call that made the row and [1], shared read-only,
+    for every repeat.  Rows are keyed by (u, L) and kept for the graph last
+    seen (compared by identity).  v outside 1..n is refused first.
     """
-    memo: dict[tuple[int, int], tuple[bytes, ResourceLedger]] = {}
+    rows: dict[tuple[int, int], tuple[bytes, tuple]] = {}
     seen: Digraph | None = None
 
     def answer(g: Digraph, u: int, v: int, L: int) -> tuple[bool, ResourceLedger]:
         nonlocal seen
+        if g is not seen:
+            rows.clear()
+            seen = g
+        if not 1 <= v <= g.n:
+            raise InvalidParams(f"sink v = {v} out of range 1..{g.n}")
+        row = rows.get((u, L))
+        repeat = row is not None
+        if not repeat:
+            row = rows[u, L] = evaluate(g, u, L)
+        verdicts, charges = row
+        return verdicts[v - 1] == 1, charges[repeat]
+
+    return DistDecider(name=name, answer=answer)
+
+
+def exact_bfs_decider() -> DistDecider:
+    """Deterministic ground-truth decider: the bounded BFS every route reads (graphs._reach_within).
+
+    Its row (_reach_table) is that BFS's reach and one charge for every call:
+    n time steps, the BFS's row queries and one call.  Refuses L < 1 and u
+    outside 1..n as swnet does.
+    """
+
+    def bounded_bfs(g: Digraph, u: int, L: int) -> tuple[bytes, tuple]:
         if L < 1:
             raise InvalidParams("L must be >= 1")
-        if not (1 <= u <= g.n and 1 <= v <= g.n):
-            raise InvalidParams(f"vertex pair ({u}, {v}) out of range 1..{g.n}")
-        if g is not seen:
-            memo.clear()
-            seen = g
-        entry = memo.get((u, L))
-        if entry is None:
-            reach, queries = _reach_within(g, u, L)
-            charge = ResourceLedger(time_steps=float(g.n), oracle_queries=queries, decider_calls=1)
-            entry = memo[u, L] = bytes(reach), charge
-        reach, charge = entry
-        return reach[v - 1] == 1, charge
+        if not 1 <= u <= g.n:
+            raise InvalidParams(f"source u = {u} out of range 1..{g.n}")
+        reach, queries = _reach_within(g, u, L)
+        charge = ResourceLedger(time_steps=float(g.n), oracle_queries=queries, decider_calls=1)
+        return bytes(reach), (charge, charge)
 
-    return DistDecider(name="exact", answer=answer)
+    return _reach_table("exact", bounded_bfs)
 
 
 def swnet_decider(mode: str = "spectral") -> DistDecider:
     """Decide through the switching network (exact or spectral evaluation).
 
-    One Evaluation per (u, length) answers every sink of the graph from one
-    verdict list (Evaluation.verdicts).  In spectral mode that list is the
-    reach of a BFS of g from u bounded at the length, by the witness bound
-    R <= 3^ell, so the decider finds no effective resistance R and grafts
-    nothing: each (u, length) costs one bounded BFS.  The verdicts are kept,
-    as n bytes, keyed by (u, length), for the graph last seen (compared by
-    identity) and dropped when another graph comes.  A charge is a function
-    of the size alone, shared read-only (spaneval.size_charges): the first
-    call of a (u, length) gets the evaluation's own charge, which counts it
-    in ``network_evaluations``, and every later call its repeat, which
-    counts 0 there.  A v == u call is charged the trivial decision at g's n
-    instead.
+    Its row (_reach_table) is one Evaluation of (g, u, length): the verdict
+    list (Evaluation.verdicts) and the first two of its charges, the
+    evaluation's own, counted in ``network_evaluations``, and its repeat.
+    In spectral mode the list is the reach of a BFS of g from u bounded at
+    the length, by the witness bound R <= 3^ell, so the decider finds no
+    effective resistance R and grafts nothing.
     """
-    memo: dict[tuple[int, int], tuple[bytes, tuple]] = {}  # the verdicts and the size's charges
-    seen: Digraph | None = None
 
-    def answer(g: Digraph, u: int, v: int, L: int) -> tuple[bool, ResourceLedger]:
-        nonlocal seen
-        if g is not seen:
-            memo.clear()
-            seen = g
-        if not 1 <= v <= g.n:
-            raise InvalidParams(f"sink v = {v} out of range 1..{g.n}")
-        entry = memo.get((u, L))
-        repeat = entry is not None
-        if not repeat:
-            evaluation = Evaluation(g, u, L, mode)
-            entry = memo[u, L] = bytes(evaluation.verdicts()), evaluation.charges
-        verdicts, charges = entry
-        if v == u:
-            charges = size_charges(g.n, L)[2:]
-        return verdicts[v - 1] == 1, charges[repeat]
+    def evaluate(g: Digraph, u: int, L: int) -> tuple[bytes, tuple]:
+        evaluation = Evaluation(g, u, L, mode)
+        return bytes(evaluation.verdicts()), evaluation.charges
 
-    return DistDecider(name=f"swnet-{mode}", answer=answer)
+    return _reach_table(f"swnet-{mode}", evaluate)
 
 
 def noisy_decider(p_correct: float, seed: int, inner: DistDecider | None = None) -> DistDecider:

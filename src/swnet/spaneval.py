@@ -138,9 +138,9 @@ def size_charges(n: int, L: int) -> tuple[ResourceLedger, ...]:
     """The ledgers of a decision charged at n vertices and L rounded up to a power of two.
 
     A decision's own charge, which counts one network evaluation, its
-    repeat, which counts none, and the same pair for a trivial v == u
-    decision, which asks no queries.  Built once per size and shared
-    read-only: callers fold them or pass them on.  Refusals are Evaluation's.
+    repeat, which counts none, and a trivial v == u report's, which asks no
+    queries and counts none.  Built once per size and shared read-only:
+    callers fold them or pass them on.  Refusals are Evaluation's.
     """
     L = 1 << (L - 1).bit_length()
     time_steps, cells = time_formula(n, L), quantum_space_cells(n, L)
@@ -148,7 +148,7 @@ def size_charges(n: int, L: int) -> tuple[ResourceLedger, ...]:
     return tuple(
         ResourceLedger(time_steps=time_steps, quantum_space_cells=cells, oracle_queries=queries, decider_calls=1,
                        network_evaluations=evaluations)
-        for queries in (edges, 0) for evaluations in (1, 0)
+        for queries, evaluations in ((edges, 1), (edges, 0), (0, 0))
     )
 
 
@@ -508,7 +508,7 @@ class Evaluation:
             raise InvalidParams(f"sink v = {v} out of range 1..{self.g.n}")
         energy = path_len = None
         if v == self.u:
-            route, accepted, overlap0, charge = "trivial", True, 1.0, size_charges(self.g.n, self.L)[3]
+            route, accepted, overlap0, charge = "trivial", True, 1.0, size_charges(self.g.n, self.L)[2]
             if witness:
                 energy, path_len = 0.0, 0
         else:

@@ -135,9 +135,10 @@ def sweep(config: dict) -> list[TradeoffPoint]:
     optional "c" (default 1.0), "c_L", "decider" (exact | swnet | noisy:P),
     "seeds" (list, default [0]), "edge_prob", "measure_max_n" (default 64,
     at most graphs.MAX_FILE_VERTICES), "reps".  n, S and seeds are lists of
-    integers, n and seeds are not empty, and the keys of an S map are
-    exactly the entries of n; c, c_L and edge_prob are numbers.  The
-    decider and reps are checked before any row, measured or not.
+    integers, n, seeds and every n's S grid are not empty, and the keys of
+    an S map are exactly the entries of n; c, c_L and edge_prob are
+    numbers.  The decider and reps are checked before any row, measured or
+    not.
     Duplicate (n, S) pairs are dropped; row order follows config order.
     A measured point's ledger folds the dstcon ledgers of its seeds; points
     with n above measure_max_n carry no ledger.
@@ -163,6 +164,9 @@ def sweep(config: dict) -> list[TradeoffPoint]:
             raise ConfigError(f"S map has no key for n = {missing}")
     else:
         grids = dict.fromkeys(map(str, ns), _integers("S", S_cfg))
+    empty = [n for n in ns if not grids[str(n)]]
+    if empty:
+        raise ConfigError(f"S grid is empty for n = {empty}")
     seeds = _integers("seeds", config.get("seeds", [0]))
     if not seeds:
         raise ConfigError("seeds must name at least one seed")

@@ -604,6 +604,9 @@ def test_pebble_path_of_one_vertex_is_refused_alike_with_a_graph(c4_graph, capsy
     # an n without an S map key, or no n at all, would drop its rows silently
     {"n": [8, 16], "S": {"8": [16]}},
     {"n": [], "S": [16]},
+    # an empty S grid, for every n or for one, would print no row for it
+    {"n": [8], "S": []},
+    {"n": [8, 16], "S": {"8": [16], "16": []}},
 ], ids=repr)
 def test_sweep_malformed_config_exits_2(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"

@@ -70,6 +70,28 @@ def test_deciders_refuse_vertices_out_of_range_and_L_below_1(decider, u, v, L):
         decider().answer(sw.random_digraph(5, 0.4, 1), u, v, L)
 
 
+@pytest.mark.parametrize("decider", [dr.exact_bfs_decider, dr.swnet_decider], ids=["exact", "swnet"])
+def test_row_table_keeps_no_refused_row_and_charges_every_sink_of_a_row_alike(decider):
+    # both deterministic deciders read one (u, L) row table: a refused (u, L)
+    # keeps no row, so it refuses again and an admitted call then answers; a
+    # v == u call answers True with its row's charge, and every repeat call
+    # of a (u, L), whatever its sink, returns the same charge object
+    g = sw.random_digraph(8, 0.2, 1)
+    table = decider()
+    for _ in range(2):
+        for u, L, match in ((9, 3, r"source u = 9 out of range 1\.\.8"), (1, 0, "L must be >= 1")):
+            with pytest.raises(InvalidParams, match=match):
+                table.answer(g, u, 2, L)
+    with pytest.raises(InvalidParams, match=r"sink v = 9 out of range 1\.\.8"):
+        table.answer(g, 1, 9, 3)
+    first = table.answer(g, 1, 1, 3)
+    assert first == (True, decider().answer(g, 1, 5, 3)[1])
+    repeat = table.answer(g, 1, 5, 3)[1]
+    assert repeat == replace(first[1], network_evaluations=0)
+    assert table.answer(g, 1, 1, 3) == (True, repeat)
+    assert table.answer(g, 1, 1, 3)[1] is repeat and table.answer(g, 1, 2, 3)[1] is repeat
+
+
 def test_frontier_guard_and_ledger():
     for n, L in [(5, 2), (6, 2), (6, 3)]:
         for seed in range(10):
@@ -403,8 +425,8 @@ def formula_charges(n, L):
         time_steps=se.time_formula(n, L), quantum_space_cells=se.quantum_space_cells(n, L),
         oracle_queries=(2 * n + 1) ** ell * n, decider_calls=1, network_evaluations=1,
     )
-    trivial = replace(full, oracle_queries=0)
-    return full, replace(full, network_evaluations=0), trivial, replace(trivial, network_evaluations=0)
+    repeat = replace(full, network_evaluations=0)
+    return full, repeat, replace(repeat, oracle_queries=0)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -474,15 +496,16 @@ def test_swnet_decider_shares_one_read_only_charge_per_source_and_length():
     keys = [(u, v, L) for L in (1, 2, 3) for u in range(1, 9) for v in range(1, 9)]
     for u, v, L in keys:
         decider.answer(g, u, v, L)
-    assert decider.answer(g, 1, 2, 3)[1] is decider.answer(g, 1, 5, 3)[1]
-    assert decider.answer(g, 1, 1, 3)[1] is decider.answer(g, 1, 1, 3)[1]
+    assert decider.answer(g, 1, 2, 3)[1] is decider.answer(g, 1, 5, 3)[1] is decider.answer(g, 1, 1, 3)[1]
     assert dr.dstcon(g, 1, 8, 3, decider=decider)[0] == ground_truth(g, 1, 8)
     voted = dr.boosted(dr.noisy_decider(1.0, 0, inner=decider), 3)
     result, ledger = dr.dstcon(g, 1, 8, 3, decider=voted)
     assert result == ground_truth(g, 1, 8) and ledger.network_evaluations == 0
+    # sink u reads its row as every other sink does: accepted, with the row's charge
     for u, v, L in keys:
         report = decide_distance_report(g, u, v, L, mode="spectral")
-        assert decider.answer(g, u, v, L) == (report.accepted, replace(report.ledger, network_evaluations=0))
+        ledger = report.ledger if v != u else se.Evaluation(g, u, L, "spectral").charges[0]
+        assert decider.answer(g, u, v, L) == (report.accepted, replace(ledger, network_evaluations=0))
 
 
 def test_shared_charges_are_refused_every_time_and_never_changed():
@@ -527,7 +550,8 @@ PARITY_CASES = [("exact", 6, (1, 2, 3, 4)), ("spectral", 6, (1, 2, 3, 4)), ("spe
 def test_swnet_decider_answers_every_call_as_its_report(mode, n, lengths):
     # every u, every v (v == u included, first for odd u, last for even u)
     # and every L: the answer and ledger of a fresh decision, with the
-    # evaluation counted only on the first call for each (u, L)
+    # evaluation counted only on the first call for each (u, L); v == u is
+    # accepted as its trivial report is, and charged as the row's other sinks
     g = sw.random_digraph(n, 0.3, 1)
     decider = dr.swnet_decider(mode)
     answers = set()
@@ -536,7 +560,8 @@ def test_swnet_decider_answers_every_call_as_its_report(mode, n, lengths):
             others = [v for v in range(1, n + 1) if v != u]
             for i, v in enumerate([u] + others if u % 2 else others + [u]):
                 report = decide_distance_report(g, u, v, L, mode)
-                want = (report.accepted, replace(report.ledger, network_evaluations=int(i == 0)))
+                ledger = report.ledger if v != u else se.Evaluation(g, u, L, mode).charges[0]
+                want = (report.accepted, replace(ledger, network_evaluations=int(i == 0)))
                 assert decider.answer(g, u, v, L) == want, (u, v, L)
                 answers.add(report.accepted)
     assert answers == {True, False}

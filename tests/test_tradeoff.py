@@ -98,6 +98,11 @@ def test_sweep_config_errors():
         to.sweep({"S": [4]})
     with pytest.raises(ConfigError):
         to.sweep({"n": [8], "S": [64], "decider": "bogus"})
+    # an empty S grid is refused by its n, before any row is measured
+    with pytest.raises(ConfigError, match=r"S grid is empty for n = \[8\]"):
+        to.sweep({"n": [8], "S": []})
+    with pytest.raises(ConfigError, match=r"S grid is empty for n = \[16\]"):
+        to.sweep({"n": [8, 16], "S": {"8": [16], "16": []}})
 
 
 def test_sweep_refuses_a_measure_cap_above_the_file_cap_before_generating(monkeypatch):
