@@ -39,10 +39,6 @@ class NegativePrefix(SwnetError):
     """A prefix sum of squared amplitudes came out negative."""
 
 
-class CapExceeded(SwnetError):
-    """Exhaustive search exceeded its configured size cap."""
-
-
 # -- invariant violations --------------------------------------------------
 
 class InvariantViolation(SwnetError):

@@ -303,6 +303,8 @@ def star_state(net: SwitchingNet, v: int, sink_j: int | None = None) -> np.ndarr
     When v is the source (or sink_j is given and v is that sink) the
     matching boundary slot is added, as the cut-space basis requires.
     """
+    if not 0 <= v < net.vertex_count:
+        raise InvalidParams(f"vertex id {v} out of range 0..{net.vertex_count - 1}")
     tail, head = net.struct.edge_ends
     E = net.edge_count
     out = np.zeros(full_dim(net))

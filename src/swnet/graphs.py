@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvalidParams
 
 INF = float("inf")
-MAX_FILE_VERTICES = 4096  # a graph file's n; its dense adjacency is 16 MB
+MAX_FILE_VERTICES = 4096  # a graph file's n; the reader's dense adjacency, one byte a cell, is 16 MB
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,17 @@ class Digraph:
             yield int(i) + 1, int(j) + 1
 
 
+def _check_edge(n: int, u: int, v: int) -> None:
+    if not (1 <= u <= n and 1 <= v <= n):
+        raise InvalidParams(f"edge ({u}, {v}) out of range 1..{n}")
+    if u == v:
+        raise InvalidParams(f"self-loop ({u}, {v})")
+
+
 def from_edges(n: int, edges) -> Digraph:
     adj = np.zeros((n, n), dtype=bool)
     for u, v in edges:
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise InvalidParams(f"edge ({u}, {v}) out of range 1..{n}")
-        if u == v:
-            raise InvalidParams(f"self-loop ({u}, {v})")
+        _check_edge(n, u, v)
         adj[u - 1, v - 1] = True
     return Digraph(n, adj)
 
@@ -91,8 +95,9 @@ class GraphOracle:
         self.query_count = 0
 
     def query(self, i: int, j: int) -> bool:
+        edge = self.graph.has_edge(i, j)  # a pair out of range is refused, not counted
         self.query_count += 1
-        return bool(self.graph.adj[i - 1, j - 1])
+        return edge
 
 
 # -- distances ---------------------------------------------------------------
@@ -232,12 +237,14 @@ def _file_lines(path, fh):
 
 
 def read_graph_file(path) -> Digraph:
-    """Read a graph file, streamed: the header first, then at most m edge lines.
+    """Read a graph file in one pass: the header, then each edge line straight into the n x n adjacency.
 
     Refuses (InvalidParams) a header n outside 2..MAX_FILE_VERTICES, an m
-    outside 0..n(n-1), a line longer than MAX_LINE_CHARS and a file with a
-    non-blank line past the m-th edge, at that line, so bad input allocates
-    no more than its header admits, and no message echoes a longer line.
+    outside 0..n(n-1), a line longer than MAX_LINE_CHARS, and an edge line
+    that does not parse, is out of range, is a self-loop, repeats an edge or
+    comes past the m-th edge, each at that line, so a file with several
+    faults is refused by its first.  Bad input allocates no more than its
+    header admits (n^2 bytes), and no message echoes a longer line.
     """
     with open(path, encoding="utf-8") as fh:
         lines = _file_lines(path, fh)
@@ -252,22 +259,24 @@ def read_graph_file(path) -> Digraph:
             raise InvalidParams(f"{path}: header n = {n} is not in 2..MAX_FILE_VERTICES={MAX_FILE_VERTICES}")
         if not 0 <= m <= n * (n - 1):
             raise InvalidParams(f"{path}: header m = {m} is not in 0..n(n-1) = {n * (n - 1)}")
-        seen = set()
-        edges = []
+        adj = bytearray(n * n)  # row-major, cell (i - 1) * n + (j - 1) holds edge i -> j
+        count = 0
         for ln in lines:
-            if len(edges) == m:
+            if count == m:
                 raise InvalidParams(f"{path}: header promises {m} edges, found more")
             try:
                 i, j = (int(tok) for tok in ln.split())
             except ValueError as exc:
                 raise InvalidParams(f"{path}: bad edge line {ln!r}") from exc
-            if (i, j) in seen:
+            _check_edge(n, i, j)
+            cell = (i - 1) * n + j - 1
+            if adj[cell]:
                 raise InvalidParams(f"{path}: duplicate edge ({i}, {j})")
-            seen.add((i, j))
-            edges.append((i, j))
-    if len(edges) != m:
-        raise InvalidParams(f"{path}: header promises {m} edges, found {len(edges)}")
-    return from_edges(n, edges)
+            adj[cell] = 1
+            count += 1
+    if count != m:
+        raise InvalidParams(f"{path}: header promises {m} edges, found {count}")
+    return Digraph(n, np.frombuffer(adj, dtype=bool).reshape(n, n))
 
 
 def write_graph_file(path, g: Digraph) -> None:

@@ -246,6 +246,8 @@ class SwitchingNet:
 
     def sink(self, j: int) -> int:
         """Vertex id of global sink j (0-indexed: target vertex v_{j+1})."""
+        if not 0 <= j < self.n:
+            raise InvalidParams(f"sink index {j} out of range 0..{self.n - 1}")
         return int(self.struct.sink_vids[j])
 
 

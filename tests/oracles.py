@@ -12,7 +12,7 @@ import numpy as np
 from swnet import flows as fl
 from swnet import prep
 from swnet.driver import DistDecider
-from swnet.errors import CapExceeded, InvalidParams, RankDeficient
+from swnet.errors import InvalidParams, RankDeficient
 from swnet.graphs import Digraph, GraphOracle, bfs_distances
 from swnet.network import SRC, SwitchingNet, leaf_symbols, on_component, on_edge_mask
 from swnet.spaneval import ResourceLedger
@@ -630,6 +630,10 @@ def dstcon_questions(g, s: int, t: int, L: int, frontiers: list | None = None) -
 
 
 # -- the pebbling game's reach, by exhaustive configuration search --------------
+
+class CapExceeded(Exception):
+    """The exhaustive configuration search passed its size cap."""
+
 
 def reachable_configs(
     g: Digraph, start: int, max_pebbles: int, cap: int = 10**6

@@ -1,18 +1,27 @@
+import contextlib
+import csv
+import io
 import json
 import os
 import resource
+import runpy
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import swnet as sw
 from oracles import edge_symbols, symbol_of
+from test_src_reach import corpus
 from swnet import cli
 from swnet import spaneval as se
 from swnet.cli import main
-from swnet.errors import CapExceeded, Disconnected, InvalidParams, InvariantViolation
+from swnet.errors import InvariantViolation, SwnetError
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 @pytest.fixture
@@ -48,16 +57,17 @@ def test_net_dump_golden_depth_one(capsys):
 
 def test_net_dump_equals_scalar_decode(capsys):
     # every line: the edge's symbols as tag.payload, its sink slot, and its
-    # query label (the payload of the deepest tag-1 symbol, else the root)
-    n, ell, root = 4, 2, 3
-    assert main(["net", "dump", "--n", str(n), "--ell", str(ell), "--root", str(root)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == (2 * n + 1) ** ell * n
-    for e, line in enumerate(lines):
-        sigma, i = edge_symbols(n, ell, e)
-        symbols = [symbol_of(n, c) for c in sigma]
-        label_from = ([root] + [payload + 1 for tag, payload in symbols if tag == 1])[-1]
-        assert line == f"{','.join(f'{t}.{p}' for t, p in symbols)};{i};{label_from};{i + 1}", e
+    # query label (the payload of the deepest tag-1 symbol, else the root);
+    # (3, 3) is a structure off the powers of two, built level by level
+    for n, ell, root in ((4, 2, 3), (3, 3, 1)):
+        assert main(["net", "dump", "--n", str(n), "--ell", str(ell), "--root", str(root)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == (2 * n + 1) ** ell * n
+        for e, line in enumerate(lines):
+            sigma, i = edge_symbols(n, ell, e)
+            symbols = [symbol_of(n, c) for c in sigma]
+            label_from = ([root] + [payload + 1 for tag, payload in symbols if tag == 1])[-1]
+            assert line == f"{','.join(f'{t}.{p}' for t, p in symbols)};{i};{label_from};{i + 1}", (n, ell, e)
 
 
 @pytest.mark.parametrize("root", [0, 68])
@@ -81,11 +91,13 @@ def test_basis_dump_gram(capsys):
 
 
 def test_prep_verify_table(capsys):
-    assert main(["prep", "verify", "--n", "2", "--L", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "sum-of-flows" in out and "optimal-flow" in out
-    residuals = [float(line.split()[1]) for line in out.strip().splitlines()[1:]]
-    assert max(residuals) < 1e-9
+    # (16, 8) and (8, 16) hold the largest preparer sizes the benchmark runs, (16, 3) and (8, 4)
+    for n, L in ((2, 2), (16, 8), (8, 16)):
+        assert main(["prep", "verify", "--n", str(n), "--L", str(L)]) == 0
+        out = capsys.readouterr().out
+        assert "sum-of-flows" in out and "optimal-flow" in out
+        residuals = [float(line.split()[1]) for line in out.strip().splitlines()[1:]]
+        assert len(residuals) == 4 and max(residuals) < 1e-9, (n, L)
 
 
 def test_prep_verify_table_at_4_2_is_pinned(capsys):
@@ -256,12 +268,13 @@ def test_prep_verify_rejects_non_power_of_two_n(capsys):
 
 def test_basis_dump_takes_any_n(capsys):
     # the complement basis signs by Helmert rows off the powers of two:
-    # 9 = |E| + 4 - |V| orthonormal members at n = 3, L = 2
-    assert main(["basis", "dump", "--n", "3", "--L", "2"]) == 0
-    out = capsys.readouterr().out.strip().splitlines()
-    assert out[0] == "# complement basis of n=3 L=2: 9 members"
-    gram = np.array([[float(x) for x in row.split(",")] for row in out if not row.startswith("#")])
-    assert gram.shape == (9, 9) and np.abs(gram - np.eye(9)).max() < 1e-12
+    # |E| + 4 - |V| orthonormal members, 9 at n = 3, L = 2 and 243 at n = 5, L = 4
+    for n, L, members in ((3, 2, 9), (5, 4, 243)):
+        assert main(["basis", "dump", "--n", str(n), "--L", str(L)]) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert out[0] == f"# complement basis of n={n} L={L}: {members} members"
+        gram = np.array([[float(x) for x in row.split(",")] for row in out if not row.startswith("#")])
+        assert gram.shape == (members, members) and np.abs(gram - np.eye(members)).max() < 1e-12
 
 
 def test_dstcon_json(path_graph, capsys):
@@ -285,43 +298,80 @@ def test_dstcon_json_counts_network_evaluations(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ledger"]["network_evaluations"] == 0
 
 
+# demo 02 shows optimal_flow_lsq, the flow oracle that scipy serves
+SCIPY_FREE_DEMOS = [d for d in sorted(DEMOS.glob("*.py")) if not d.name.startswith("02_")]
+
+# runs each command through `python -m swnet.cli` (its __main__ path) and each
+# demo as a script, one after another in this interpreter, and prints, as
+# JSON, whether importing swnet and building a decider loaded scipy, then
+# each run's exit code, its stdout and whether scipy was loaded after it
+SCIPY_FREE_CHILD = """\
+import contextlib, io, json, runpy, sys
+commands, demos = json.loads(sys.argv[1])
+from swnet.driver import swnet_decider
+swnet_decider('spectral')
+loaded, runs = 'scipy' in sys.modules, []
+for target in commands + demos:
+    out, code = io.StringIO(), 0
+    with contextlib.redirect_stdout(out):
+        try:
+            if isinstance(target, list):
+                sys.argv = ['swnet', *target]
+                runpy.run_module('swnet.cli', run_name='__main__')
+            else:
+                runpy.run_path(target, run_name='__main__')
+        except SystemExit as exc:
+            code = exc.code
+    runs.append([code, out.getvalue(), 'scipy' in sys.modules])
+print(json.dumps({'loaded': loaded, 'runs': runs}))
+"""
+
+
+def _run_in_process(target) -> list:
+    """[exit code, stdout] of a corpus command through cli.main, or of a demo script."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        if isinstance(target, list):
+            code = main(target)
+        else:
+            runpy.run_path(target, run_name="__main__")
+            code = 0
+    return [code, out.getvalue()]
+
+
 def test_import_and_decider_construction_load_no_scipy(tmp_path):
     # scipy is imported inside the independent flow oracle only: importing,
-    # building a decider, accepted decisions with their witness fields in
-    # every mode, and dstcon with the swnet decider all run without it
-    graph, path3 = tmp_path / "g.txt", tmp_path / "path3.txt"
-    sw.write_graph_file(graph, sw.random_digraph(8, 0.2, 1))
-    sw.write_graph_file(path3, sw.layered_path(3))
-    code = (
-        "import contextlib, io, json, sys\n"
-        "import swnet, swnet.cli\n"
-        "from swnet.driver import swnet_decider\n"
-        "swnet_decider('spectral')\n"
-        "loaded = ['scipy' in sys.modules]\n"
-        f"g, p = {str(graph)!r}, {str(path3)!r}\n"
-        "out = []\n"
-        "for argv in (['decide', '--graph', g, '--u', '1', '--v', '8', '--L', '5', '--json'],\n"
-        "             ['decide', '--graph', g, '--u', '1', '--v', '8', '--L', '5', '--json', '--mode', 'exact'],\n"
-        "             ['decide', '--graph', p, '--u', '1', '--v', '3', '--L', '2', '--json', '--mode', 'spectral-dense'],\n"
-        "             ['dstcon', '--graph', g, '--s', '1', '--t', '8', '--L', '3', '--decider', 'swnet', '--json']):\n"
-        "    buf = io.StringIO()\n"
-        "    with contextlib.redirect_stdout(buf):\n"
-        "        assert swnet.cli.main(argv) == 0\n"
-        "    out.append(json.loads(buf.getvalue()))\n"
-        "    loaded.append('scipy' in sys.modules)\n"
-        "print(json.dumps({'loaded': loaded, 'out': out}))\n"
-    )
+    # building a decider, every command of the one CLI corpus (accepted
+    # decisions with their witness fields in every mode, dstcon with every
+    # decider, sweeps, prep, basis, net and pebble) and demos 01 and 03-06 run
+    # without it, and each prints what it prints in-process
+    commands = corpus(tmp_path)
+    demos = [str(d) for d in SCIPY_FREE_DEMOS]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sw.__file__)))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_CHILD, json.dumps([commands, demos])],
+                          capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
-    spectral, exact, dense, connectivity = payload["out"]
-    for report, route in ((spectral, "resistance"), (exact, "exact"), (dense, "dense")):
-        assert (report["accepted"], report["route"]) == (True, route)
-        assert report["witness_energy"] > 0 and report["path_len"] > 0
-    assert dense["path_len"] == 3
-    assert connectivity["ledger"]["network_evaluations"] > 0
-    assert payload["loaded"] == [False] * 5
+    assert payload["loaded"] is False
+    targets, runs = [*commands, *demos], payload["runs"]
+    assert len(runs) == len(targets) == 20
+    loaded_by = [target for target, (_, _, loaded) in zip(targets, runs) if loaded]
+    assert not loaded_by, f"scipy was loaded by {loaded_by[0]}"
+    for target, (code, out, _) in zip(targets, runs):
+        assert [code, out] == _run_in_process(target), target
+
+    def report(option, value):
+        """The JSON printed by the one corpus command that takes `option value` and --json."""
+        (out,) = [json.loads(out) for argv, (_, out, _) in zip(commands, runs)
+                  if "--json" in argv and option in argv and argv[argv.index(option) + 1] == value]
+        return out
+
+    for mode, route in (("spectral", "resistance"), ("exact", "exact"), ("spectral-dense", "dense")):
+        decision = report("--mode", mode)
+        assert (decision["accepted"], decision["route"]) == (True, route)
+        assert decision["witness_energy"] > 0 and decision["path_len"] > 0
+    assert report("--mode", "spectral-dense")["path_len"] == 3
+    assert report("--decider", "swnet")["ledger"]["network_evaluations"] > 0
 
 
 def test_reach_mismatch_exits_3(path_graph, capsys, monkeypatch):
@@ -441,6 +491,35 @@ def test_a_graft_that_misses_u_exits_3_and_leaves_spectral_verdicts_right(tmp_pa
         assert runs[0] == runs[1], (s, t, L)
 
 
+VERDICT_GRAPHS = {
+    "g8": lambda: sw.random_digraph(8, 0.2, 1),
+    "g16": lambda: sw.random_digraph(16, 0.1, 1),
+    "g7": lambda: sw.from_edges(7, [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (5, 7)]),
+    "path3": lambda: sw.layered_path(3),
+}
+
+
+@pytest.mark.parametrize("graph, L, mode", [
+    # grafted lengths, and depth 3 at 16 vertices, where R comes from the reduction's batched level
+    ("g8", 3, "spectral"), ("g8", 5, "spectral"), ("g16", 8, "spectral"),
+    # the unpadded dense networks (7, 1), dimension 214, and (3, 2), dimension 298
+    ("g7", 2, "spectral-dense"), ("path3", 2, "spectral-dense"), ("path3", 4, "spectral-dense"),
+])
+def test_decide_prints_the_exact_verdict_in_every_mode(tmp_path, capsys, graph, L, mode):
+    # every sink from source 1: the route's verdict, held to the input
+    # graph's own reach, prints what the exact route prints (exit 3 fails)
+    g = VERDICT_GRAPHS[graph]()
+    path = tmp_path / f"{graph}.txt"
+    sw.write_graph_file(path, g)
+    for v in range(2, g.n + 1):
+        printed = []
+        for route in ("exact", mode):
+            argv = ["decide", "--graph", str(path), "--u", "1", "--v", str(v), "--L", str(L), "--mode", route]
+            assert main(argv) == 0, (route, v)
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] == f"{sw.bfs_distance(g, 1, v) <= L}\n", v
+
+
 def test_pebble_trace(capsys):
     assert main(["pebble", "--L", "4"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -458,15 +537,32 @@ def test_sweep_csv(tmp_path, capsys):
     assert len(out) == 3
 
 
+def test_sweep_measures_a_sparse_grid_in_time(tmp_path, capsys):
+    # G(n, 0.01) at n 64, 128 and 256, every row measured with the exact
+    # decider, whose one bounded BFS per (u, length) reads successor lists
+    # (45 s when the BFS re-ran over adjacency rows on every call)
+    cfg = tmp_path / "sparse.json"
+    cfg.write_text(json.dumps({"n": [64, 128, 256], "S": [64, 128, 256], "edge_prob": 0.01, "measure_max_n": 256}))
+    start = time.perf_counter()
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert time.perf_counter() - start < 20
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 9 and all(row["measured_time_steps"] for row in rows)
+
+
+def _error_family(cls):
+    """cls's subclasses, and theirs, in definition order."""
+    return [c for sub in cls.__subclasses__() for c in (sub, *_error_family(sub))]
+
+
 @pytest.mark.parametrize("error, code, prefix", [
-    *(pytest.param(error, 3, "invariant violation", id=error.__name__)
-      for error in InvariantViolation.__subclasses__()),
-    *(pytest.param(error, 2, "error", id=error.__name__)
-      for error in (*InvalidParams.__subclasses__(), Disconnected, CapExceeded)),
+    pytest.param(error, *((3, "invariant violation") if issubclass(error, InvariantViolation) else (2, "error")),
+                 id=error.__name__)
+    for error in _error_family(SwnetError)
 ])
 def test_exit_code_follows_the_error_family(capsys, monkeypatch, error, code, prefix):
-    # every InvariantViolation subclass exits 3, whichever command raises
-    # it; bad inputs and the other package errors still exit 2
+    # every InvariantViolation exits 3, whichever command raises it; bad
+    # inputs and every other package error exit 2
     def raising(args):
         raise error("tripped")
 

@@ -367,6 +367,15 @@ def test_dstcon_with_swnet_decider_matches_bfs_corpus():
             assert runs[0][0] == ground_truth(g, s, t), (n, L, s, t)
             assert ledger.peak_frontier <= math.ceil(n / L) + 1
             assert 0 < ledger.network_evaluations <= ledger.decider_calls
+    # depth 3 on G(16, 0.1, 1) at L = 5 (grafted to 19 vertices) and L = 8; the
+    # ungrafted L = 4 on G(8, 0.2, 1); and G(9, 0.15, 1) from 9, whose frontier
+    # [9, 1] is asked in admission order
+    for (n, p, seed), s, t, L in (((16, 0.1, 1), 1, 16, 5), ((16, 0.1, 1), 1, 16, 8),
+                                  ((8, 0.2, 1), 1, 8, 4), ((9, 0.15, 1), 9, 1, 5)):
+        g = sw.random_digraph(n, p, seed)
+        runs, ledger = swnet_and_exact_runs(g, s, t, L, decider)
+        assert runs[0] == runs[1], (n, p, seed, L)
+        assert runs[0][0] == ground_truth(g, s, t), (n, p, seed, L)
 
 
 def test_reach_widened_by_one_hop_fails_the_swnet_and_exact_corpus_comparison(monkeypatch):

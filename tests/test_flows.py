@@ -345,6 +345,14 @@ def test_star_state_shapes():
         assert abs(minus @ sym_vec) < TOL
 
 
+def test_star_state_refuses_a_vertex_out_of_range():
+    # a vertex id past the network is not an empty star
+    net = sw.build(2, 1, 1)
+    for v in (-1, net.vertex_count, 999):
+        with pytest.raises(InvalidParams, match=rf"vertex id {v} out of range 0..{net.vertex_count - 1}"):
+            fl.star_state(net, v)
+
+
 def test_A_basis_dimension_and_signs():
     # root 1: edge 0 carries the always-on (1,1) label, edge 1 queries (1,2)
     g = sw.from_edges(2, [(2, 1)])

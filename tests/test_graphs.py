@@ -81,6 +81,15 @@ def test_oracle_counts_every_query():
     assert sum(answers) == 6
 
 
+def test_oracle_refuses_a_pair_out_of_range():
+    # vertex 0 must not read the last row, which holds the edge 3 -> 1
+    oracle = sw.GraphOracle(sw.from_edges(3, [(3, 1)]))
+    for i, j in ((0, 1), (1, 4), (4, 1)):
+        with pytest.raises(InvalidParams, match=rf"\({i}, {j}\) out of range 1..3"):
+            oracle.query(i, j)
+    assert oracle.query_count == 0
+
+
 def test_graph_file_roundtrip(tmp_path):
     g = sw.random_digraph(5, 0.5, 9)
     path = tmp_path / "g.txt"
@@ -121,6 +130,35 @@ def test_graph_file_refuses_extra_lines_as_it_streams(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("text, match", [
+    ("3 2\n1 1\nfoo\n", r"^self-loop \(1, 1\)$"),
+    ("3 3\n1 2\n4 1\n1 2 3\n", r"^edge \(4, 1\) out of range 1..3$"),
+    ("3 2\n1 2\n1 2\n0 1\n", r"duplicate edge \(1, 2\)$"),
+], ids=["self-loop", "range", "duplicate"])
+def test_graph_file_is_refused_at_its_first_faulty_line(tmp_path, text, match):
+    # each edge line is checked as it is read, so a later fault is never reached
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    with pytest.raises(InvalidParams, match=match):
+        sw.read_graph_file(path)
+
+
+def test_graph_file_is_read_into_the_adjacency_alone(tmp_path):
+    # complete(96), 9120 edge lines: each goes straight into the n x n
+    # adjacency, with no list or set of the edges beside it (a list and a
+    # set of them peaked at 1.7 MB)
+    path = tmp_path / "complete.txt"
+    sw.write_graph_file(path, sw.complete(96))
+    tracemalloc.start()
+    try:
+        g = sw.read_graph_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (g.adj == sw.complete(96).adj).all()
+    assert peak < 500_000
 
 
 def test_graph_file_refuses_a_long_line_by_number(tmp_path):

@@ -37,6 +37,16 @@ def all_digraphs(n):
         yield sw.from_edges(n, [e for e, b in zip(slots, bits) if b])
 
 
+def test_sink_refuses_an_index_out_of_range():
+    # index -1 must not answer for the last sink
+    net = sw.build(3, 1, 1)
+    for j in (-1, 3):
+        with pytest.raises(InvalidParams, match=rf"sink index {j} out of range 0..2"):
+            net.sink(j)
+    with pytest.raises(InvalidParams, match="sink index -1"):
+        sw.accepts(net, sw.GraphOracle(sw.complete(3)), -1)
+
+
 def test_base_star_shape():
     net = sw.build(4, 0, 2)
     assert net.edge_count == 4

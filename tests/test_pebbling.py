@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import swnet as sw
-from oracles import assoc, max_pair_distance, max_pebbled_distance, reachable_configs
+from oracles import CapExceeded, assoc, max_pair_distance, max_pebbled_distance, reachable_configs
 from swnet import pebbling as pb
-from swnet.errors import BadPath, CapExceeded, IllegalMove, InvalidParams
+from swnet.errors import BadPath, IllegalMove, InvalidParams
 from swnet.network import leaf_symbols
 
 

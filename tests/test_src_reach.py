@@ -109,7 +109,13 @@ def _clear_caches():
                 obj.cache_clear()
 
 
-def _corpus(tmp: Path) -> list[list[str]]:
+def corpus(tmp: Path) -> list[list[str]]:
+    """The one list of CLI commands every command-level check runs, with its input files written to tmp.
+
+    This module traces it for reach; ``test_cli`` runs it again, with the
+    demos, through ``python -m swnet.cli`` in a child interpreter that must
+    never load scipy.
+    """
     g8, path3, sweep, noisy = tmp / "g8.txt", tmp / "path3.txt", tmp / "sweep.json", tmp / "noisy.json"
     swnet.write_graph_file(g8, swnet.random_digraph(8, 0.2, 1))
     swnet.write_graph_file(path3, swnet.layered_path(3))
@@ -136,7 +142,7 @@ def _corpus(tmp: Path) -> list[list[str]]:
     ]
 
 
-def _reached(corpus) -> set:
+def _reached(commands) -> set:
     codes = set()
 
     def profile(frame, event, arg):
@@ -148,16 +154,16 @@ def _reached(corpus) -> set:
     sys.setprofile(profile)
     try:
         with contextlib.redirect_stdout(out):
-            exits = [cli.main(argv) for argv in corpus]
+            exits = [cli.main(argv) for argv in commands]
     finally:
         sys.setprofile(None)
-    assert exits == [0] * len(corpus), list(zip(corpus, exits))
+    assert exits == [0] * len(commands), list(zip(commands, exits))
     return codes
 
 
 def unreached(tmp: Path) -> set[str]:
     functions = _functions()
-    reached = _reached(_corpus(tmp))
+    reached = _reached(corpus(tmp))
     return {name for name, code in functions.items() if code not in reached}
 
 

@@ -103,6 +103,15 @@ def test_sweep_config_errors():
         to.sweep({"n": [8], "S": []})
     with pytest.raises(ConfigError, match=r"S grid is empty for n = \[16\]"):
         to.sweep({"n": [8, 16], "S": {"8": [16], "16": []}})
+    # no seed, no n, an S key naming no n, or an n without an S key, each refused by name
+    with pytest.raises(ConfigError, match="seeds must name at least one seed"):
+        to.sweep({"n": [8], "S": [16], "seeds": []})
+    with pytest.raises(ConfigError, match="n must name at least one size"):
+        to.sweep({"n": [], "S": [16]})
+    with pytest.raises(ConfigError, match=r"S keys \['9'\] name no entry of n"):
+        to.sweep({"n": [8], "S": {"9": [16]}})
+    with pytest.raises(ConfigError, match=r"S map has no key for n = \[16\]"):
+        to.sweep({"n": [8, 16], "S": {"8": [16]}})
 
 
 def test_sweep_refuses_a_measure_cap_above_the_file_cap_before_generating(monkeypatch):
